@@ -21,7 +21,7 @@ from .spectral import (CriticalRectangle, ResonantTriple, build_profile,
 from .dynamics import (BlowupError, EnergyTrace, SimConfig, Stepper,
                        Trajectory, assemble_linear_part, initial_field,
                        read_snapshot, simulate, simulate_regularized_sweep,
-                       step, write_snapshot)
+                       write_snapshot)
 from .stabilization import (DecayGeometry, DecayTheory, DecayVerdict,
                             check_smallness, decay_theory, fit_decay_rate,
                             lyapunov_monitor, verdict)

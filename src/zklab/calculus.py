@@ -159,8 +159,8 @@ class NormReport:
     i0: float | None = None
 
 
-def norms(fld: Field, with_i0: bool = False, companion: Field | None = None) -> NormReport:
-    """Populate a NormReport.  ``companion`` is reserved and unused.
+def norms(fld: Field, with_i0: bool = False) -> NormReport:
+    """Populate a NormReport.
 
     i0 is the initial-regularity functional
     ||u||^2 + ||grad u||^2 + ||u_yy||^2 + ||u u_x + (u_xx + u_yy)_x ... ||^2,

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,9 @@ import pytest
 from zklab import (SimConfig, Stepper, assemble_linear_part, build_grid,
                    enforce_dirichlet, initial_field, integrate, read_snapshot,
                    sample_field, simulate, simulate_regularized_sweep,
-                   stationary_mode, step, write_snapshot, zero_field)
-from zklab.dynamics import config_from_dict, transverse_eigenvalues
+                   stationary_mode, write_snapshot, zero_field)
+from zklab.dynamics import (_d1_matrix, _d3_matrix, _d4x_matrix, config_from_dict,
+                            transverse_eigenvalues)
 from zklab.geometry import TRUNCATED_STRIP
 from zklab.harness import random_clean_field
 
@@ -27,7 +31,7 @@ def small_config(**over):
 def test_config_defaults_and_required():
     c = config_from_dict({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.1})
     assert c.alpha == 1 and c.epsilon == 0.0 and not c.linear
-    assert c.dt == 1e-3 and c.linear_solver_tol == 1e-10
+    assert c.dt == 1e-3
     assert c.trace_stride == 10 and c.initial == "zero"
     with pytest.raises(ValueError, match="missing"):
         config_from_dict({"L": 2.0})
@@ -36,6 +40,8 @@ def test_config_defaults_and_required():
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="alpha"):
         small_config(alpha=2)
+    with pytest.raises(ValueError, match="alpha must be 0 or 1"):
+        small_config(alpha=True)
     with pytest.raises(ValueError, match="L"):
         small_config(L=-1.0)
     with pytest.raises(ValueError, match="epsilon"):
@@ -94,13 +100,68 @@ def test_operator_residual_on_mode_refines():
     assert 3.0 < errs[63] / errs[127] < 5.0
 
 
+def dense_from_bands(bands: np.ndarray) -> np.ndarray:
+    """(6, nx) band rows, A[i, j] at [3 + i - j, j] -> dense (nx, nx)."""
+    n = bands.shape[1]
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 4)):
+            a[i, j] = bands[3 + i - j, j]
+    return a
+
+
+def dense_mode_matrix(g, m, alpha, eps):
+    """A_m = D3 + (alpha - xi_m) D1 + eps (D4x + xi_m^2 I), assembled densely."""
+    xi = transverse_eigenvalues(g.ny, g.hy)[m]
+    return (_d3_matrix(g.nx, g.hx) + (alpha - xi) * _d1_matrix(g.nx, g.hx)
+            + eps * (_d4x_matrix(g.nx, g.hx) + xi ** 2 * np.eye(g.nx)))
+
+
 def test_alpha_difference_is_dx():
     g = build_grid(2.0, 1.0, 16, 12)
     lp1 = assemble_linear_part(g, alpha=1)
     lp0 = assemble_linear_part(g, alpha=0)
-    diff = lp1.blocks() - lp0.blocks()
-    expected = np.broadcast_to(lp1.d1, diff.shape)
-    assert np.max(np.abs(diff - expected)) < 1e-12
+    assert lp1.bands.shape == (6, g.ny, g.nx)
+    diff = lp1.bands - lp0.bands
+    d1 = _d1_matrix(g.nx, g.hx)
+    for m in range(g.ny):
+        assert np.max(np.abs(dense_from_bands(diff[:, m, :]) - d1)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_linear_advance_matches_dense_per_mode_crank_nicolson(eps):
+    # A long step on a coarse, wide grid: only there do the off-diagonal
+    # entries of I + dt/2 A outgrow the diagonal enough for dgbtrf to pivot.
+    cfg = small_config(L=16.0, B=2.0, nx=15, ny=11, dt=10.0, t_end=10.0,
+                       linear=True, epsilon=eps)
+    g = cfg.grid()
+    stepper = Stepper(cfg, g)
+    rows = np.arange(g.nx * g.ny)
+    assert not np.array_equal(stepper.piv, rows)
+    assert np.array_equal(stepper.piv // g.nx, rows // g.nx)
+    u = initial_field(cfg, g).interior.copy()
+    lp = stepper.linear_part
+    modes = lp.to_modes(u)
+    eye = np.eye(g.nx)
+    half = 0.5 * cfg.dt
+    expected = np.empty_like(modes)
+    for m in range(g.ny):
+        a = dense_mode_matrix(g, m, cfg.alpha, eps)
+        band_err = np.max(np.abs(dense_from_bands(lp.bands[:, m, :]) - a))
+        assert band_err <= 1e-14 * np.max(np.abs(a))
+        expected[m] = np.linalg.solve(eye + half * a, (eye - half * a) @ modes[m])
+    expected = lp.from_modes(expected)
+    got = stepper.advance(u)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import zklab; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_regularization_quadratic_form_nonnegative():
@@ -136,7 +197,7 @@ def test_transverse_eigenvalues_match_dst_modes():
 
 def test_step_zero_state_stays_zero():
     cfg = small_config()
-    out = step(zero_field(cfg.grid()), cfg)
+    out = Stepper(cfg).step(zero_field(cfg.grid()))
     assert not out.values.any()
 
 
@@ -144,14 +205,14 @@ def test_step_requires_clean_state():
     cfg = small_config()
     dirty = sample_field(cfg.grid(), lambda x, y: np.ones_like(x))
     with pytest.raises(ValueError, match="clean"):
-        step(dirty, cfg)
+        Stepper(cfg).step(dirty)
 
 
 def test_single_step_consistency_on_stationary_mode():
     cfg = SimConfig(L=CRIT_L, B=math.pi, nx=63, ny=63, dt=1e-3, t_end=1e-3,
                     alpha=1, linear=True, initial="mode:1,1,1")
     u0 = initial_field(cfg)
-    u1 = step(u0, cfg)
+    u1 = Stepper(cfg).step(u0)
     g = cfg.grid()
     num = math.sqrt(integrate((u1.values - u0.values) ** 2, g))
     den = math.sqrt(integrate(u0.values ** 2, g))

@@ -26,7 +26,7 @@ def write_config(tmp_path, name="cfg.json", **over):
 def test_load_minimal_config_fills_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg.trace_stride == 10
-    assert cfg.linear_solver_tol == 1e-10
+    assert cfg.dt == 1e-3
     assert cfg.alpha == 1 and not cfg.linear
 
 
