@@ -20,6 +20,7 @@ half step; the first step uses a single explicit Euler predictor.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -69,7 +70,7 @@ class SimConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if isinstance(self.alpha, bool) or self.alpha not in (0, 1):
+        if type(self.alpha) is not int or self.alpha not in (0, 1):
             raise ValueError(f"alpha must be 0 or 1, got {self.alpha!r}")
         if not (isinstance(self.epsilon, (int, float)) and self.epsilon >= 0
                 and math.isfinite(self.epsilon)):
@@ -195,13 +196,11 @@ def _d1_matrix(n: int, h: float) -> np.ndarray:
 def _d3_matrix(n: int, h: float) -> np.ndarray:
     """Third derivative with u(0)=0 biased closure and u_x(L)=0 mirror."""
     d = np.zeros((n, n))
-    for i in range(1, n - 1):
-        if i - 2 >= 0:
-            d[i, i - 2] = -1.0
-        d[i, i - 1] = 2.0
-        d[i, i + 1] = -2.0
-        if i + 2 <= n - 1:
-            d[i, i + 2] = 1.0
+    i = np.arange(1, n - 1)
+    d[i[1:], i[1:] - 2] = -1.0
+    d[i, i - 1] = 2.0
+    d[i, i + 1] = -2.0
+    d[i[:-1], i[:-1] + 2] = 1.0
     d[0, 0:4] = (10.0, -12.0, 6.0, -1.0)
     d[n - 1, n - 3:n] = (-1.0, 2.0, 1.0)
     return d / (2.0 * h ** 3)
@@ -253,18 +252,19 @@ class LinearPart:
         self.grid = grid
         nx, hx = grid.nx, grid.hx
         xi = transverse_eigenvalues(grid.ny, grid.hy)[:, None]
-        self.bands = (_bands(_d3_matrix(nx, hx))[:, None, :]
-                      + (alpha - xi) * _bands(_d1_matrix(nx, hx))[:, None, :])
+        self.bands = (alpha - xi) * _bands(_d1_matrix(nx, hx))[:, None, :]
+        self.bands += _bands(_d3_matrix(nx, hx))[:, None, :]
         if epsilon > 0:
             self.bands += epsilon * _bands(_d4x_matrix(nx, hx))[:, None, :]
             self.bands[_KU] += epsilon * xi ** 2
 
     def to_modes(self, interior: np.ndarray) -> np.ndarray:
-        """(nx, ny) physical interior -> (ny, nx) transverse-mode stack."""
-        return dst(interior, type=1, axis=1).T
+        """(nx, ny) physical interior -> C-contiguous (ny, nx) transverse-mode stack."""
+        return dst(interior.T, type=1, axis=0)
 
     def from_modes(self, modes: np.ndarray) -> np.ndarray:
-        return idst(modes.T, type=1, axis=1)
+        """(ny, nx) mode stack -> (nx, ny) physical interior (a transposed view)."""
+        return idst(modes, type=1, axis=0).T
 
     def apply_interior(self, interior: np.ndarray) -> np.ndarray:
         """A u on the interior: one DST round trip and a banded stencil."""
@@ -353,23 +353,63 @@ class Stepper:
     stacked into one band matrix of order ny*nx and factored once by LAPACK
     ``dgbtrf``.  The entries coupling neighbouring blocks are zero, so partial
     pivoting never crosses a block and the factors are those of a per-mode LU.
+
+    Which modes pivot depends on the mode, dt, the grid and eps: at
+    dt = 1e-3, modes 104-126 of a 127x127 grid on (0, 2) x (-1, 1) pivot.
+    The ``head`` modes before the first row interchange are solved by two
+    triangular band sweeps and the rest by ``dgbtrs``; the result is that of
+    one ``dgbtrs`` call on the whole system.
     """
 
     def __init__(self, config: SimConfig, grid: Grid | None = None):
         # Imported here: scipy.linalg adds ~6 MiB to a process that never steps.
-        from scipy.linalg import lapack
+        from scipy.linalg import blas, lapack
         self.config = config
         self.grid = grid if grid is not None else config.grid()
         self.linear_part = assemble_linear_part(self.grid, config.alpha, config.epsilon)
-        # dgbtrf wants _KL extra rows on top for the fill-in of pivoting.
-        ab = np.zeros((2 * _KL + _KU + 1, self.grid.nx * self.grid.ny), order="F")
-        ab[_KL:] = 0.5 * config.dt * self.linear_part.bands.reshape(_KL + _KU + 1, -1)
+        nx, ny = self.grid.nx, self.grid.ny
+        ldab = 2 * _KL + _KU + 1  # dgbtrf wants _KL extra rows for pivoting fill-in
+        # The spare last column keeps the lower-band view below inside buf.
+        buf = np.zeros((ldab, nx * ny + 1), order="F")
+        ab = buf[:, :-1]
+        np.multiply(self.linear_part.bands.reshape(_KL + _KU + 1, -1), 0.5 * config.dt,
+                    out=ab[_KL:])
         ab[_KL + _KU] += 1.0
         self.lu, self.piv, info = lapack.dgbtrf(ab, _KL, _KU, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgbtrf failed on I + dt/2 A: info={info}")
+        # The modes before the first row interchange form the head.
+        swaps = np.flatnonzero(self.piv != np.arange(self.piv.size, dtype=self.piv.dtype))
+        self.head = ny if swaps.size == 0 else int(swaps[0]) // nx
+        h = self.head * nx
+        # The factors are column-major in buf.  Read _KL + _KU rows down, they
+        # are an (ldab, h) array whose first _KL + 1 rows hold the unit
+        # diagonal and the multipliers: the unit-lower band storage dtbsv reads
+        # (it reads no other row), without a copy.
+        flat = buf.reshape(-1, order="F")
+        self._head_lower = flat[_KL + _KU:_KL + _KU + ldab * h].reshape((ldab, h), order="F")
+        self._head_upper = self.lu[:, :h]
+        self._tail_lu = self.lu[:, h:]
+        self._tail_piv = self.piv[h:] - h
+        self._tbsv = blas.dtbsv
         self._gbtrs = lapack.dgbtrs
+        self.steps = 0
         self._nonlin_prev: np.ndarray | None = None
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """(I + dt/2 A)^-1 b in place on a contiguous flat mode vector.
+
+        Head modes never pivot, so their LU solve is two triangular band
+        sweeps; ``dgbtrs`` would make one ``dger`` call per column for the
+        same arithmetic.  Both wrappers write into a contiguous float64 view.
+        """
+        h = self._head_upper.shape[1]
+        if h:
+            self._tbsv(_KL, self._head_lower, b[:h], lower=1, diag=1, overwrite_x=1)
+            self._tbsv(_KL + _KU, self._head_upper, b[:h], overwrite_x=1)
+        if h < b.size:
+            self._gbtrs(self._tail_lu, _KL, _KU, b[h:], self._tail_piv, overwrite_b=1)
+        return b
 
     def _nonlin(self, interior: np.ndarray) -> np.ndarray:
         """(u^2/2)_x in conservative form; walls carry u = 0."""
@@ -399,25 +439,35 @@ class Stepper:
                 n_half = 1.5 * n_now - 0.5 * self._nonlin_prev
             self._nonlin_prev = n_now
             rhs = interior - 0.5 * dt * n_half
-        x = self._gbtrs(self.lu, _KL, _KU, lp.to_modes(rhs).reshape(-1), self.piv)[0]
-        return 2.0 * lp.from_modes(x.reshape(self.grid.ny, self.grid.nx)) - interior
+        x = self._solve(lp.to_modes(rhs).reshape(-1))
+        out = lp.from_modes(x.reshape(self.grid.ny, self.grid.nx))
+        out *= 2.0
+        out -= interior
+        self.steps += 1
+        return out
 
     def step(self, fld: Field) -> Field:
         """One step from a clean state Field, continuing this stepper's history."""
         if not fld.dirichlet_clean:
             raise ValueError("step requires a dirichlet_clean state")
         out = self.advance(fld.interior.copy())
-        if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > BLOWUP_THRESHOLD:
-            raise BlowupError(self.config.dt, float(np.max(np.abs(out[np.isfinite(out)]),
-                                                           initial=0.0)))
+        if _blown_up(out):
+            raise BlowupError(self.steps, self.steps * self.config.dt,
+                              float(np.max(np.abs(out[np.isfinite(out)]), initial=0.0)))
         return fld.with_interior(out)
+
+
+def _blown_up(interior: np.ndarray) -> bool:
+    """max |u| above the threshold, or a NaN/inf anywhere (NaN fails <=)."""
+    return not np.max(np.abs(interior)) <= BLOWUP_THRESHOLD
 
 
 class BlowupError(RuntimeError):
     """Raised when the state exceeds the blow-up threshold or turns non-finite."""
 
-    def __init__(self, t: float, magnitude: float):
-        super().__init__(f"solution blew up at t={t}: max |u| ~ {magnitude:.3e}")
+    def __init__(self, n: int, t: float, magnitude: float):
+        super().__init__(f"solution blew up at step {n}, t={t}: max |u| ~ {magnitude:.3e}")
+        self.n = n
         self.t = t
         self.magnitude = magnitude
 
@@ -441,8 +491,7 @@ def simulate(config: SimConfig) -> Trajectory:
     for n in range(1, n_steps + 1):
         interior = stepper.advance(interior)
         t = n * config.dt
-        bad = not np.all(np.isfinite(interior))
-        if bad or np.max(np.abs(interior)) > BLOWUP_THRESHOLD:
+        if _blown_up(interior):
             aborted_at = t
             break
         if n % config.trace_stride == 0 or n == n_steps:
@@ -501,6 +550,7 @@ def simulate_regularized_sweep(config: SimConfig, epsilons) -> SweepResult:
 # snapshot files (external interface)
 
 SNAPSHOT_MAGIC = b"ZKSNAP1\n"
+_SNAPSHOT_HEADER = struct.Struct("<ddqqd")
 
 
 def write_snapshot(path, t: float, fld: Field) -> None:
@@ -511,7 +561,7 @@ def write_snapshot(path, t: float, fld: Field) -> None:
     row-major order (x index outermost), boundary layer included.
     """
     g = fld.grid
-    header = struct.pack("<ddqqd", g.L, g.B, g.nx, g.ny, t)
+    header = _SNAPSHOT_HEADER.pack(g.L, g.B, g.nx, g.ny, t)
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(header)
@@ -519,13 +569,32 @@ def write_snapshot(path, t: float, fld: Field) -> None:
 
 
 def read_snapshot(path) -> tuple[float, Field]:
+    """Read a ``write_snapshot`` file, validating the header and the length.
+
+    The grid is built from the header before any payload is read, and the
+    payload must be exactly (nx+2)*(ny+2) float64 values; every ValueError
+    names the path and the cause.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not a zklab snapshot")
-        L, B, nx, ny, t = struct.unpack("<ddqqd", fh.read(40))
+        header = fh.read(_SNAPSHOT_HEADER.size)
+        if len(header) != _SNAPSHOT_HEADER.size:
+            raise ValueError(f"{path}: header is {len(header)} bytes, "
+                             f"expected {_SNAPSHOT_HEADER.size}")
+        L, B, nx, ny, t = _SNAPSHOT_HEADER.unpack(header)
+        try:
+            grid = build_grid(L, B, nx, ny)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header: {exc}") from exc
         count = (nx + 2) * (ny + 2)
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    grid = build_grid(L, B, int(nx), int(ny))
-    values = data.reshape(nx + 2, ny + 2)
-    return t, Field(grid, values)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 8 * count:
+            raise ValueError(f"{path}: payload is {payload} bytes, but nx={nx}, "
+                             f"ny={ny} need {8 * count}")
+        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
+    try:
+        return t, Field(grid, data.reshape(nx + 2, ny + 2))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -1,4 +1,5 @@
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zklab import (SimConfig, Stepper, assemble_linear_part, build_grid,
+from zklab import (BlowupError, SimConfig, Stepper, assemble_linear_part, build_grid,
                    enforce_dirichlet, initial_field, integrate, read_snapshot,
                    sample_field, simulate, simulate_regularized_sweep,
                    stationary_mode, write_snapshot, zero_field)
@@ -42,6 +43,8 @@ def test_config_rejects_bad_values():
         small_config(alpha=2)
     with pytest.raises(ValueError, match="alpha must be 0 or 1"):
         small_config(alpha=True)
+    with pytest.raises(ValueError, match="alpha must be 0 or 1"):
+        small_config(alpha=1.0)
     with pytest.raises(ValueError, match="L"):
         small_config(L=-1.0)
     with pytest.raises(ValueError, match="epsilon"):
@@ -128,17 +131,32 @@ def test_alpha_difference_is_dx():
         assert np.max(np.abs(dense_from_bands(diff[:, m, :]) - d1)) < 1e-12
 
 
+# The three solve regimes: no row interchange (every mode in the head), a
+# short pivoting tail at ordinary dt, and a long step where most modes pivot.
+# Which modes pivot depends on the mode, dt, the grid and eps, so the
+# expected head is given per eps in (0.0, 1e-2).
+SOLVE_REGIMES = {
+    "no_swap": (dict(nx=24, ny=24, dt=1e-3, t_end=1e-3), (24, 24)),
+    "mixed": (dict(nx=15, ny=31, dt=1e-3, t_end=1e-3), (29, 31)),
+    "long_step": (dict(L=16.0, B=2.0, nx=15, ny=11, dt=10.0, t_end=10.0), (3, 4)),
+}
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
-def test_linear_advance_matches_dense_per_mode_crank_nicolson(eps):
-    # A long step on a coarse, wide grid: only there do the off-diagonal
-    # entries of I + dt/2 A outgrow the diagonal enough for dgbtrf to pivot.
-    cfg = small_config(L=16.0, B=2.0, nx=15, ny=11, dt=10.0, t_end=10.0,
-                       linear=True, epsilon=eps)
+@pytest.mark.parametrize("regime", list(SOLVE_REGIMES))
+def test_linear_advance_matches_dense_per_mode_crank_nicolson(regime, eps):
+    from scipy.linalg import lapack
+    over, heads = SOLVE_REGIMES[regime]
+    cfg = small_config(linear=True, epsilon=eps, **over)
     g = cfg.grid()
     stepper = Stepper(cfg, g)
     rows = np.arange(g.nx * g.ny)
-    assert not np.array_equal(stepper.piv, rows)
+    assert stepper.head == heads[int(eps > 0)]
+    assert np.array_equal(stepper.piv[:stepper.head * g.nx], rows[:stepper.head * g.nx])
     assert np.array_equal(stepper.piv // g.nx, rows // g.nx)
+    b = np.random.default_rng(3).standard_normal(rows.size)
+    ref = lapack.dgbtrs(stepper.lu, 2, 3, b, stepper.piv)[0]
+    assert np.max(np.abs(stepper._solve(b.copy()) - ref)) <= 1e-14 * np.max(np.abs(ref))
     u = initial_field(cfg, g).interior.copy()
     lp = stepper.linear_part
     modes = lp.to_modes(u)
@@ -308,6 +326,16 @@ def test_blowup_aborts_with_partial_trace():
     assert np.all(np.isfinite(traj.trace.l2_sq))
 
 
+def test_blowup_reports_step_and_time():
+    cfg = small_config(nx=16, ny=16, dt=1e-2, t_end=0.05, initial="cos-product:300")
+    stepper = Stepper(cfg)
+    u1 = stepper.step(initial_field(cfg))
+    with pytest.raises(BlowupError) as info:
+        stepper.step(u1)
+    assert info.value.n == 2 and info.value.t == 0.02
+    assert simulate(cfg).aborted_at == 0.02
+
+
 def test_sweep_zero_datum_all_distances_zero():
     cfg = small_config(initial="zero", t_end=0.01)
     res = simulate_regularized_sweep(cfg, [1e-2, 5e-3, 0.0])
@@ -333,6 +361,33 @@ def test_snapshot_round_trip(tmp_path):
     assert t == 1.25
     assert back.grid.L == g.L and back.grid.nx == g.nx
     assert np.array_equal(back.values, fld.values)
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("truncated", "payload is"),
+    ("trailing", "payload is"),
+    ("negative_nx", "nx must be"),
+    ("huge_nx", "payload is"),
+    ("nan_value", "non-finite"),
+])
+def test_read_snapshot_rejects_malformed_file(tmp_path, case, cause):
+    g = build_grid(2.0, 1.0, 16, 12)
+    path = tmp_path / "state.zks"
+    write_snapshot(path, 0.5, zero_field(g))
+    raw = bytearray(path.read_bytes())
+    if case == "truncated":
+        del raw[-8:]
+    elif case == "trailing":
+        raw += b"\0" * 8
+    elif case == "nan_value":
+        raw[-8:] = struct.pack("<d", math.nan)
+    else:
+        # nx is the int64 after the magic and the two float64 L, B.
+        raw[24:32] = struct.pack("<q", -5 if case == "negative_nx" else 2 ** 40)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=cause) as info:
+        read_snapshot(path)
+    assert str(path) in str(info.value)
 
 
 def test_initial_from_snapshot(tmp_path):
