@@ -10,6 +10,7 @@ tensor trapezoidal rule on the closed rectangle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,58 @@ def gradient_full(fld: Field) -> tuple[np.ndarray, np.ndarray]:
     ux = _d1_full(fld.values, g.hx)
     uy = _d1_full(fld.values.T, g.hy).T
     return ux, uy
+
+
+def _d1_sq_sums(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
+    """Squared sums of 2h u' along axis 0 of an interior with zero walls.
+
+    Returns (sum over the interior nodes, over the first wall line, over
+    the last wall line); the centered stencil reads the zero walls, the
+    wall nodes take the one-sided 4 u_1 - u_2.  ``d`` (shaped like ``u``)
+    is overwritten.
+    """
+    np.subtract(u[2:], u[:-2], out=d[1:-1])
+    d[0] = u[1]
+    d[-1] = u[-2]       # the sign of -u[-2] drops out of the square
+    np.square(d, out=d)
+    lo = 4.0 * u[0] - u[1]
+    hi = 4.0 * u[-1] - u[-2]
+    return float(d.sum()), float(lo @ lo), float(hi @ hi)
+
+
+@functools.lru_cache(maxsize=16)
+def _weighted_column(grid) -> np.ndarray:
+    """Read-only (1 + x_i) hx hy at the interior x nodes: the weight of ((1+x), u^2)."""
+    w = (1.0 + grid.xs_interior()) * (grid.hx * grid.hy)
+    w.flags.writeable = False
+    return w
+
+
+def trace_row(interior: np.ndarray, grid) -> tuple:
+    """(l2_sq, weighted, flux0, grad_x_sq, grad_y_sq, cubic) of a clean state.
+
+    The single definition of a trace row, read from the (nx, ny) interior
+    of a field whose boundary layer is zero: the walls carry no quadrature
+    weight except through the one-sided derivatives there, and the
+    derivative along a wall vanishes.  Equals ``integrate(v*v)``,
+    ``weighted_energy``, ``trace_flux``, the ``gradient_full`` energies and
+    ``integrate(v**3)`` of that field up to round-off.
+    """
+    u = interior
+    hx, hy = grid.hx, grid.hy
+    # One full-size buffer: u^2, then u^3, then each derivative in turn.
+    buf = u * u
+    rows = buf.sum(axis=1)
+    l2_sq = hx * hy * float(rows.sum())
+    weighted = float(_weighted_column(grid) @ rows)
+    buf *= u
+    cubic = hx * hy * float(buf.sum())
+    inner, lo, hi = _d1_sq_sums(u, buf)
+    flux0 = hy * lo / (4.0 * hx * hx)
+    grad_x_sq = hy * (inner + 0.5 * (lo + hi)) / (4.0 * hx)
+    inner, lo, hi = _d1_sq_sums(u.T, buf.T)
+    grad_y_sq = hx * (inner + 0.5 * (lo + hi)) / (4.0 * hy)
+    return l2_sq, weighted, flux0, grad_x_sq, grad_y_sq, cubic
 
 
 def trace_flux(fld: Field) -> float:

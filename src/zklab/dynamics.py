@@ -330,19 +330,6 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def _sample_functionals(fld: Field) -> tuple:
-    g = fld.grid
-    v = fld.values
-    l2_sq = calculus.integrate(v * v, g)
-    weighted = calculus.weighted_energy(fld)
-    flux0 = calculus.trace_flux(fld)
-    ux, uy = calculus.gradient_full(fld)
-    gx = calculus.integrate(ux * ux, g)
-    gy = calculus.integrate(uy * uy, g)
-    cubic = calculus.integrate(v ** 3, g)
-    return l2_sq, weighted, flux0, gx, gy, cubic
-
-
 # ---------------------------------------------------------------------------
 # stepping
 
@@ -452,8 +439,7 @@ class Stepper:
             raise ValueError("step requires a dirichlet_clean state")
         out = self.advance(fld.interior.copy())
         if _blown_up(out):
-            raise BlowupError(self.steps, self.steps * self.config.dt,
-                              float(np.max(np.abs(out[np.isfinite(out)]), initial=0.0)))
+            raise BlowupError.at(self.steps, self.steps * self.config.dt, out)
         return fld.with_interior(out)
 
 
@@ -463,13 +449,29 @@ def _blown_up(interior: np.ndarray) -> bool:
 
 
 class BlowupError(RuntimeError):
-    """Raised when the state exceeds the blow-up threshold or turns non-finite."""
+    """Raised when the state exceeds the blow-up threshold or turns non-finite.
 
-    def __init__(self, n: int, t: float, magnitude: float):
-        super().__init__(f"solution blew up at step {n}, t={t}: max |u| ~ {magnitude:.3e}")
+    ``node`` is the grid node (i, j) of the first non-finite value, or of
+    the largest |u| when every value is finite; ``magnitude`` is the
+    largest finite |u|.
+    """
+
+    def __init__(self, n: int, t: float, magnitude: float, node: tuple[int, int]):
+        super().__init__(f"solution blew up at step {n}, t={t}, node {node}: "
+                         f"max |u| ~ {magnitude:.3e}")
         self.n = n
         self.t = t
         self.magnitude = magnitude
+        self.node = node
+
+    @classmethod
+    def at(cls, n: int, t: float, interior: np.ndarray) -> "BlowupError":
+        """The error for a blown-up (nx, ny) interior at step n."""
+        finite = np.isfinite(interior)
+        mag = np.abs(interior)
+        flat = np.argmax(mag) if finite.all() else np.argmin(finite)
+        i, j = np.unravel_index(flat, interior.shape)
+        return cls(n, t, float(np.max(mag[finite], initial=0.0)), (int(i) + 1, int(j) + 1))
 
 
 def simulate(config: SimConfig) -> Trajectory:
@@ -484,8 +486,8 @@ def simulate(config: SimConfig) -> Trajectory:
     rows = []
     snapshots = [(0.0, u0)]
     i0 = calculus.norms(u0, with_i0=True).i0
-    rows.append((0.0,) + _sample_functionals(u0))
     interior = u0.interior.copy()
+    rows.append((0.0,) + calculus.trace_row(interior, grid))
     aborted_at = None
     n_steps = config.n_steps
     for n in range(1, n_steps + 1):
@@ -495,8 +497,7 @@ def simulate(config: SimConfig) -> Trajectory:
             aborted_at = t
             break
         if n % config.trace_stride == 0 or n == n_steps:
-            fld = u0.with_interior(interior)
-            rows.append((t,) + _sample_functionals(fld))
+            rows.append((t,) + calculus.trace_row(interior, grid))
         if n % config.snapshot_stride == 0 and n != n_steps:
             snapshots.append((t, u0.with_interior(interior)))
     if aborted_at is None:

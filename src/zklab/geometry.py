@@ -131,10 +131,26 @@ class Field:
                    np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max())
 
     def with_interior(self, interior: np.ndarray) -> "Field":
-        """New clean Field with the given interior and zero boundary."""
-        vals = np.zeros(self.grid.shape)
+        """New clean Field with the given interior and zero boundary.
+
+        The zero-padded array is built once and adopted without the
+        constructor's second copy; the shape and finiteness checks and the
+        read-only flag stay.
+        """
+        g = self.grid
+        if np.shape(interior) != (g.nx, g.ny):
+            raise ValueError(f"interior shape {np.shape(interior)} does not match "
+                             f"grid interior {(g.nx, g.ny)}")
+        vals = np.zeros(g.shape)
         vals[1:-1, 1:-1] = interior
-        return Field(self.grid, vals, dirichlet_clean=True)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field contains non-finite values")
+        vals.flags.writeable = False
+        fld = Field.__new__(Field)
+        object.__setattr__(fld, "grid", g)
+        object.__setattr__(fld, "values", vals)
+        object.__setattr__(fld, "dirichlet_clean", True)
+        return fld
 
 
 def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Field:

@@ -27,7 +27,8 @@ from . import __version__, calculus, spectral
 from .dynamics import (EnergyTrace, SimConfig, TRACE_COLUMNS, Trajectory,
                        config_from_dict, simulate, write_snapshot)
 from .geometry import Grid, build_grid, enforce_dirichlet, Field
-from .stabilization import DecayGeometry, decay_theory, verdict as decay_verdict
+from .stabilization import (DecayGeometry, decay_theory, energy_balance,
+                            verdict as decay_verdict)
 
 
 class ConfigError(ValueError):
@@ -219,12 +220,9 @@ def _verify_conservation(samples: int, seed: int) -> list[tuple[str, bool, str]]
     config = SimConfig(L=2.0, B=1.0, nx=127, ny=63, dt=2e-3, t_end=2.0,
                        alpha=1, linear=True, initial="cos-product:0.5",
                        trace_stride=2)
-    traj = simulate(config)
-    tr = traj.trace
-    mono = bool(np.all(np.diff(tr.l2_sq) <= 1e-12 * tr.l2_sq[0]))
-    flux_int = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (tr.flux0[1:] + tr.flux0[:-1]) * np.diff(tr.t))])
-    defect = float(np.max(np.abs(tr.l2_sq + flux_int - tr.l2_sq[0])) / tr.l2_sq[0])
+    tr = simulate(config).trace
+    rise, defect = energy_balance(tr)
+    mono = bool(rise <= 1e-12 * tr.l2_sq[0])
     return [
         ("l2_monotone", mono, "sampled ||u||^2 non-increasing"),
         ("flux_balance", defect <= 1e-2, f"max defect {defect:.3e} (<= 1e-2)"),

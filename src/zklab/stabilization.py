@@ -136,6 +136,28 @@ def lyapunov_monitor(trace: EnergyTrace, theory: DecayTheory) -> MonitorReport:
                          persistence_ok=persistence)
 
 
+def energy_balance(trace: EnergyTrace) -> tuple[float, float]:
+    """L2 monotonicity and flux balance of a linear run's trace.
+
+    A linear run dissipates only through the inflow wall:
+    ||u(t)||^2 + int_0^t flux0 ds = ||u(0)||^2.  Returns the largest
+    sampled increase of l2_sq (negative when l2_sq strictly decreases) and
+    the largest balance defect relative to l2_sq[0], with the flux
+    integral by the trapezoid rule on the sample times.  Callers set the
+    bounds.
+    """
+    if len(trace) < 2:
+        raise ValueError("energy balance needs at least two samples")
+    l2 = trace.l2_sq
+    if not l2[0] > 0.0:
+        raise ValueError("energy balance needs a nonzero initial state")
+    rise = float(np.max(np.diff(l2)))
+    flux_int = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (trace.flux0[1:] + trace.flux0[:-1]) * np.diff(trace.t))])
+    defect = float(np.max(np.abs(l2 + flux_int - l2[0])) / l2[0])
+    return rise, defect
+
+
 def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float],
                    floor: float = ENERGY_FLOOR) -> tuple[float, float]:
     """Least-squares exponential rate of the weighted energy over a window.

@@ -9,8 +9,8 @@ import math
 import numpy as np
 
 from zklab import (SimConfig, assemble_linear_part, build_grid, critical_length,
-                   critical_residual, decay_theory, enforce_dirichlet,
-                   fit_decay_rate, lyapunov_monitor, resonant_family,
+                   critical_residual, decay_theory, energy_balance,
+                   enforce_dirichlet, fit_decay_rate, lyapunov_monitor, resonant_family,
                    sample_field, simulate, simulate_regularized_sweep,
                    stationary_mode, verdict)
 from zklab.harness import _verify_inequalities
@@ -140,10 +140,8 @@ def test_c08_conservation_dissipation_identity():
                     alpha=1, linear=True, initial="cos-product:0.5",
                     trace_stride=2)
     tr = simulate(cfg).trace
-    mono = bool(np.all(np.diff(tr.l2_sq) <= 1e-14 * tr.l2_sq[0]))
-    flux_int = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (tr.flux0[1:] + tr.flux0[:-1]) * np.diff(tr.t))])
-    defect = float(np.max(np.abs(tr.l2_sq + flux_int - tr.l2_sq[0])) / tr.l2_sq[0])
+    rise, defect = energy_balance(tr)
+    mono = bool(rise <= 1e-14 * tr.l2_sq[0])
     ok = mono and defect <= 0.01
     report("C08", ok,
            f"l2 monotone={mono}, max balance defect {defect:.2e} (tol 1e-2)")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from zklab import (apply_operator, build_grid, check_gn, check_poincare,
-                   check_sup_bound, enforce_dirichlet, integrate, norms,
-                   sample_field, stationary_mode, trace_flux)
+from zklab import (SimConfig, apply_operator, build_grid, check_gn, check_poincare,
+                   check_sup_bound, enforce_dirichlet, initial_field, integrate,
+                   norms, sample_field, stationary_mode, trace_flux, trace_row,
+                   weighted_energy, zero_field)
 from zklab.calculus import (boundary_gn_ratio, fd_weights, gradient_full,
                             sbp_defect, _D3_LEFT)
 from zklab.harness import random_clean_field
@@ -226,3 +227,31 @@ def test_integrate_full_trapezoid():
     g = build_grid(2.0, 1.0, 32, 32)
     ones = np.ones(g.shape)
     assert np.isclose(integrate(ones, g), 2 * g.L * g.B, rtol=1e-14)
+
+
+def _general_row(fld):
+    g, v = fld.grid, fld.values
+    ux, uy = gradient_full(fld)
+    return (integrate(v * v, g), weighted_energy(fld), trace_flux(fld),
+            integrate(ux * ux, g), integrate(uy * uy, g), integrate(v ** 3, g))
+
+
+@pytest.mark.parametrize("case", ["strip_127x383", "rectangle_63x31", "random_interior"])
+def test_trace_row_matches_general_functions(case):
+    rng = np.random.default_rng(8)
+    if case == "strip_127x383":
+        cfg = SimConfig(L=2.0, B=12.0, nx=127, ny=383, dt=1e-3, t_end=0.2,
+                        domain_kind="truncated_strip", initial="cos-bump:1.0,2.0")
+        g = cfg.grid()
+        fld = initial_field(cfg, g)
+    elif case == "rectangle_63x31":
+        g = build_grid(3.0, 0.7, 63, 31)
+        fld = random_clean_field(g, rng)
+    else:
+        g = build_grid(2.0, 1.5, 40, 23)
+        fld = zero_field(g).with_interior(rng.normal(size=(g.nx, g.ny)))
+    want = np.array(_general_row(fld))
+    # Any memory layout of the interior: the simulate loop hands in a transposed view.
+    for interior in (fld.interior, np.asfortranarray(fld.interior), fld.interior.copy()):
+        got = np.array(trace_row(interior, g))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (got - want) / want

@@ -13,7 +13,7 @@ from zklab import (BlowupError, SimConfig, Stepper, assemble_linear_part, build_
                    stationary_mode, write_snapshot, zero_field)
 from zklab.dynamics import (_d1_matrix, _d3_matrix, _d4x_matrix, config_from_dict,
                             transverse_eigenvalues)
-from zklab.geometry import TRUNCATED_STRIP
+from zklab.geometry import TRUNCATED_STRIP, Field
 from zklab.harness import random_clean_field
 
 CRIT_L = 4 * math.pi / math.sqrt(3)
@@ -303,7 +303,6 @@ def test_continuous_dependence():
     bump = sample_field(g, lambda x, y: np.sin(np.pi * x / g.L)
                         * np.sin(np.pi * (y + g.B) / (2 * g.B)))
     delta0 = 1e-6 / math.sqrt(integrate(bump.values ** 2, g))
-    from zklab.geometry import Field
     perturbed = Field(g, u0.values + delta0 * bump.values, dirichlet_clean=True)
     stepper = Stepper(base, g)
     interior = perturbed.interior.copy()
@@ -333,7 +332,40 @@ def test_blowup_reports_step_and_time():
     with pytest.raises(BlowupError) as info:
         stepper.step(u1)
     assert info.value.n == 2 and info.value.t == 0.02
+    replay = Stepper(cfg)
+    blown = replay.advance(replay.advance(initial_field(cfg).interior.copy()))
+    i, j = np.unravel_index(np.argmax(np.abs(blown)), blown.shape)
+    assert info.value.node == (i + 1, j + 1)
+    assert info.value.magnitude == pytest.approx(abs(blown[i, j]), rel=1e-12)
+    assert f"node {info.value.node}" in str(info.value)
     assert simulate(cfg).aborted_at == 0.02
+    # A non-finite state names its first non-finite node (row-major order).
+    state = np.ones((5, 4))
+    state[1, 1] = 9.0
+    state[2, 3] = np.inf
+    state[3, 0] = np.nan
+    err = BlowupError.at(7, 0.07, state)
+    assert err.node == (3, 4) and err.magnitude == 9.0
+
+
+def test_simulate_builds_no_field_per_trace_row(monkeypatch):
+    # A Field is built either by its constructor (which runs __post_init__)
+    # or by with_interior, which adopts its array without the constructor.
+    cfg = small_config(t_end=0.05, trace_stride=1, snapshot_stride=10)
+    built = []
+    for name in ("__post_init__", "with_interior"):
+        real = getattr(Field, name)
+
+        def counting(self, *args, _real=real):
+            built.append(self)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Field, name, counting)
+    traj = simulate(cfg)
+    monkeypatch.undo()
+    assert len(traj.trace) == cfg.n_steps + 1
+    # The datum takes two and its i0 norm one; the trace rows take none.
+    assert len(built) <= len(traj.snapshots) + 3
 
 
 def test_sweep_zero_datum_all_distances_zero():

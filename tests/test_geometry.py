@@ -105,3 +105,24 @@ def test_field_shape_and_immutability():
     f = zero_field(g)
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
+
+
+def test_with_interior_copies_once_and_checks():
+    g = build_grid(1.0, 2.0, 9, 12)
+    interior = np.random.default_rng(5).normal(size=(9, 12))
+    f = zero_field(g).with_interior(interior)
+    assert f.dirichlet_clean and f.boundary_max() == 0.0
+    assert np.array_equal(f.interior, interior)
+    assert not np.shares_memory(f.values, interior)
+    interior[0, 0] = 7.0
+    assert f.values[1, 1] != 7.0
+    with pytest.raises(ValueError):
+        f.values[1, 1] = 1.0
+    bad = interior.copy()
+    bad[3, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        f.with_interior(bad)
+    with pytest.raises(ValueError, match="shape"):
+        f.with_interior(interior[:, :-1])
+    with pytest.raises(ValueError, match="shape"):
+        f.with_interior(interior[0])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zklab import (SimConfig, check_smallness, decay_theory, fit_decay_rate,
-                   initial_field, lyapunov_monitor, verdict)
+from zklab import (SimConfig, check_smallness, decay_theory, energy_balance,
+                   fit_decay_rate, initial_field, lyapunov_monitor, verdict)
 from zklab.dynamics import EnergyTrace
 from zklab.stabilization import DecayGeometry
 
@@ -244,3 +244,32 @@ def test_verdict_invariant_envelope_implies_rate():
         v = verdict(make_trace(t, np.exp(-r * t)), th)
         if v.envelope_ok:
             assert v.fitted_rate >= th.rate * 0.95
+
+
+# ---------------------------------------------------------------------------
+# energy balance of linear runs
+
+def test_energy_balance_on_hand_built_trace():
+    t = np.array([0.0, 1.0, 2.0, 3.0])
+    flux = np.full(4, 0.1)
+    exact = make_trace(t, 1.0 - 0.1 * t, flux0=flux)
+    rise, defect = energy_balance(exact)
+    assert rise == pytest.approx(-0.1, abs=1e-15)
+    assert defect <= 1e-15
+    # l2_sq 0.8 -> 0.75 at t = 3 misses the balance by 0.05 of l2_sq[0] = 1
+    short = make_trace(t, [1.0, 0.9, 0.8, 0.75], flux0=flux)
+    rise, defect = energy_balance(short)
+    assert rise == pytest.approx(-0.05, abs=1e-15)
+    assert defect == pytest.approx(0.05, abs=1e-15)
+    # the rise is absolute, the defect relative to l2_sq[0] = 2
+    grows = make_trace(t, [2.0, 1.8, 1.9, 1.7], flux0=flux)
+    rise, defect = energy_balance(grows)
+    assert rise == pytest.approx(0.1, abs=1e-15)
+    assert defect == pytest.approx(0.1 / 2.0, abs=1e-15)
+
+
+def test_energy_balance_rejects_degenerate_traces():
+    with pytest.raises(ValueError, match="two samples"):
+        energy_balance(make_trace([0.0], [1.0]))
+    with pytest.raises(ValueError, match="nonzero"):
+        energy_balance(make_trace([0.0, 1.0], [0.0, 0.0]))
