@@ -11,8 +11,8 @@ from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, build_grid,
                        build_strip_grid, enforce_dirichlet, sample_field,
                        zero_field)
 from .calculus import (NormReport, apply_operator, check_gn, check_poincare,
-                       check_sup_bound, integrate, norms, trace_flux,
-                       trace_row, weighted_energy)
+                       check_sup_bound, initial_regularity, integrate, norms,
+                       trace_flux, trace_row, weighted_energy)
 from .spectral import (CriticalRectangle, ResonantTriple, build_profile,
                        critical_length, critical_residual, cubic_roots,
                        enumerate_critical, kdv_critical_set,

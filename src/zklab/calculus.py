@@ -213,12 +213,7 @@ class NormReport:
 
 
 def norms(fld: Field, with_i0: bool = False) -> NormReport:
-    """Populate a NormReport.
-
-    i0 is the initial-regularity functional
-    ||u||^2 + ||grad u||^2 + ||u_yy||^2 + ||u u_x + (u_xx + u_yy)_x ... ||^2,
-    with the last term evaluated as || u*u_x + Laplacian(u_x) ||^2.
-    """
+    """Populate a NormReport; i0 is ``initial_regularity(fld)`` when asked for."""
     g = fld.grid
     v = fld.values
     l2sq = integrate(v * v, g)
@@ -227,16 +222,6 @@ def norms(fld: Field, with_i0: bool = False) -> NormReport:
     h1_semi_sq = integrate(ux * ux + uy * uy, g)
     wx, wy = trapezoid_weights(g)
     weighted = float((wx * (1.0 + g.xs())) @ (v * v) @ wy)
-    i0 = None
-    if with_i0:
-        uyy = apply_operator(fld, "dyy")
-        lap_ux = (_d2_interior(ux[:, 1:-1], g.hx)
-                  + _d2_interior(ux[1:-1, :].T, g.hy).T)
-        nl = v[1:-1, 1:-1] * ux[1:-1, 1:-1] + lap_ux
-        nl_full = np.zeros(g.shape)
-        nl_full[1:-1, 1:-1] = nl
-        i0 = (l2sq + h1_semi_sq + integrate(uyy.values ** 2, g)
-              + integrate(nl_full * nl_full, g))
     return NormReport(
         l2=float(np.sqrt(l2sq)),
         lq=lq,
@@ -244,8 +229,26 @@ def norms(fld: Field, with_i0: bool = False) -> NormReport:
         weighted_l2=weighted,
         sup_sq=float(np.max(v * v)),
         trace_flux=trace_flux(fld),
-        i0=i0,
+        i0=initial_regularity(fld) if with_i0 else None,
     )
+
+
+def initial_regularity(fld: Field) -> float:
+    """The initial-regularity functional i0 of a field.
+
+    ||u||^2 + ||grad u||^2 + ||u_yy||^2 + ||u u_x + (u_xx + u_yy)_x||^2,
+    with the last term evaluated as || u*u_x + Laplacian(u_x) ||^2.
+    """
+    g = fld.grid
+    v = fld.values
+    ux, uy = gradient_full(fld)
+    uyy = apply_operator(fld, "dyy")
+    lap_ux = (_d2_interior(ux[:, 1:-1], g.hx)
+              + _d2_interior(ux[1:-1, :].T, g.hy).T)
+    nl_full = np.zeros(g.shape)
+    nl_full[1:-1, 1:-1] = v[1:-1, 1:-1] * ux[1:-1, 1:-1] + lap_ux
+    return (integrate(v * v, g) + integrate(ux * ux + uy * uy, g)
+            + integrate(uyy.values ** 2, g) + integrate(nl_full * nl_full, g))
 
 
 def weighted_energy(fld: Field) -> float:

@@ -15,6 +15,13 @@ Time stepping is Crank-Nicolson on the linear part (one banded LU of
 I + dt/2 A, reused across steps) with the conservative nonlinearity (u^2/2)_x
 treated explicitly by second-order Adams-Bashforth extrapolation to the
 half step; the first step uses a single explicit Euler predictor.
+
+The stepper keeps the state as its (ny, nx) transverse-mode stack m, and
+one step is m <- 2 (I + dt/2 A)^-1 (m - dt/2 F) - m, where F is the DST of
+the extrapolated nonlinear term (zero for a linear run).  Physical values
+are built by the inverse DST only where something reads them.  Since the
+unnormalised DST-I gives |u_ij| <= sum_m |m_mi| / (ny + 1), a modal state
+can be cleared of blow-up without the inverse transform.
 """
 
 from __future__ import annotations
@@ -93,6 +100,9 @@ class SimConfig:
             raise ValueError(f"domain_kind invalid: {self.domain_kind!r}")
         if self.n_steps < 1:
             raise ValueError("t_end must cover at least one step")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end={self.t_end!r} is not a whole number of steps "
+                             f"of dt={self.dt!r}")
 
     @property
     def n_steps(self) -> int:
@@ -317,24 +327,34 @@ class EnergyTrace:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulation output: config echo, snapshots, energy trace."""
+    """Simulation output: config echo, snapshots, energy trace.
+
+    ``blowup`` is the unraised ``BlowupError`` (step, time, node and
+    magnitude) of a run that blew up, and None otherwise.
+    """
 
     config: SimConfig
     grid: Grid
     snapshots: list
     trace: EnergyTrace
-    aborted_at: float | None = None
+    blowup: "BlowupError | None" = None
 
     @property
     def final(self) -> Field:
         return self.snapshots[-1][1]
+
+    @property
+    def aborted_at(self) -> float | None:
+        """The time of the blow-up, or None for a healthy run."""
+        return None if self.blowup is None else self.blowup.t
 
 
 # ---------------------------------------------------------------------------
 # stepping
 
 class Stepper:
-    """Holds the factorized Crank-Nicolson system and nonlinear history.
+    """Holds the factorized Crank-Nicolson system, the modal state and the
+    nonlinear history.
 
     The implicit system I + dt/2 A is time-independent: its mode blocks are
     stacked into one band matrix of order ny*nx and factored once by LAPACK
@@ -346,6 +366,14 @@ class Stepper:
     The ``head`` modes before the first row interchange are solved by two
     triangular band sweeps and the rest by ``dgbtrs``; the result is that of
     one ``dgbtrs`` call on the whole system.
+
+    The state lives between steps as its (ny, nx) transverse-mode stack:
+    ``start`` loads a physical interior (one forward DST), ``advance`` steps
+    the modes in place and ``interior`` returns the physical state, built by
+    at most one inverse DST per step.  A nonlinear step builds it at once,
+    because the next step's nonlinear term reads it; a linear step builds it
+    only when asked, so a linear run pays one inverse DST per trace row or
+    snapshot and none in between.
     """
 
     def __init__(self, config: SimConfig, grid: Grid | None = None):
@@ -382,6 +410,8 @@ class Stepper:
         self._gbtrs = lapack.dgbtrs
         self.steps = 0
         self._nonlin_prev: np.ndarray | None = None
+        self._modes: np.ndarray | None = None
+        self._interior: np.ndarray | None = None
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """(I + dt/2 A)^-1 b in place on a contiguous flat mode vector.
@@ -408,44 +438,92 @@ class Stepper:
         out[1:-1, :] = (u2[2:, :] - u2[:-2, :]) / (2.0 * h)
         return out
 
-    def advance(self, interior: np.ndarray) -> np.ndarray:
-        """One IMEX step on the interior unknowns.
+    def start(self, interior: np.ndarray) -> None:
+        """Load an (nx, ny) physical interior as the state: one forward DST.
 
-        Uses (I + hA)^-1 [(I - hA) u - dt f] = 2 (I + hA)^-1 (u - h f) - u
-        with h = dt/2, so a step is one banded solve and no operator apply.
+        The nonlinear history and the step count carry on, so ``step`` can
+        continue a run from the Field it returned.
         """
+        self._interior = interior.copy()
+        self._interior.flags.writeable = False
+        self._modes = self.linear_part.to_modes(self._interior)
+
+    def advance(self) -> None:
+        """One IMEX step of the held modal state.
+
+        Uses (I + hA)^-1 [(I - hA) m - dt F] = 2 (I + hA)^-1 (m - h F) - m
+        with h = dt/2 and F the DST of the extrapolated nonlinear term (zero
+        for a linear run), so a step is one banded solve and no operator
+        apply.  A nonlinear step takes two DSTs (F in, the state out); a
+        linear step takes none.
+        """
+        if self._modes is None:
+            raise RuntimeError("advance before start")
         lp = self.linear_part
         dt = self.config.dt
-        rhs = interior
-        if not self.config.linear:
-            n_now = self._nonlin(interior)
+        m = self._modes
+        if self.config.linear:
+            rhs = m.copy()
+        else:
+            u = self._interior
+            n_now = self._nonlin(u)
             if self._nonlin_prev is None:
-                predicted = interior - 0.5 * dt * (lp.apply_interior(interior) + n_now)
+                predicted = u - 0.5 * dt * (lp.apply_interior(u) + n_now)
                 n_half = self._nonlin(predicted)
             else:
                 n_half = 1.5 * n_now - 0.5 * self._nonlin_prev
             self._nonlin_prev = n_now
-            rhs = interior - 0.5 * dt * n_half
-        x = self._solve(lp.to_modes(rhs).reshape(-1))
-        out = lp.from_modes(x.reshape(self.grid.ny, self.grid.nx))
-        out *= 2.0
-        out -= interior
+            rhs = lp.to_modes(n_half)
+            rhs *= -0.5 * dt
+            rhs += m
+        x = self._solve(rhs.reshape(-1)).reshape(m.shape)
+        x *= 2.0
+        x -= m
+        self._modes = x
+        self._interior = None if self.config.linear else self._physical()
         self.steps += 1
-        return out
+
+    def _physical(self) -> np.ndarray:
+        u = self.linear_part.from_modes(self._modes)
+        u.flags.writeable = False
+        return u
+
+    def interior(self) -> np.ndarray:
+        """The (nx, ny) physical state, read-only; one inverse DST per step at most."""
+        if self._interior is None:
+            if self._modes is None:
+                raise RuntimeError("interior before start")
+            self._interior = self._physical()
+        return self._interior
+
+    def blown_up(self) -> bool:
+        """True when max |u| exceeds the threshold or a value is NaN/inf.
+
+        Scipy's unnormalised DST-I gives |u_ij| <= sum_m |m_mi| / (ny + 1).
+        When the physical state is not built and that bound stays below the
+        threshold by a relative margin of 1e-9 (which covers the rounding of
+        the sum and of the inverse DST), blow-up is ruled out without an
+        inverse DST; otherwise the exact test runs on ``interior()``.
+        """
+        if self._interior is None:
+            col = np.abs(self._modes).sum(axis=0)
+            if np.max(col) <= BLOWUP_THRESHOLD * (1.0 - 1e-9) * (self.grid.ny + 1):
+                return False
+        # NaN fails <=, so a non-finite value anywhere counts as blow-up.
+        return not np.max(np.abs(self.interior())) <= BLOWUP_THRESHOLD
 
     def step(self, fld: Field) -> Field:
         """One step from a clean state Field, continuing this stepper's history."""
         if not fld.dirichlet_clean:
             raise ValueError("step requires a dirichlet_clean state")
-        out = self.advance(fld.interior.copy())
-        if _blown_up(out):
-            raise BlowupError.at(self.steps, self.steps * self.config.dt, out)
-        return fld.with_interior(out)
-
-
-def _blown_up(interior: np.ndarray) -> bool:
-    """max |u| above the threshold, or a NaN/inf anywhere (NaN fails <=)."""
-    return not np.max(np.abs(interior)) <= BLOWUP_THRESHOLD
+        # The Field this stepper last returned continues from the held modes,
+        # without a forward DST.
+        if self._interior is None or not np.array_equal(fld.interior, self._interior):
+            self.start(fld.interior)
+        self.advance()
+        if self.blown_up():
+            raise BlowupError.at(self.steps, self.steps * self.config.dt, self.interior())
+        return fld.with_interior(self.interior())
 
 
 class BlowupError(RuntimeError):
@@ -464,6 +542,10 @@ class BlowupError(RuntimeError):
         self.magnitude = magnitude
         self.node = node
 
+    def to_dict(self) -> dict:
+        return {"n": self.n, "t": self.t, "node": list(self.node),
+                "magnitude": self.magnitude}
+
     @classmethod
     def at(cls, n: int, t: float, interior: np.ndarray) -> "BlowupError":
         """The error for a blown-up (nx, ny) interior at step n."""
@@ -477,35 +559,34 @@ class BlowupError(RuntimeError):
 def simulate(config: SimConfig) -> Trajectory:
     """Run the IBVP from t=0 to t_end; deterministic given the config.
 
-    On blow-up the trajectory is returned with the partial trace and
-    ``aborted_at`` set instead of raising.
+    On blow-up the trajectory is returned with the partial trace,
+    ``aborted_at`` and the ``blowup`` details set instead of raising.
     """
     grid = config.grid()
     u0 = initial_field(config, grid)
     stepper = Stepper(config, grid)
-    rows = []
     snapshots = [(0.0, u0)]
-    i0 = calculus.norms(u0, with_i0=True).i0
-    interior = u0.interior.copy()
-    rows.append((0.0,) + calculus.trace_row(interior, grid))
-    aborted_at = None
+    i0 = calculus.initial_regularity(u0)
+    stepper.start(u0.interior)
+    rows = [(0.0,) + calculus.trace_row(stepper.interior(), grid)]
+    blowup = None
     n_steps = config.n_steps
     for n in range(1, n_steps + 1):
-        interior = stepper.advance(interior)
+        stepper.advance()
         t = n * config.dt
-        if _blown_up(interior):
-            aborted_at = t
+        if stepper.blown_up():
+            blowup = BlowupError.at(n, t, stepper.interior())
             break
         if n % config.trace_stride == 0 or n == n_steps:
-            rows.append((t,) + calculus.trace_row(interior, grid))
+            rows.append((t,) + calculus.trace_row(stepper.interior(), grid))
         if n % config.snapshot_stride == 0 and n != n_steps:
-            snapshots.append((t, u0.with_interior(interior)))
-    if aborted_at is None:
-        snapshots.append((n_steps * config.dt, u0.with_interior(interior)))
+            snapshots.append((t, u0.with_interior(stepper.interior())))
+    if blowup is None:
+        snapshots.append((n_steps * config.dt, u0.with_interior(stepper.interior())))
     cols = list(zip(*rows))
     trace = EnergyTrace(*(np.asarray(c, dtype=float) for c in cols), i0_initial=i0)
-    return Trajectory(config=config, grid=grid, snapshots=snapshots,
-                      trace=trace, aborted_at=aborted_at)
+    return Trajectory(config=config, grid=grid, snapshots=snapshots, trace=trace,
+                      blowup=blowup)
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,7 @@ class RunManifest:
     tool_version: str
     wall_time_s: float | None
     aborted_at: float | None
+    blowup: dict | None
     i0_initial: float | None
     outputs: list
 
@@ -108,6 +109,7 @@ class RunManifest:
             "tool_version": self.tool_version,
             "wall_time_s": self.wall_time_s,
             "aborted_at": self.aborted_at,
+            "blowup": self.blowup,
             "i0_initial": self.i0_initial,
             "outputs": self.outputs,
         }
@@ -143,6 +145,7 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
         tool_version=__version__,
         wall_time_s=wall_time_s,
         aborted_at=trajectory.aborted_at,
+        blowup=None if trajectory.blowup is None else trajectory.blowup.to_dict(),
         i0_initial=trajectory.trace.i0_initial,
         outputs=outputs,
     )

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from zklab import (SimConfig, apply_operator, build_grid, check_gn, check_poincare,
-                   check_sup_bound, enforce_dirichlet, initial_field, integrate,
-                   norms, sample_field, stationary_mode, trace_flux, trace_row,
-                   weighted_energy, zero_field)
+                   check_sup_bound, enforce_dirichlet, initial_field,
+                   initial_regularity, integrate, norms, sample_field, simulate,
+                   stationary_mode, trace_flux, trace_row, weighted_energy,
+                   zero_field)
 from zklab.calculus import (boundary_gn_ratio, fd_weights, gradient_full,
                             sbp_defect, _D3_LEFT)
 from zklab.harness import random_clean_field
@@ -142,6 +143,16 @@ def test_i0_finite_and_dominates_h1():
     rep = norms(f, with_i0=True)
     assert np.isfinite(rep.i0) and rep.i0 > 0
     assert rep.i0 >= rep.l2 ** 2 + rep.h1_semi ** 2
+
+
+def test_initial_regularity_is_the_norms_i0():
+    g = build_grid(2.0, 1.0, 31, 47)
+    rng = np.random.default_rng(5)
+    for f in (random_clean_field(g, rng), random_clean_field(g, rng)):
+        assert initial_regularity(f) == norms(f, with_i0=True).i0
+    cfg = SimConfig(L=2.0, B=1.0, nx=31, ny=31, dt=1e-3, t_end=2e-3,
+                    initial="cos-product:0.4")
+    assert simulate(cfg).trace.i0_initial == initial_regularity(initial_field(cfg))
 
 
 def test_check_gn_examples():

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import subprocess
@@ -11,10 +12,10 @@ from zklab import (BlowupError, SimConfig, Stepper, assemble_linear_part, build_
                    enforce_dirichlet, initial_field, integrate, read_snapshot,
                    sample_field, simulate, simulate_regularized_sweep,
                    stationary_mode, write_snapshot, zero_field)
-from zklab.dynamics import (_d1_matrix, _d3_matrix, _d4x_matrix, config_from_dict,
-                            transverse_eigenvalues)
+from zklab.dynamics import (LinearPart, _d1_matrix, _d3_matrix, _d4x_matrix,
+                            config_from_dict, transverse_eigenvalues)
 from zklab.geometry import TRUNCATED_STRIP, Field
-from zklab.harness import random_clean_field
+from zklab.harness import emit_artifacts, random_clean_field
 
 CRIT_L = 4 * math.pi / math.sqrt(3)
 
@@ -51,6 +52,9 @@ def test_config_rejects_bad_values():
         small_config(epsilon=-1e-3)
     with pytest.raises(ValueError, match="trace_stride"):
         small_config(trace_stride=0)
+    with pytest.raises(ValueError, match=r"t_end=0\.0505 is not a whole number of steps "
+                                         r"of dt=0\.001"):
+        small_config(t_end=0.0505)
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16,
                           "dt": 1e-3, "t_end": 0.1, "gamma": 3})
@@ -142,9 +146,11 @@ SOLVE_REGIMES = {
 }
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-2])
-@pytest.mark.parametrize("regime", list(SOLVE_REGIMES))
-def test_linear_advance_matches_dense_per_mode_crank_nicolson(regime, eps):
+# One step, and three consecutive steps carried in modal form.
+@pytest.mark.parametrize("regime, eps, n_steps", [
+    pytest.param(regime, eps, n, id=f"{regime}-{eps}" + ("" if n == 1 else f"-{n}steps"))
+    for regime in SOLVE_REGIMES for eps in (0.0, 1e-2) for n in (1, 3)])
+def test_linear_advance_matches_dense_per_mode_crank_nicolson(regime, eps, n_steps):
     from scipy.linalg import lapack
     over, heads = SOLVE_REGIMES[regime]
     cfg = small_config(linear=True, epsilon=eps, **over)
@@ -167,9 +173,14 @@ def test_linear_advance_matches_dense_per_mode_crank_nicolson(regime, eps):
         a = dense_mode_matrix(g, m, cfg.alpha, eps)
         band_err = np.max(np.abs(dense_from_bands(lp.bands[:, m, :]) - a))
         assert band_err <= 1e-14 * np.max(np.abs(a))
-        expected[m] = np.linalg.solve(eye + half * a, (eye - half * a) @ modes[m])
+        expected[m] = modes[m]
+        for _ in range(n_steps):
+            expected[m] = np.linalg.solve(eye + half * a, (eye - half * a) @ expected[m])
     expected = lp.from_modes(expected)
-    got = stepper.advance(u)
+    stepper.start(u)
+    for _ in range(n_steps):
+        stepper.advance()
+    got = stepper.interior()
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -224,6 +235,16 @@ def test_step_requires_clean_state():
     dirty = sample_field(cfg.grid(), lambda x, y: np.ones_like(x))
     with pytest.raises(ValueError, match="clean"):
         Stepper(cfg).step(dirty)
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_step_by_step_reproduces_simulate_bitwise(linear):
+    cfg = small_config(linear=linear, t_end=0.005)
+    stepper = Stepper(cfg)
+    u = initial_field(cfg)
+    for _ in range(cfg.n_steps):
+        u = stepper.step(u)
+    assert np.array_equal(u.values, simulate(cfg).final.values)
 
 
 def test_single_step_consistency_on_stationary_mode():
@@ -305,17 +326,17 @@ def test_continuous_dependence():
     delta0 = 1e-6 / math.sqrt(integrate(bump.values ** 2, g))
     perturbed = Field(g, u0.values + delta0 * bump.values, dirichlet_clean=True)
     stepper = Stepper(base, g)
-    interior = perturbed.interior.copy()
+    stepper.start(perturbed.interior)
     for _ in range(base.n_steps):
-        interior = stepper.advance(interior)
-    ub = ua.with_interior(interior)
+        stepper.advance()
+    ub = ua.with_interior(stepper.interior())
     dnorm = math.sqrt(integrate((ub.values - ua.values) ** 2, g))
     K = dnorm / 1e-6
     assert np.isfinite(K)
     assert K < 100.0
 
 
-def test_blowup_aborts_with_partial_trace():
+def test_blowup_aborts_with_partial_trace(tmp_path):
     cfg = small_config(initial="cos-product:100000.0", t_end=0.5, dt=1e-2,
                        trace_stride=1)
     traj = simulate(cfg)
@@ -323,6 +344,17 @@ def test_blowup_aborts_with_partial_trace():
     assert traj.aborted_at <= 0.5
     assert len(traj.trace) >= 1
     assert np.all(np.isfinite(traj.trace.l2_sq))
+    err = traj.blowup
+    assert isinstance(err, BlowupError)
+    assert err.t == traj.aborted_at and err.t == err.n * cfg.dt
+    assert len(traj.trace) == err.n  # rows at t = 0 .. (n - 1) dt
+    assert 1 <= err.node[0] <= cfg.nx and 1 <= err.node[1] <= cfg.ny
+    assert err.magnitude > 1e6
+    emit_artifacts(traj, out_dir=tmp_path)
+    stored = json.loads((tmp_path / "manifest.json").read_text())
+    assert stored["aborted_at"] == traj.aborted_at
+    assert stored["blowup"] == {"n": err.n, "t": err.t, "node": list(err.node),
+                                "magnitude": err.magnitude}
 
 
 def test_blowup_reports_step_and_time():
@@ -333,7 +365,10 @@ def test_blowup_reports_step_and_time():
         stepper.step(u1)
     assert info.value.n == 2 and info.value.t == 0.02
     replay = Stepper(cfg)
-    blown = replay.advance(replay.advance(initial_field(cfg).interior.copy()))
+    replay.start(initial_field(cfg).interior)
+    replay.advance()
+    replay.advance()
+    blown = replay.interior()
     i, j = np.unravel_index(np.argmax(np.abs(blown)), blown.shape)
     assert info.value.node == (i + 1, j + 1)
     assert info.value.magnitude == pytest.approx(abs(blown[i, j]), rel=1e-12)
@@ -366,6 +401,69 @@ def test_simulate_builds_no_field_per_trace_row(monkeypatch):
     assert len(traj.trace) == cfg.n_steps + 1
     # The datum takes two and its i0 norm one; the trace rows take none.
     assert len(built) <= len(traj.snapshots) + 3
+
+
+def test_linear_simulate_transforms_once_per_trace_row(monkeypatch):
+    # The state stays modal between steps: one forward DST at the start and
+    # one inverse DST per trace row.  The final state is the last trace row's.
+    cfg = small_config(linear=True, t_end=0.023, trace_stride=5)
+    calls = {"to_modes": 0, "from_modes": 0}
+    for name in calls:
+        real = getattr(LinearPart, name)
+
+        def counting(self, arr, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, arr)
+
+        monkeypatch.setattr(LinearPart, name, counting)
+    traj = simulate(cfg)
+    monkeypatch.undo()
+    assert traj.aborted_at is None
+    assert traj.trace.t[1:].tolist() == pytest.approx([0.005, 0.01, 0.015, 0.02, 0.023])
+    assert calls == {"to_modes": 1, "from_modes": len(traj.trace) - 1}
+
+
+def linear_stepper_after_one_step(interior_fn):
+    """A linear stepper one tiny step past the interior that interior_fn(grid) gives."""
+    cfg = small_config(linear=True, dt=1e-8, t_end=1e-8)
+    g = cfg.grid()
+    stepper = Stepper(cfg, g)
+    stepper.start(interior_fn(g))
+    stepper.advance()
+    return stepper, g
+
+
+def test_blown_up_sup_bound_is_not_the_verdict():
+    # A spike next to the y = -B wall: its modes sum to ~4/pi of the peak,
+    # so the sup bound exceeds the threshold while max |u| does not.
+    def spike(g):
+        u = np.zeros((g.nx, g.ny))
+        u[:, 0] = 0.9e6 * np.sin(np.pi * g.xs()[1:-1] / g.L)
+        return u
+
+    stepper, g = linear_stepper_after_one_step(spike)
+    modes = stepper._modes
+    bound = np.max(np.abs(modes).sum(axis=0)) / (g.ny + 1)
+    true_max = np.max(np.abs(stepper.linear_part.from_modes(modes)))
+    assert bound > 1e6 > true_max > 0.85e6
+    assert not stepper.blown_up()
+    # Past the threshold, the same spike does abort.
+    stepper, _ = linear_stepper_after_one_step(lambda g: spike(g) * (1.2 / 0.9))
+    assert stepper.blown_up()
+    # A small state is cleared by the bound alone, with no inverse DST.
+    stepper, _ = linear_stepper_after_one_step(lambda g: spike(g) * 1e-3)
+    assert not stepper.blown_up()
+    assert stepper._interior is None
+
+
+def test_blown_up_names_first_non_finite_node():
+    stepper, g = linear_stepper_after_one_step(lambda g: np.ones((g.nx, g.ny)))
+    stepper._modes[4, 6] = np.nan
+    assert stepper.blown_up()
+    err = BlowupError.at(stepper.steps, stepper.config.dt, stepper.interior())
+    # A NaN in mode 4 of x column 6 spoils that whole column in physical space.
+    assert err.node == (7, 1)
+    assert np.isfinite(err.magnitude) and err.magnitude > 0
 
 
 def test_sweep_zero_datum_all_distances_zero():

@@ -104,7 +104,7 @@ def test_emit_artifacts_and_manifest(tmp_path):
     assert any(n.startswith("snapshot_") for n in names)
     stored = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert stored["config_sha256"] == config_hash(cfg)
-    assert stored["aborted_at"] is None
+    assert stored["aborted_at"] is None and stored["blowup"] is None
     assert stored["i0_initial"] > 0
 
 
