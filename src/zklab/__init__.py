@@ -8,8 +8,7 @@ the exponential-decay statements (thresholds, rates, Lyapunov monitor).
 __version__ = "0.1.0"
 
 from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, build_grid,
-                       build_strip_grid, enforce_dirichlet, sample_field,
-                       zero_field)
+                       enforce_dirichlet, sample_field, zero_field)
 from .calculus import (NormReport, apply_operator, check_gn, check_poincare,
                        check_sup_bound, initial_regularity, integrate, norms,
                        trace_flux, trace_row, weighted_energy)

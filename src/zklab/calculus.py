@@ -209,11 +209,10 @@ class NormReport:
     weighted_l2: float
     sup_sq: float
     trace_flux: float
-    i0: float | None = None
 
 
-def norms(fld: Field, with_i0: bool = False) -> NormReport:
-    """Populate a NormReport; i0 is ``initial_regularity(fld)`` when asked for."""
+def norms(fld: Field) -> NormReport:
+    """Populate a NormReport."""
     g = fld.grid
     v = fld.values
     l2sq = integrate(v * v, g)
@@ -229,7 +228,6 @@ def norms(fld: Field, with_i0: bool = False) -> NormReport:
         weighted_l2=weighted,
         sup_sq=float(np.max(v * v)),
         trace_flux=trace_flux(fld),
-        i0=initial_regularity(fld) if with_i0 else None,
     )
 
 
@@ -280,26 +278,6 @@ def check_gn(fld: Field, q: int) -> float:
     return float(lq / (beta * gn ** theta * l2 ** (1.0 - theta)))
 
 
-def boundary_gn_ratio(fld: Field, q: int) -> float:
-    """Empirical constant for the nonzero-trace interpolation inequality.
-
-    Reporting only: returns ||u||_q / (||u||_H1^theta * ||u||^(1-theta)),
-    the sample value a domain-independent constant would have to dominate.
-    """
-    if q not in (3, 4):
-        raise ValueError(f"q must be 3 or 4, got {q}")
-    g = fld.grid
-    v = fld.values
-    l2sq = integrate(v * v, g)
-    if l2sq == 0.0:
-        return 0.0
-    theta = 2.0 * (0.5 - 1.0 / q)
-    lq = integrate(np.abs(v) ** q, g) ** (1.0 / q)
-    ux, uy = gradient_full(fld)
-    h1 = np.sqrt(l2sq + integrate(ux * ux + uy * uy, g))
-    return float(lq / (h1 ** theta * np.sqrt(l2sq) ** (1.0 - theta)))
-
-
 def check_sup_bound(fld: Field) -> float:
     """Certificate for sup u^2 <= ||u||_H1^2 + ||u_xy||^2; 0 for zero field."""
     g = fld.grid
@@ -336,15 +314,3 @@ def check_poincare(fld: Field, axis: str) -> float:
         gsq = integrate(ux * ux, g)
     return float(l2sq / (c * gsq))
 
-
-def sbp_defect(fld: Field) -> float:
-    """Summation-by-parts diagnostic: |(u_xxx, u) - flux/2|.
-
-    The continuous identity (u_xxx, u) = (1/2) int u_x(0,y)^2 dy holds for
-    fields with u=0 on the walls and u_x(L,.)=0; the discrete closures
-    break it by O(h).  Diagnostic only, not an identity.
-    """
-    g = fld.grid
-    d3 = apply_operator(fld, "dxxx")
-    ip = integrate(d3.values * fld.values, g)
-    return float(abs(ip - 0.5 * trace_flux(fld)))

@@ -29,31 +29,24 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.fft import dst, idst
 
 from . import calculus, spectral
 from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, build_grid,
-                       enforce_dirichlet, sample_field)
+                       enforce_dirichlet, sample_field, zero_field)
 
 BLOWUP_THRESHOLD = 1.0e6
 
-_CONFIG_DEFAULTS = {
-    "dt": 1e-3,
-    "domain_kind": RECTANGLE,
-    "alpha": 1,
-    "epsilon": 0.0,
-    "linear": False,
-    "initial": "zero",
-    "scale_weighted": None,
-    "snapshot_stride": 10 ** 9,
-    "trace_stride": 10,
-}
+
+def _is_real(v) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
     """Validated simulation configuration (flat, JSON-serializable)."""
 
@@ -61,7 +54,7 @@ class SimConfig:
     B: float
     nx: int
     ny: int
-    dt: float
+    dt: float = 1e-3
     t_end: float
     alpha: int = 1
     epsilon: float = 0.0
@@ -75,25 +68,25 @@ class SimConfig:
     def __post_init__(self):
         for name in ("L", "B", "dt", "t_end"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
         if type(self.alpha) is not int or self.alpha not in (0, 1):
             raise ValueError(f"alpha must be 0 or 1, got {self.alpha!r}")
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon >= 0
+        if not (_is_real(self.epsilon) and self.epsilon >= 0
                 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
         if not isinstance(self.linear, bool):
             raise ValueError(f"linear must be a bool, got {self.linear!r}")
         for name in ("nx", "ny"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 8):
+            if not (type(v) is int and v >= 8):
                 raise ValueError(f"{name} must be an integer >= 8, got {v!r}")
         for name in ("snapshot_stride", "trace_stride"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (type(v) is int and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.scale_weighted is not None and not (
-                isinstance(self.scale_weighted, (int, float)) and self.scale_weighted > 0):
+                _is_real(self.scale_weighted) and self.scale_weighted > 0):
             raise ValueError(
                 f"scale_weighted must be positive when given, got {self.scale_weighted!r}")
         if self.domain_kind not in (RECTANGLE, TRUNCATED_STRIP):
@@ -112,23 +105,18 @@ class SimConfig:
         return build_grid(self.L, self.B, self.nx, self.ny, self.domain_kind)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return d
+        return asdict(self)
 
 
 def config_from_dict(raw: dict) -> SimConfig:
     """Build a SimConfig from a flat mapping; unknown keys are rejected."""
-    known = set(SimConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    required = {"L", "B", "nx", "ny", "t_end"}
-    missing = required - set(raw)
+    missing = {f.name for f in fields(SimConfig) if f.default is MISSING} - set(raw)
     if missing:
         raise ValueError(f"missing required config keys: {sorted(missing)}")
-    merged = dict(_CONFIG_DEFAULTS)
-    merged.update(raw)
-    return SimConfig(**merged)
+    return SimConfig(**raw)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +132,13 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
         fld = read_snapshot(spec_["file"])[1]
         if fld.grid.shape != g.shape:
             raise ValueError("initial: snapshot grid does not match config grid")
+        # A snapshot carries no domain_kind; the config's applies.
+        if (fld.grid.L, fld.grid.B) != (g.L, g.B):
+            raise ValueError(f"initial: snapshot L={fld.grid.L!r}, B={fld.grid.B!r} does not "
+                             f"match config L={g.L!r}, B={g.B!r}")
         fld = Field(g, fld.values)
     elif spec_ == "zero":
-        fld = sample_field(g, lambda x, y: np.zeros_like(x))
+        fld = zero_field(g)
     elif isinstance(spec_, str) and spec_.startswith("mode:"):
         try:
             k, l, n = (int(s) for s in spec_[5:].split(","))
@@ -276,20 +268,19 @@ class LinearPart:
         """(ny, nx) mode stack -> (nx, ny) physical interior (a transposed view)."""
         return idst(modes, type=1, axis=0).T
 
-    def apply_interior(self, interior: np.ndarray) -> np.ndarray:
-        """A u on the interior: one DST round trip and a banded stencil."""
-        modes = self.to_modes(interior)
+    def apply_modes(self, modes: np.ndarray) -> np.ndarray:
+        """A_m applied to each row of an (ny, nx) mode stack: the banded stencil."""
         out = np.zeros_like(modes)
         for k in range(-_KL, _KU + 1):
             lo, hi = max(0, -k), self.grid.nx - max(0, k)
             out[:, lo:hi] += self.bands[_KU - k, :, lo + k:hi + k] * modes[:, lo + k:hi + k]
-        return self.from_modes(out)
+        return out
 
     def apply(self, fld: Field) -> Field:
         """A u as a Field (boundary layer zeroed)."""
         if fld.grid.shape != self.grid.shape:
             raise ValueError("field grid does not match operator grid")
-        return fld.with_interior(self.apply_interior(fld.interior.copy()))
+        return fld.with_interior(self.from_modes(self.apply_modes(self.to_modes(fld.interior))))
 
 
 def assemble_linear_part(grid: Grid, alpha: int, epsilon: float = 0.0) -> LinearPart:
@@ -368,12 +359,12 @@ class Stepper:
     one ``dgbtrs`` call on the whole system.
 
     The state lives between steps as its (ny, nx) transverse-mode stack:
-    ``start`` loads a physical interior (one forward DST), ``advance`` steps
-    the modes in place and ``interior`` returns the physical state, built by
-    at most one inverse DST per step.  A nonlinear step builds it at once,
-    because the next step's nonlinear term reads it; a linear step builds it
-    only when asked, so a linear run pays one inverse DST per trace row or
-    snapshot and none in between.
+    ``start`` begins a run from a physical interior (one forward DST),
+    ``advance`` steps the modes in place and ``interior`` returns the
+    physical state, built by at most one inverse DST per step.  A nonlinear
+    step builds it at once, because the next step's nonlinear term reads it;
+    a linear step builds it only when asked, so a linear run pays one
+    inverse DST per trace row or snapshot and none in between.
     """
 
     def __init__(self, config: SimConfig, grid: Grid | None = None):
@@ -439,14 +430,16 @@ class Stepper:
         return out
 
     def start(self, interior: np.ndarray) -> None:
-        """Load an (nx, ny) physical interior as the state: one forward DST.
+        """Begin a fresh run from an (nx, ny) physical interior: one forward DST.
 
-        The nonlinear history and the step count carry on, so ``step`` can
-        continue a run from the Field it returned.
+        The nonlinear history and the step count are reset, so the first
+        ``advance`` takes the Euler predictor step.
         """
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)
+        self._nonlin_prev = None
+        self.steps = 0
 
     def advance(self) -> None:
         """One IMEX step of the held modal state.
@@ -468,7 +461,7 @@ class Stepper:
             u = self._interior
             n_now = self._nonlin(u)
             if self._nonlin_prev is None:
-                predicted = u - 0.5 * dt * (lp.apply_interior(u) + n_now)
+                predicted = u - 0.5 * dt * (lp.from_modes(lp.apply_modes(m)) + n_now)
                 n_half = self._nonlin(predicted)
             else:
                 n_half = 1.5 * n_now - 0.5 * self._nonlin_prev
@@ -511,19 +504,6 @@ class Stepper:
                 return False
         # NaN fails <=, so a non-finite value anywhere counts as blow-up.
         return not np.max(np.abs(self.interior())) <= BLOWUP_THRESHOLD
-
-    def step(self, fld: Field) -> Field:
-        """One step from a clean state Field, continuing this stepper's history."""
-        if not fld.dirichlet_clean:
-            raise ValueError("step requires a dirichlet_clean state")
-        # The Field this stepper last returned continues from the held modes,
-        # without a forward DST.
-        if self._interior is None or not np.array_equal(fld.interior, self._interior):
-            self.start(fld.interior)
-        self.advance()
-        if self.blown_up():
-            raise BlowupError.at(self.steps, self.steps * self.config.dt, self.interior())
-        return fld.with_interior(self.interior())
 
 
 class BlowupError(RuntimeError):

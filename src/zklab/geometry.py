@@ -56,9 +56,6 @@ class Grid:
     def xs_interior(self) -> np.ndarray:
         return self.hx * np.arange(1, self.nx + 1)
 
-    def ys_interior(self) -> np.ndarray:
-        return -self.B + self.hy * np.arange(1, self.ny + 1)
-
     def meshgrid(self):
         """Full-grid coordinate arrays of shape (nx+2, ny+2)."""
         return np.meshgrid(self.xs(), self.ys(), indexing="ij")
@@ -80,20 +77,6 @@ def build_grid(L: float, B: float, nx: int, ny: int,
     if domain_kind not in _DOMAIN_KINDS:
         raise ValueError(f"domain_kind must be one of {_DOMAIN_KINDS}, got {domain_kind!r}")
     return Grid(float(L), float(B), int(nx), int(ny), domain_kind)
-
-
-def build_strip_grid(L: float, y_support_radius: float, nx: int, ny: int,
-                     widen: float = 4.0) -> Grid:
-    """Truncated-strip grid wide enough for a datum supported in |y| <= radius.
-
-    The truncation half-width is ``widen`` times the support radius
-    (default 4x), so widening B further only reduces truncation error.
-    """
-    if y_support_radius <= 0 or not math.isfinite(y_support_radius):
-        raise ValueError(f"y_support_radius must be finite and positive, got {y_support_radius}")
-    if widen < 1.0:
-        raise ValueError(f"widen must be >= 1, got {widen}")
-    return build_grid(L, widen * y_support_radius, nx, ny, TRUNCATED_STRIP)
 
 
 @dataclass(frozen=True)
@@ -123,12 +106,6 @@ class Field:
     @property
     def interior(self) -> np.ndarray:
         return self.values[1:-1, 1:-1]
-
-    def boundary_max(self) -> float:
-        """Largest absolute value on the boundary layer."""
-        v = self.values
-        return max(np.abs(v[0, :]).max(), np.abs(v[-1, :]).max(),
-                   np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max())
 
     def with_interior(self, interior: np.ndarray) -> "Field":
         """New clean Field with the given interior and zero boundary.

@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +75,36 @@ def write_trace_csv(trace: EnergyTrace, path) -> None:
 
 
 def read_trace_csv(path) -> EnergyTrace:
+    """Read a ``write_trace_csv`` file; every ValueError names the path and line.
+
+    Each row must hold one finite number per column, and ``t`` must
+    strictly increase.
+    """
+    data = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != list(TRACE_COLUMNS):
             raise ValueError(f"{path}: unexpected trace header {header!r}")
-        data = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ValueError(f"{path}:{lineno}: {len(cells)} values, "
+                                 f"expected {len(TRACE_COLUMNS)}")
+            try:
+                row = [float(v) for v in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            if data and not row[0] > data[-1][0]:
+                raise ValueError(f"{path}:{lineno}: t={row[0]!r} does not increase "
+                                 f"past t={data[-1][0]!r}")
+            data.append(row)
+    if not data:
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(TRACE_COLUMNS):
-        raise ValueError(f"{path}: malformed trace body")
     return EnergyTrace(*(arr[:, i] for i in range(len(TRACE_COLUMNS))))
 
 
@@ -101,18 +123,6 @@ class RunManifest:
     blowup: dict | None
     i0_initial: float | None
     outputs: list
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-            "aborted_at": self.aborted_at,
-            "blowup": self.blowup,
-            "i0_initial": self.i0_initial,
-            "outputs": self.outputs,
-        }
 
 
 def _file_entry(path: Path) -> dict:
@@ -150,7 +160,7 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
         outputs=outputs,
     )
     (out / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
+        json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -279,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--B", type=float, default=None)
 
     ver = sub.add_parser("verify", help="seeded property suites")
-    ver.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    ver.add_argument("--suite", required=True, choices=sorted(_SUITES),
+                     help="conservation is one fixed linear run and ignores "
+                          "--samples and --seed")
     ver.add_argument("--samples", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
 

@@ -6,8 +6,7 @@ from zklab import (SimConfig, apply_operator, build_grid, check_gn, check_poinca
                    initial_regularity, integrate, norms, sample_field, simulate,
                    stationary_mode, trace_flux, trace_row, weighted_energy,
                    zero_field)
-from zklab.calculus import (boundary_gn_ratio, fd_weights, gradient_full,
-                            sbp_defect, _D3_LEFT)
+from zklab.calculus import _D3_LEFT, fd_weights, gradient_full
 from zklab.harness import random_clean_field
 
 
@@ -66,7 +65,7 @@ def test_every_operator_second_order():
             g = build_grid(2.0, 1.0, nx, nx)
             f = sample_field(g, lambda x, y: np.sin(x) * np.sin(y))
             d = apply_operator(f, kind)
-            X, Y = np.meshgrid(g.xs_interior(), g.ys_interior(), indexing="ij")
+            X, Y = np.meshgrid(g.xs_interior(), g.ys()[1:-1], indexing="ij")
             errs.append(np.max(np.abs(d.interior - exact(X, Y))))
         ratio = errs[0] / errs[1]
         assert 3.5 < ratio < 4.5, f"{kind}: ratio {ratio}"
@@ -140,16 +139,14 @@ def test_i0_finite_and_dominates_h1():
     L, B = g.L, g.B
     f = sample_field(g, lambda x, y: (1 - np.cos(2 * np.pi * x / L))
                      * np.cos(np.pi * y / (2 * B)))
-    rep = norms(f, with_i0=True)
-    assert np.isfinite(rep.i0) and rep.i0 > 0
-    assert rep.i0 >= rep.l2 ** 2 + rep.h1_semi ** 2
+    i0 = initial_regularity(f)
+    rep = norms(f)
+    assert np.isfinite(i0) and i0 > 0
+    assert i0 >= rep.l2 ** 2 + rep.h1_semi ** 2
 
 
 def test_initial_regularity_is_the_norms_i0():
-    g = build_grid(2.0, 1.0, 31, 47)
-    rng = np.random.default_rng(5)
-    for f in (random_clean_field(g, rng), random_clean_field(g, rng)):
-        assert initial_regularity(f) == norms(f, with_i0=True).i0
+    # The i0 that simulate records is initial_regularity of the datum, bit for bit.
     cfg = SimConfig(L=2.0, B=1.0, nx=31, ny=31, dt=1e-3, t_end=2e-3,
                     initial="cos-product:0.4")
     assert simulate(cfg).trace.i0_initial == initial_regularity(initial_field(cfg))
@@ -205,14 +202,6 @@ def test_check_poincare_analytic_values():
         check_poincare(fx, "z")
 
 
-def test_boundary_gn_ratio_reports_finite():
-    g = build_grid(2.0, 1.0, 63, 63)
-    f = sample_field(g, lambda x, y: 1.0 + x + 0.0 * y)
-    for q in (3, 4):
-        r = boundary_gn_ratio(f, q)
-        assert np.isfinite(r) and r > 0
-
-
 def test_gradient_full_matches_interior():
     g = build_grid(2.0, 1.0, 63, 63)
     f = sample_field(g, lambda x, y: np.sin(x) * np.cos(y))
@@ -221,17 +210,6 @@ def test_gradient_full_matches_interior():
     assert np.allclose(ux[1:-1, 1:-1], dx.interior, atol=1e-14)
     X, Y = g.meshgrid()
     assert np.max(np.abs(ux - np.cos(X) * np.cos(Y))) < 5e-3
-
-
-def test_sbp_defect_shrinks_under_refinement():
-    defects = {}
-    for nx in (63, 127):
-        g = build_grid(2.0, 1.0, nx, 63)
-        f = enforce_dirichlet(sample_field(
-            g, lambda x, y: (1 - np.cos(2 * np.pi * x / g.L))
-            * np.cos(np.pi * y / (2 * g.B))))
-        defects[nx] = sbp_defect(f)
-    assert defects[127] < defects[63]
 
 
 def test_integrate_full_trapezoid():

@@ -15,7 +15,7 @@ from zklab import (BlowupError, SimConfig, Stepper, assemble_linear_part, build_
 from zklab.dynamics import (LinearPart, _d1_matrix, _d3_matrix, _d4x_matrix,
                             config_from_dict, transverse_eigenvalues)
 from zklab.geometry import TRUNCATED_STRIP, Field
-from zklab.harness import emit_artifacts, random_clean_field
+from zklab.harness import ConfigError, emit_artifacts, load_config, random_clean_field
 
 CRIT_L = 4 * math.pi / math.sqrt(3)
 
@@ -35,11 +35,17 @@ def test_config_defaults_and_required():
     assert c.alpha == 1 and c.epsilon == 0.0 and not c.linear
     assert c.dt == 1e-3
     assert c.trace_stride == 10 and c.initial == "zero"
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError,
+                       match=r"missing required config keys: \['B', 'nx', 'ny', 't_end'\]"):
         config_from_dict({"L": 2.0})
 
 
-def test_config_rejects_bad_values():
+# A JSON true is a Python bool, which is an int; no numeric key may take one.
+NUMERIC_KEYS = ("L", "B", "dt", "t_end", "epsilon", "scale_weighted", "nx", "ny",
+                "trace_stride", "snapshot_stride")
+
+
+def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(ValueError, match="alpha"):
         small_config(alpha=2)
     with pytest.raises(ValueError, match="alpha must be 0 or 1"):
@@ -58,6 +64,14 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16,
                           "dt": 1e-3, "t_end": 0.1, "gamma": 3})
+    base = {"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "dt": 1e-3, "t_end": 0.01}
+    for key in NUMERIC_KEYS:
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            small_config(**{key: True})
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**base, key: True}))
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            load_config(path)
 
 
 def test_initial_tags():
@@ -226,32 +240,38 @@ def test_transverse_eigenvalues_match_dst_modes():
 
 def test_step_zero_state_stays_zero():
     cfg = small_config()
-    out = Stepper(cfg).step(zero_field(cfg.grid()))
-    assert not out.values.any()
-
-
-def test_step_requires_clean_state():
-    cfg = small_config()
-    dirty = sample_field(cfg.grid(), lambda x, y: np.ones_like(x))
-    with pytest.raises(ValueError, match="clean"):
-        Stepper(cfg).step(dirty)
-
-
-@pytest.mark.parametrize("linear", [False, True])
-def test_step_by_step_reproduces_simulate_bitwise(linear):
-    cfg = small_config(linear=linear, t_end=0.005)
     stepper = Stepper(cfg)
-    u = initial_field(cfg)
-    for _ in range(cfg.n_steps):
-        u = stepper.step(u)
-    assert np.array_equal(u.values, simulate(cfg).final.values)
+    stepper.start(zero_field(cfg.grid()).interior)
+    stepper.advance()
+    assert not stepper.interior().any()
+
+
+def test_start_begins_a_fresh_run():
+    # A used stepper restarted from u0 takes the Euler predictor step, as a
+    # fresh one does, not an Adams-Bashforth step on the old run's history.
+    cfg = small_config()
+    u0 = initial_field(cfg).interior
+    fresh = Stepper(cfg)
+    fresh.start(u0)
+    fresh.advance()
+    used = Stepper(cfg)
+    used.start(u0)
+    for _ in range(3):
+        used.advance()
+    used.start(u0)
+    used.advance()
+    assert used.steps == fresh.steps == 1
+    assert np.array_equal(used.interior(), fresh.interior())
 
 
 def test_single_step_consistency_on_stationary_mode():
     cfg = SimConfig(L=CRIT_L, B=math.pi, nx=63, ny=63, dt=1e-3, t_end=1e-3,
                     alpha=1, linear=True, initial="mode:1,1,1")
     u0 = initial_field(cfg)
-    u1 = Stepper(cfg).step(u0)
+    stepper = Stepper(cfg)
+    stepper.start(u0.interior)
+    stepper.advance()
+    u1 = u0.with_interior(stepper.interior())
     g = cfg.grid()
     num = math.sqrt(integrate((u1.values - u0.values) ** 2, g))
     den = math.sqrt(integrate(u0.values ** 2, g))
@@ -359,21 +379,20 @@ def test_blowup_aborts_with_partial_trace(tmp_path):
 
 def test_blowup_reports_step_and_time():
     cfg = small_config(nx=16, ny=16, dt=1e-2, t_end=0.05, initial="cos-product:300")
-    stepper = Stepper(cfg)
-    u1 = stepper.step(initial_field(cfg))
-    with pytest.raises(BlowupError) as info:
-        stepper.step(u1)
-    assert info.value.n == 2 and info.value.t == 0.02
+    traj = simulate(cfg)
+    err = traj.blowup
+    assert isinstance(err, BlowupError)
+    assert err.n == 2 and err.t == 0.02
     replay = Stepper(cfg)
     replay.start(initial_field(cfg).interior)
     replay.advance()
     replay.advance()
     blown = replay.interior()
     i, j = np.unravel_index(np.argmax(np.abs(blown)), blown.shape)
-    assert info.value.node == (i + 1, j + 1)
-    assert info.value.magnitude == pytest.approx(abs(blown[i, j]), rel=1e-12)
-    assert f"node {info.value.node}" in str(info.value)
-    assert simulate(cfg).aborted_at == 0.02
+    assert err.node == (i + 1, j + 1)
+    assert err.magnitude == pytest.approx(abs(blown[i, j]), rel=1e-12)
+    assert f"node {err.node}" in str(err)
+    assert traj.aborted_at == 0.02
     # A non-finite state names its first non-finite node (row-major order).
     state = np.ones((5, 4))
     state[1, 1] = 9.0
@@ -529,3 +548,14 @@ def test_initial_from_snapshot(tmp_path):
                         initial={"file": str(path)})
     fld2 = initial_field(cfg2)
     assert np.array_equal(fld.values, fld2.values)
+
+
+def test_initial_from_snapshot_rejects_other_geometry(tmp_path):
+    # Same shape, other domain: the header's L and B must match the config's.
+    path = tmp_path / "u0.zks"
+    write_snapshot(path, 0.0, initial_field(small_config(nx=16, ny=12, t_end=0.01)))
+    for L, B in ((5.0, 3.0), (2.0, 3.0)):
+        cfg = small_config(L=L, B=B, nx=16, ny=12, t_end=0.01, initial={"file": str(path)})
+        with pytest.raises(ValueError, match=rf"snapshot L=2\.0, B=1\.0 does not match "
+                                             rf"config L={L}, B={B}"):
+            initial_field(cfg)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from zklab import (ConfigError, SimConfig, build_grid, cli_main, emit_artifacts,
-                   load_config, random_clean_field, read_trace_csv, simulate,
-                   write_trace_csv)
-from zklab.dynamics import EnergyTrace
+                   enforce_dirichlet, load_config, random_clean_field, read_trace_csv,
+                   simulate, write_trace_csv)
+from zklab.dynamics import TRACE_COLUMNS, EnergyTrace
 from zklab.harness import canonical_config_json, config_hash
 
 
@@ -91,6 +91,44 @@ def test_trace_csv_line_count(tmp_path):
     assert len(lines) == len(traj.trace) + 1
 
 
+TRACE_CSV_FAULTS = {
+    "ragged": r":3: 6 values, expected 7",
+    "not_a_number": r":2: could not convert",
+    "nan": r":3: non-finite value",
+    "inf": r":4: non-finite value",
+    "backwards_t": r":4: t=0\.05 does not increase past t=0\.1",
+    "repeated_t": r":3: t=0\.05 does not increase past t=0\.05",
+    "no_rows": r"no data rows",
+}
+
+
+@pytest.mark.parametrize("case", TRACE_CSV_FAULTS)
+def test_read_trace_csv_rejects_malformed_file(tmp_path, case):
+    rows = [[0.0, 1, 2, 3, 4, 5, 6], [0.05, 1, 2, 3, 4, 5, 6], [0.1, 1, 2, 3, 4, 5, 6]]
+    lines = [",".join(repr(float(v)) for v in row) for row in rows]
+    if case == "ragged":
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    elif case == "not_a_number":
+        lines[0] = lines[0].replace("1.0", "one")
+    elif case == "nan":
+        lines[1] = lines[1].replace("3.0", "nan")
+    elif case == "inf":
+        lines[2] = lines[2].replace("6.0", "-inf")
+    elif case == "backwards_t":
+        lines[2] = lines[2].replace("0.1", "0.05", 1)
+        lines[1] = lines[1].replace("0.05", "0.1", 1)
+    elif case == "repeated_t":
+        lines[2] = lines[2].replace("0.1", "0.05", 1)
+        del lines[0]
+    else:
+        lines = []
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([",".join(TRACE_COLUMNS)] + lines) + "\n")
+    with pytest.raises(ValueError, match=TRACE_CSV_FAULTS[case]) as info:
+        read_trace_csv(path)
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -124,6 +162,10 @@ def test_aborted_run_flagged_in_manifest(tmp_path):
     man = emit_artifacts(traj, out_dir=tmp_path / "boom")
     stored = json.loads((tmp_path / "boom" / "manifest.json").read_text())
     assert stored["aborted_at"] == traj.aborted_at is not None
+    # The partial trace of the blown-up run round-trips through trace.csv.
+    back = read_trace_csv(tmp_path / "boom" / "trace.csv")
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(back.column(name), traj.trace.column(name))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +176,7 @@ def test_random_clean_field_is_clean_and_smoothish():
     rng = np.random.default_rng(0)
     f = random_clean_field(g, rng)
     assert f.dirichlet_clean
-    assert f.boundary_max() == 0.0
+    assert np.array_equal(f.values, enforce_dirichlet(f).values)
     assert 0 < np.max(np.abs(f.values)) < 10.0
 
 
