@@ -10,7 +10,7 @@ neighbour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,11 @@ _DOMAIN_KINDS = (RECTANGLE, TRUNCATED_STRIP)
 MIN_POINTS = 8
 
 
+def _is_real(v) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on (0, L) x (-B, B) with nx x ny interior nodes.
@@ -29,7 +34,8 @@ class Grid:
     Node (i, j), 0 <= i <= nx+1, 0 <= j <= ny+1, sits at
     (i*hx, -B + j*hy); i in {0, nx+1} and j in {0, ny+1} are wall nodes.
     ``domain_kind`` records whether B is a physical half-width or a
-    truncation of an unbounded strip.
+    truncation of an unbounded strip.  Construction validates every field,
+    so every Grid that exists is valid.
     """
 
     L: float
@@ -37,6 +43,19 @@ class Grid:
     nx: int
     ny: int
     domain_kind: str = RECTANGLE
+
+    def __post_init__(self):
+        for name in ("L", "B"):
+            v = getattr(self, name)
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        for name in ("nx", "ny"):
+            v = getattr(self, name)
+            if not (type(v) is int and v >= MIN_POINTS):
+                raise ValueError(f"{name} must be an integer >= {MIN_POINTS}, got {v!r}")
+        if self.domain_kind not in _DOMAIN_KINDS:
+            raise ValueError(
+                f"domain_kind must be one of {_DOMAIN_KINDS}, got {self.domain_kind!r}")
 
     @property
     def hx(self) -> float:
@@ -67,30 +86,20 @@ class Grid:
 
 def build_grid(L: float, B: float, nx: int, ny: int,
                domain_kind: str = RECTANGLE) -> Grid:
-    """Validated Grid constructor."""
-    for name, val in (("L", L), ("B", B)):
-        if not math.isfinite(val) or val <= 0:
-            raise ValueError(f"{name} must be finite and positive, got {val}")
-    for name, val in (("nx", nx), ("ny", ny)):
-        if int(val) != val or val < MIN_POINTS:
-            raise ValueError(f"{name} must be an integer >= {MIN_POINTS}, got {val}")
-    if domain_kind not in _DOMAIN_KINDS:
-        raise ValueError(f"domain_kind must be one of {_DOMAIN_KINDS}, got {domain_kind!r}")
-    return Grid(float(L), float(B), int(nx), int(ny), domain_kind)
+    """The Grid with these fields, validated by its constructor."""
+    return Grid(L, B, nx, ny, domain_kind)
 
 
 @dataclass(frozen=True)
 class Field:
     """Real scalar samples on a Grid, boundary layer included.
 
-    Value-semantic: the array is frozen at construction and never mutated;
-    operations return new Fields.  ``dirichlet_clean`` certifies that the
-    boundary layer is exactly zero.
+    Value-semantic: construction checks the shape and finiteness and
+    freezes a private copy of the array; operations return new Fields.
     """
 
     grid: Grid
     values: np.ndarray
-    dirichlet_clean: bool = field(default=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -108,44 +117,25 @@ class Field:
         return self.values[1:-1, 1:-1]
 
     def with_interior(self, interior: np.ndarray) -> "Field":
-        """New clean Field with the given interior and zero boundary.
-
-        The zero-padded array is built once and adopted without the
-        constructor's second copy; the shape and finiteness checks and the
-        read-only flag stay.
-        """
+        """New Field with the given interior and a zero boundary layer."""
         g = self.grid
         if np.shape(interior) != (g.nx, g.ny):
             raise ValueError(f"interior shape {np.shape(interior)} does not match "
                              f"grid interior {(g.nx, g.ny)}")
         vals = np.zeros(g.shape)
         vals[1:-1, 1:-1] = interior
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field contains non-finite values")
-        vals.flags.writeable = False
-        fld = Field.__new__(Field)
-        object.__setattr__(fld, "grid", g)
-        object.__setattr__(fld, "values", vals)
-        object.__setattr__(fld, "dirichlet_clean", True)
-        return fld
+        return Field(g, vals)
 
 
 def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Field:
     """Pointwise samples of f(x, y) at every node, boundary layer included."""
     X, Y = grid.meshgrid()
-    vals = np.asarray(f(X, Y), dtype=float)
-    if vals.shape != grid.shape:  # scalar-valued callables broadcast
-        vals = np.broadcast_to(vals, grid.shape).copy()
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sampled function returned non-finite values")
-    clean = bool(
-        not vals[0, :].any() and not vals[-1, :].any()
-        and not vals[:, 0].any() and not vals[:, -1].any())
-    return Field(grid, vals, dirichlet_clean=clean)
+    # scalar-valued callables broadcast
+    return Field(grid, np.broadcast_to(np.asarray(f(X, Y), dtype=float), grid.shape))
 
 
 def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape), dirichlet_clean=True)
+    return Field(grid, np.zeros(grid.shape))
 
 
 def enforce_dirichlet(fld: Field) -> Field:
@@ -155,4 +145,4 @@ def enforce_dirichlet(fld: Field) -> Field:
     vals[-1, :] = 0.0
     vals[:, 0] = 0.0
     vals[:, -1] = 0.0
-    return Field(fld.grid, vals, dirichlet_clean=True)
+    return Field(fld.grid, vals)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, calculus, spectral
 from .dynamics import (EnergyTrace, SimConfig, TRACE_COLUMNS, Trajectory,
                        config_from_dict, simulate, write_snapshot)
-from .geometry import Grid, build_grid, enforce_dirichlet, Field
+from .geometry import Grid, enforce_dirichlet, Field
 from .stabilization import (DecayGeometry, decay_theory, energy_balance,
                             verdict as decay_verdict)
 
@@ -170,7 +170,6 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
 def random_clean_field(grid: Grid, rng: np.random.Generator,
                        n_modes: int = 6) -> Field:
     """Smooth random field from low Dirichlet modes with decaying weights."""
-    X, Y = grid.meshgrid()
     i = np.arange(1, n_modes + 1)
     coeffs = rng.normal(size=(n_modes, n_modes)) / np.add.outer(i ** 2, i ** 2)
     sx = np.sin(np.pi * np.multiply.outer(i, grid.xs()) / grid.L)
@@ -184,7 +183,7 @@ def random_clean_field(grid: Grid, rng: np.random.Generator,
 
 def _verify_inequalities(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
-    grid = build_grid(2.0, 1.0, 127, 127)
+    grid = Grid(2.0, 1.0, 127, 127)
     tol = 1.0 + 5e-2
     worst = {"gn_q3": 0.0, "gn_q4": 0.0, "sup_bound": 0.0,
              "poincare_x": 0.0, "poincare_y": 0.0}

@@ -129,7 +129,7 @@ def lyapunov_monitor(trace: EnergyTrace, theory: DecayTheory) -> MonitorReport:
     bracket = theory.eps_small - 4.0 / (9.0 * theory.delta) * w
     grad_sq = trace.grad_x_sq + trace.grad_y_sq
     res = dw + theory.a_sq * trace.l2_sq + bracket * grad_sq
-    persistence = bool(np.all(w < 9.0 * theory.eps_small * theory.delta / 4.0)
+    persistence = bool(np.all(w < theory.threshold)
                        or w[0] >= theory.threshold)
     return MonitorReport(t=t, residuals=res,
                          max_excursion=float(np.max(res)),

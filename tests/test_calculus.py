@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zklab import (SimConfig, apply_operator, build_grid, check_gn, check_poincare,
+from zklab import (Grid, SimConfig, apply_operator, build_grid, check_gn, check_poincare,
                    check_sup_bound, enforce_dirichlet, initial_field,
                    initial_regularity, integrate, norms, sample_field, simulate,
                    stationary_mode, trace_flux, trace_row, weighted_energy,
@@ -76,6 +76,16 @@ def test_unknown_kind_and_coarse_grid():
     f = sample_field(g, lambda x, y: x)
     with pytest.raises(ValueError):
         apply_operator(f, "d5x")
+    # No grid below the stencils' reach exists to differentiate: the Grid
+    # constructor applies the config's rules, also when called directly.
+    with pytest.raises(ValueError, match="^nx must"):
+        Grid(1.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="^L must"):
+        build_grid(True, 1.0, 16, 16)
+    with pytest.raises(ValueError, match="^nx must"):
+        build_grid(1.0, 1.0, 16.0, 16)
+    with pytest.raises(ValueError, match="^domain_kind must"):
+        Grid(1.0, 1.0, 16, 16, "disk")
 
 
 def test_norms_constant_field():

@@ -79,7 +79,8 @@ def test_initial_tags():
     assert not initial_field(cfg).values.any()
     cfg = small_config(initial="cos-product:0.5")
     fld = initial_field(cfg)
-    assert fld.dirichlet_clean and fld.values.max() > 0.4
+    assert not fld.values[[0, -1], :].any() and not fld.values[:, [0, -1]].any()
+    assert fld.values.max() > 0.4
     cfg = small_config(L=CRIT_L, B=math.pi, initial="mode:1,1,1")
     fld = initial_field(cfg)
     assert abs(fld.values.max() - 1.0) < 1e-6
@@ -87,6 +88,8 @@ def test_initial_tags():
         initial_field(small_config(L=2.0, B=math.pi, initial="mode:1,1,1"))
     with pytest.raises(ValueError, match="unknown tag"):
         initial_field(small_config(initial="wavelet:1"))
+    with pytest.raises(ValueError, match="cos-product:abc"):
+        initial_field(small_config(initial="cos-product:abc"))
 
 
 def test_initial_scale_weighted():
@@ -344,7 +347,7 @@ def test_continuous_dependence():
     bump = sample_field(g, lambda x, y: np.sin(np.pi * x / g.L)
                         * np.sin(np.pi * (y + g.B) / (2 * g.B)))
     delta0 = 1e-6 / math.sqrt(integrate(bump.values ** 2, g))
-    perturbed = Field(g, u0.values + delta0 * bump.values, dirichlet_clean=True)
+    perturbed = Field(g, u0.values + delta0 * bump.values)
     stepper = Stepper(base, g)
     stepper.start(perturbed.interior)
     for _ in range(base.n_steps):
@@ -403,18 +406,16 @@ def test_blowup_reports_step_and_time():
 
 
 def test_simulate_builds_no_field_per_trace_row(monkeypatch):
-    # A Field is built either by its constructor (which runs __post_init__)
-    # or by with_interior, which adopts its array without the constructor.
+    # Every Field passes through __post_init__.
     cfg = small_config(t_end=0.05, trace_stride=1, snapshot_stride=10)
     built = []
-    for name in ("__post_init__", "with_interior"):
-        real = getattr(Field, name)
+    real = Field.__post_init__
 
-        def counting(self, *args, _real=real):
-            built.append(self)
-            return _real(self, *args)
+    def counting(self):
+        built.append(self)
+        return real(self)
 
-        monkeypatch.setattr(Field, name, counting)
+    monkeypatch.setattr(Field, "__post_init__", counting)
     traj = simulate(cfg)
     monkeypatch.undo()
     assert len(traj.trace) == cfg.n_steps + 1

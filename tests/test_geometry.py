@@ -42,7 +42,6 @@ def test_node_coordinates_no_drift():
 def test_sample_zero_field():
     g = build_grid(1.0, 1.0, 8, 8)
     f = sample_field(g, lambda x, y: np.zeros_like(x))
-    assert f.dirichlet_clean
     assert not f.values.any()
 
 
@@ -56,8 +55,8 @@ def test_sample_counterexample_mode_boundary():
 def test_sample_constant_not_clean():
     g = build_grid(1.0, 1.0, 8, 8)
     f = sample_field(g, lambda x, y: np.ones_like(x))
-    assert not f.dirichlet_clean
-    assert f.values[0, 0] == 1.0
+    # the sampled boundary layer is kept, not zeroed
+    assert np.all(f.values[[0, -1], :] == 1.0) and np.all(f.values[:, [0, -1]] == 1.0)
 
 
 def test_sample_rejects_non_finite():
@@ -69,7 +68,6 @@ def test_sample_rejects_non_finite():
 def test_enforce_dirichlet_zeroes_boundary():
     g = build_grid(1.0, 1.0, 8, 8)
     f = enforce_dirichlet(sample_field(g, lambda x, y: np.ones_like(x)))
-    assert f.dirichlet_clean
     assert not f.values[[0, -1], :].any() and not f.values[:, [0, -1]].any()
     assert np.all(f.interior == 1.0)
 
@@ -103,8 +101,7 @@ def test_with_interior_copies_once_and_checks():
     g = build_grid(1.0, 2.0, 9, 12)
     interior = np.random.default_rng(5).normal(size=(9, 12))
     f = zero_field(g).with_interior(interior)
-    assert f.dirichlet_clean
-    assert np.array_equal(f.values, enforce_dirichlet(f).values)
+    assert not f.values[[0, -1], :].any() and not f.values[:, [0, -1]].any()
     assert np.array_equal(f.interior, interior)
     assert not np.shares_memory(f.values, interior)
     interior[0, 0] = 7.0

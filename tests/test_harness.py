@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from zklab import (ConfigError, SimConfig, build_grid, cli_main, emit_artifacts,
-                   enforce_dirichlet, load_config, random_clean_field, read_trace_csv,
-                   simulate, write_trace_csv)
+                   load_config, random_clean_field, read_trace_csv, simulate,
+                   write_trace_csv)
 from zklab.dynamics import TRACE_COLUMNS, EnergyTrace
 from zklab.harness import canonical_config_json, config_hash
 
@@ -175,8 +175,7 @@ def test_random_clean_field_is_clean_and_smoothish():
     g = build_grid(2.0, 1.0, 63, 63)
     rng = np.random.default_rng(0)
     f = random_clean_field(g, rng)
-    assert f.dirichlet_clean
-    assert np.array_equal(f.values, enforce_dirichlet(f).values)
+    assert not f.values[[0, -1], :].any() and not f.values[:, [0, -1]].any()
     assert 0 < np.max(np.abs(f.values)) < 10.0
 
 
