@@ -20,13 +20,20 @@ from .geometry import Field
 
 OPERATOR_KINDS = ("dx", "dy", "dxx", "dyy", "dxxx", "dxyy", "dx4", "dy4")
 
-# Closure stencils for the third and fourth derivative at the node next to
-# a wall (offsets relative to that node; the off-wall ghost is eliminated
-# by one-sided extrapolation, which collapses to these biased weights).
+# The stencil table.  Centered second-order rows on offsets -2..2 by order,
+# as (weights, divisor): the derivative is weights @ u / (divisor * h**order).
+_CENTERED = {
+    1: (np.array([0.0, -1.0, 0.0, 1.0, 0.0]), 2.0),
+    3: (np.array([-1.0, 2.0, 0.0, -2.0, 1.0]), 2.0),
+    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 1.0),
+}
+# Closure rows for the third and fourth derivative at the node next to a
+# wall (offsets relative to that node; the off-wall ghost is eliminated by
+# one-sided extrapolation, which collapses to these biased weights).  The
+# right-wall rows are their reflections.
 _D3_LEFT = np.array([-3.0, 10.0, -12.0, 6.0, -1.0])   # offsets -1..3, /(2h^3)
-_D3_RIGHT = -_D3_LEFT[::-1]                           # offsets -3..1
 _D4_LEFT = np.array([2.0, -9.0, 16.0, -14.0, 6.0, -1.0])  # offsets -1..4, /h^4
-_D4_RIGHT = _D4_LEFT[::-1]                            # offsets -4..1
+_CLOSURES = {3: (_D3_LEFT, -_D3_LEFT[::-1]), 4: (_D4_LEFT, _D4_LEFT[::-1])}
 
 
 def fd_weights(offsets, order: int) -> np.ndarray:
@@ -52,30 +59,29 @@ def _d2_interior(v: np.ndarray, h: float) -> np.ndarray:
     return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
 
 
-def _d3_interior(v: np.ndarray, h: float) -> np.ndarray:
+def _d34_interior(v: np.ndarray, h: float, order: int) -> np.ndarray:
+    """The third or fourth derivative along axis 0 at the interior nodes."""
+    w, div = _CENTERED[order]
+    left, right = _CLOSURES[order]
     n = v.shape[0] - 2
     out = np.empty((n,) + v.shape[1:])
-    out[1:-1] = (v[4:] - 2.0 * v[3:-1] + 2.0 * v[1:-3] - v[:-4]) / (2.0 * h**3)
-    out[0] = _D3_LEFT @ v[0:5] / (2.0 * h**3)
-    out[-1] = _D3_RIGHT @ v[-5:] / (2.0 * h**3)
-    return out
+    out[1:-1] = sum(w[k] * v[k:k + n - 2] for k in range(4, -1, -1) if w[k])
+    out[0] = left @ v[:left.size]
+    out[-1] = right @ v[-right.size:]
+    return out / (div * h**order)
 
 
-def _d4_interior(v: np.ndarray, h: float) -> np.ndarray:
-    n = v.shape[0] - 2
-    out = np.empty((n,) + v.shape[1:])
-    out[1:-1] = (v[4:] - 4.0 * v[3:-1] + 6.0 * v[2:-2] - 4.0 * v[1:-3] + v[:-4]) / h**4
-    out[0] = _D4_LEFT @ v[0:6] / h**4
-    out[-1] = _D4_RIGHT @ v[-6:] / h**4
-    return out
+def _d1_wall(v: np.ndarray, h: float) -> np.ndarray:
+    """u_x on the wall line v[0], one-sided second order from v[0:3]."""
+    return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
 
 
 def _d1_full(v: np.ndarray, h: float) -> np.ndarray:
     """First derivative at every node, one-sided at the two walls."""
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    out[0] = _d1_wall(v, h)
+    out[-1] = -_d1_wall(v[::-1], h)
     return out
 
 
@@ -98,11 +104,11 @@ def apply_operator(fld: Field, kind: str) -> Field:
     elif kind == "dyy":
         interior = _d2_interior(v[1:-1, :].T, g.hy).T
     elif kind == "dxxx":
-        interior = _d3_interior(v[:, 1:-1], g.hx)
+        interior = _d34_interior(v[:, 1:-1], g.hx, 3)
     elif kind == "dx4":
-        interior = _d4_interior(v[:, 1:-1], g.hx)
+        interior = _d34_interior(v[:, 1:-1], g.hx, 4)
     elif kind == "dy4":
-        interior = _d4_interior(v[1:-1, :].T, g.hy).T
+        interior = _d34_interior(v[1:-1, :].T, g.hy, 4).T
     else:  # dxyy: y-second-derivative of the x-derivative, both centered
         wy = _d2_interior(v.T, g.hy).T        # (nx+2, ny)
         interior = _d1_interior(wy, g.hx)     # (nx, ny)
@@ -187,7 +193,7 @@ def trace_flux(fld: Field) -> float:
     """Boundary dissipation integral at the inflow wall: int u_x(0,y)^2 dy."""
     g = fld.grid
     v = fld.values
-    ux0 = (-3.0 * v[0, :] + 4.0 * v[1, :] - v[2, :]) / (2.0 * g.hx)
+    ux0 = _d1_wall(v, g.hx)
     _, wy = trapezoid_weights(g)
     return float(wy @ (ux0 * ux0))
 

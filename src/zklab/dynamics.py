@@ -36,9 +36,17 @@ from scipy.fft import dst, idst
 
 from . import calculus, spectral
 from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, _is_real,
-                       enforce_dirichlet, sample_field, zero_field)
+                       check_positive_finite, enforce_dirichlet, sample_field, zero_field)
 
 BLOWUP_THRESHOLD = 1.0e6
+
+
+def _check_coefficients(alpha, epsilon) -> None:
+    """alpha must be the int 0 or 1, epsilon a finite non-negative real."""
+    if type(alpha) is not int or alpha not in (0, 1):
+        raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
+    if not (_is_real(epsilon) and math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be a finite non-negative real, got {epsilon!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -62,25 +70,17 @@ class SimConfig:
 
     def __post_init__(self):
         self.grid()  # the Grid checks L, B, nx, ny and domain_kind
-        for name in ("dt", "t_end"):
-            v = getattr(self, name)
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if type(self.alpha) is not int or self.alpha not in (0, 1):
-            raise ValueError(f"alpha must be 0 or 1, got {self.alpha!r}")
-        if not (_is_real(self.epsilon) and self.epsilon >= 0
-                and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
+        check_positive_finite("dt", self.dt)
+        check_positive_finite("t_end", self.t_end)
+        _check_coefficients(self.alpha, self.epsilon)
         if not isinstance(self.linear, bool):
             raise ValueError(f"linear must be a bool, got {self.linear!r}")
         for name in ("snapshot_stride", "trace_stride"):
             v = getattr(self, name)
             if not (type(v) is int and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if self.scale_weighted is not None and not (
-                _is_real(self.scale_weighted) and self.scale_weighted > 0):
-            raise ValueError(
-                f"scale_weighted must be positive when given, got {self.scale_weighted!r}")
+        if self.scale_weighted is not None:
+            check_positive_finite("scale_weighted", self.scale_weighted)
         if self.n_steps < 1:
             raise ValueError("t_end must cover at least one step")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
@@ -179,75 +179,55 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
 # ---------------------------------------------------------------------------
 # discrete operators in x and the transverse eigenvalues
 
-def _d1_matrix(n: int, h: float) -> np.ndarray:
-    d = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    d[idx, idx + 1] = 1.0
-    d[idx + 1, idx] = -1.0
-    return d / (2.0 * h)
-
-
-def _d3_matrix(n: int, h: float) -> np.ndarray:
-    """Third derivative with u(0)=0 biased closure and u_x(L)=0 mirror."""
-    d = np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    d[i[1:], i[1:] - 2] = -1.0
-    d[i, i - 1] = 2.0
-    d[i, i + 1] = -2.0
-    d[i[:-1], i[:-1] + 2] = 1.0
-    d[0, 0:4] = (10.0, -12.0, 6.0, -1.0)
-    d[n - 1, n - 3:n] = (-1.0, 2.0, 1.0)
-    return d / (2.0 * h ** 3)
-
-
-def _d4x_matrix(n: int, h: float) -> np.ndarray:
-    """Fourth derivative with u_xx(0)=0 reflection and u_x(L)=0 mirror."""
-    lap = np.zeros((n, n))
-    idx = np.arange(n)
-    lap[idx, idx] = -2.0
-    lap[idx[:-1], idx[:-1] + 1] = 1.0
-    lap[idx[1:], idx[1:] - 1] = 1.0
-    lap /= h ** 2
-    d4 = lap @ lap
-    d4[n - 1, n - 1] += 2.0 / h ** 4
-    return d4
-
-
 def transverse_eigenvalues(ny: int, hy: float) -> np.ndarray:
     """Eigenvalues xi_m of -D_yy (Dirichlet tridiagonal), DST-I ordering."""
     m = np.arange(1, ny + 1)
     return 4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2
 
 
-# Bandwidths of every A_m: the _d3_matrix row at the u(0) = 0 wall reaches
-# three columns right, every other stencil two columns either side.
+# Bandwidths of every A_m: the D3 row at the u(0) = 0 wall reaches three
+# columns right, every other row two columns either side.
 _KL, _KU = 2, 3
 
 
-def _bands(d: np.ndarray) -> np.ndarray:
-    """Dense (n, n) matrix -> BLAS band storage: d[i, j] at [_KU + i - j, j]."""
-    n = d.shape[0]
+def _x_bands(order: int, n: int, h: float) -> np.ndarray:
+    """The order-th x-derivative on the n interior nodes, closed by the IBVP.
+
+    BLAS band storage, d[i, j] at [_KU + i - j, j].  Each row is the
+    centered row of ``calculus._CENTERED``; a weight on a wall node drops,
+    as u = 0 there.  Three wall rows use the boundary conditions, where
+    ``calculus`` closes an arbitrary field by extrapolation:
+    - at x = h, D3 takes ``_D3_LEFT[1:]``: u(0) = 0 drops its ghost;
+    - at x = h, D4 folds the u_xx(0) = 0 reflection u(-h) = -u(h) into the
+      diagonal, where ``calculus`` uses ``_D4_LEFT``;
+    - at x = L - h, D3 and D4 fold the u_x(L) = 0 mirror u(L+h) = u(L-h)
+      into the diagonal, where ``calculus`` uses the reflected closures.
+    """
+    w, div = calculus._CENTERED[order]
     b = np.zeros((_KL + _KU + 1, n))
-    for k in range(-_KL, _KU + 1):
-        b[_KU - k, max(k, 0):n + min(k, 0)] = np.diagonal(d, k)
-    return b
+    for k, c in zip(range(-2, 3), w):
+        b[_KU - k, max(k, 0):n + min(k, 0)] = c
+    if order == 3:
+        b[_KU - np.arange(4), np.arange(4)] = calculus._D3_LEFT[1:]
+    if order == 4:
+        b[_KU, 0] -= w[0]
+    if order >= 3:
+        b[_KU, n - 1] += w[4]
+    return b / (div * h ** order)
 
 
 class LinearPart:
-    """The linear spatial operator: ``bands[:, m]`` is ``_bands(A_m)``, (6, ny, nx)."""
+    """The linear spatial operator: ``bands[:, m]`` is A_m in band storage, (6, ny, nx)."""
 
     def __init__(self, grid: Grid, alpha: int, epsilon: float):
-        if alpha not in (0, 1):
-            raise ValueError(f"alpha must be 0 or 1, got {alpha}")
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        _check_coefficients(alpha, epsilon)
         self.grid = grid
         nx, hx = grid.nx, grid.hx
         xi = transverse_eigenvalues(grid.ny, grid.hy)[:, None]
-        self.bands = (alpha - xi) * _bands(_d1_matrix(nx, hx))[:, None, :]
-        self.bands += _bands(_d3_matrix(nx, hx))[:, None, :]
+        self.bands = (alpha - xi) * _x_bands(1, nx, hx)[:, None, :]
+        self.bands += _x_bands(3, nx, hx)[:, None, :]
         if epsilon > 0:
-            self.bands += epsilon * _bands(_d4x_matrix(nx, hx))[:, None, :]
+            self.bands += epsilon * _x_bands(4, nx, hx)[:, None, :]
             self.bands[_KU] += epsilon * xi ** 2
 
     def to_modes(self, interior: np.ndarray) -> np.ndarray:
@@ -582,9 +562,8 @@ def simulate_regularized_sweep(config: SimConfig, epsilons) -> SweepResult:
         raise ValueError("need at least two epsilons")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    if any(e < 0 for e in eps):
-        raise ValueError("epsilons must be >= 0")
-    trajectories = [simulate(replace(config, epsilon=e)) for e in eps]
+    configs = [replace(config, epsilon=e) for e in eps]  # each checks its epsilon
+    trajectories = [simulate(c) for c in configs]
     grid = trajectories[0].grid
 
     def dist(a: Field, b: Field) -> float:

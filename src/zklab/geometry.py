@@ -27,6 +27,12 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def check_positive_finite(name: str, v) -> None:
+    """Raise a ValueError naming ``name`` unless v is a finite positive real."""
+    if not (_is_real(v) and math.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on (0, L) x (-B, B) with nx x ny interior nodes.
@@ -45,10 +51,8 @@ class Grid:
     domain_kind: str = RECTANGLE
 
     def __post_init__(self):
-        for name in ("L", "B"):
-            v = getattr(self, name)
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        check_positive_finite("L", self.L)
+        check_positive_finite("B", self.B)
         for name in ("nx", "ny"):
             v = getattr(self, name)
             if not (type(v) is int and v >= MIN_POINTS):

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, calculus, spectral
 from .dynamics import (EnergyTrace, SimConfig, TRACE_COLUMNS, Trajectory,
                        config_from_dict, simulate, write_snapshot)
-from .geometry import Grid, enforce_dirichlet, Field
+from .geometry import Field, Grid, check_positive_finite, enforce_dirichlet
 from .stabilization import (DecayGeometry, decay_theory, energy_balance,
                             verdict as decay_verdict)
 
@@ -334,6 +334,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    # Checked before any output, and for alpha = 0, which computes no residual.
+    check_positive_finite("L", args.L)
+    check_positive_finite("B", args.B)
     print("k l n residual is_critical")
     if args.alpha == 0:
         return 0  # no critical rectangles exist without the transport term

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import check_positive_finite
+
 TWO_PI = 2.0 * math.pi
 CRITICAL_TOL = 1e-9
 
@@ -27,8 +29,7 @@ def mode_xi(n: int, B: float) -> float:
     """Transverse Dirichlet eigenvalue (pi*n / 2B)^2."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if not (B > 0 and math.isfinite(B)):
-        raise ValueError(f"B must be finite and positive, got {B}")
+    check_positive_finite("B", B)
     return (math.pi * n / (2.0 * B)) ** 2
 
 
@@ -161,8 +162,7 @@ def critical_residual(L: float, B: float, k: int, l: int, n: int) -> float:
 
     ((2 pi / (L sqrt 3)) sqrt(k^2+kl+l^2))^2 + (pi n / 2B)^2 - 1.
     """
-    if L <= 0 or B <= 0:
-        raise ValueError("L and B must be positive")
+    check_positive_finite("L", L)  # mode_xi checks B
     m = k * k + k * l + l * l
     return (TWO_PI / (L * math.sqrt(3.0))) ** 2 * m + mode_xi(n, B) - 1.0
 
@@ -225,6 +225,7 @@ def minimal_critical_rectangle(B: float) -> float:
 
     Solves 4 pi^2 / L^2 + pi^2 / (4 B^2) = 1; requires B > pi/2.
     """
+    check_positive_finite("B", B)
     if not (B > math.pi / 2.0):
         raise ValueError(
             f"B must exceed pi/2 for a critical length to exist, got {B}")

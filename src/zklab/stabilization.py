@@ -25,7 +25,7 @@ import numpy as np
 
 from . import calculus
 from .dynamics import EnergyTrace
-from .geometry import Field
+from .geometry import Field, check_positive_finite
 
 ENERGY_FLOOR = 1e-14
 ENVELOPE_TOL = 0.05
@@ -42,14 +42,13 @@ class DecayGeometry:
 
     @classmethod
     def rectangle(cls, L: float, B: float) -> "DecayGeometry":
-        if L <= 0 or B <= 0:
-            raise ValueError("rectangle dimensions must be positive")
+        check_positive_finite("L", L)
+        check_positive_finite("B", B)
         return cls("rectangle", float(L), float(B))
 
     @classmethod
     def strip(cls, L: float) -> "DecayGeometry":
-        if L <= 0:
-            raise ValueError("strip length must be positive")
+        check_positive_finite("L", L)
         return cls("strip", float(L), None)
 
     @property

@@ -6,7 +6,7 @@ from zklab import (Grid, SimConfig, apply_operator, build_grid, check_gn, check_
                    initial_regularity, integrate, norms, sample_field, simulate,
                    stationary_mode, trace_flux, trace_row, weighted_energy,
                    zero_field)
-from zklab.calculus import _D3_LEFT, fd_weights, gradient_full
+from zklab.calculus import _CENTERED, _D3_LEFT, _D4_LEFT, fd_weights, gradient_full
 from zklab.harness import random_clean_field
 
 
@@ -15,6 +15,13 @@ def test_fd_weights_reproduce_closures():
     assert np.allclose(centered, [-0.5, 1.0, 0.0, -1.0, 0.5], atol=1e-12)
     biased = fd_weights([-1, 0, 1, 2, 3], 3)
     assert np.allclose(2.0 * biased, _D3_LEFT, atol=1e-11)
+    assert np.allclose(fd_weights(range(-1, 5), 4), _D4_LEFT, atol=1e-10)
+    # The centered rows are the narrowest: three points for order 1, five else.
+    for order, (weights, divisor) in _CENTERED.items():
+        r = 1 if order == 1 else 2
+        assert not weights[:2 - r].any() and not weights[3 + r:].any()
+        assert np.allclose(divisor * fd_weights(range(-r, r + 1), order),
+                           weights[2 - r:3 + r], atol=1e-11)
 
 
 def test_dxyy_exact_on_polynomial():

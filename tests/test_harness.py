@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zklab import (ConfigError, SimConfig, build_grid, cli_main, emit_artifacts,
                    load_config, random_clean_field, read_trace_csv, simulate,
@@ -79,6 +83,30 @@ def test_trace_csv_round_trip_exact(tmp_path):
     back = read_trace_csv(path)
     for name in ("t", "l2_sq", "weighted", "flux0", "grad_x_sq", "grad_y_sq", "cubic"):
         assert np.array_equal(tr.column(name), back.column(name))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_traces(draw):
+    """Traces of finite columns whose t strictly increases (-0.0 and 0.0 count as one)."""
+    n = draw(st.integers(1, 6))
+    t = sorted(draw(st.lists(FINITE, min_size=n, max_size=n, unique=True)))
+    rest = [draw(hnp.arrays(np.float64, n, elements=FINITE)) for _ in TRACE_COLUMNS[1:]]
+    return EnergyTrace(np.array(t), *rest)
+
+
+# A temp dir per example: a function-scoped fixture is shared by all examples.
+@settings(max_examples=40, deadline=None)
+@given(finite_traces())
+def test_trace_csv_round_trip_is_bitwise(tr):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trace.csv"
+        write_trace_csv(tr, path)
+        back = read_trace_csv(path)
+    for name in TRACE_COLUMNS:
+        assert back.column(name).tobytes() == tr.column(name).tobytes(), name
 
 
 def test_trace_csv_line_count(tmp_path):
@@ -286,3 +314,27 @@ def test_cli_usage_errors_exit_2(capsys):
 def test_cli_domain_error_exit_1(tmp_path):
     assert cli_main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["decay-report", "--alpha", "1", "--L", "nan", "--B", "1"], "L"),
+    (["decay-report", "--alpha", "1", "--L", "inf"], "L"),
+    (["decay-report", "--alpha", "1", "--L", "2", "--B", "inf"], "B"),
+    (["critical", "--L", "nan", "--B", "1", "--kmax", "1", "--lmax", "1", "--nmax", "1",
+      "--alpha", "1"], "L"),
+    (["critical", "--L", "2", "--B", "inf", "--kmax", "1", "--lmax", "1", "--nmax", "1",
+      "--alpha", "0"], "B"),
+    (["minimal-rectangle", "--B", "inf"], "B"),
+    (["minimal-rectangle", "--B", "nan"], "B"),
+], ids=["report-L-nan", "report-L-inf", "report-B-inf", "critical-L-nan",
+        "critical-alpha0-B-inf", "minimal-B-inf", "minimal-B-nan"])
+def test_cli_rejects_non_finite_lengths(tmp_path, capsys, argv, name):
+    if argv[0] == "decay-report":
+        path = tmp_path / "trace.csv"
+        t = np.linspace(0.0, 1.0, 5)
+        write_trace_csv(EnergyTrace(t, *(np.exp(-t) for _ in TRACE_COLUMNS[1:])), path)
+        argv = argv + ["--trace", str(path)]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {name} must be finite and positive" in captured.err
