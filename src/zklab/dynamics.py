@@ -36,15 +36,15 @@ from scipy.fft import dst, idst
 
 from . import calculus, spectral
 from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, _is_real,
-                       check_positive_finite, enforce_dirichlet, sample_field, zero_field)
+                       check_alpha, check_positive_finite, enforce_dirichlet,
+                       sample_field, zero_field)
 
 BLOWUP_THRESHOLD = 1.0e6
 
 
 def _check_coefficients(alpha, epsilon) -> None:
     """alpha must be the int 0 or 1, epsilon a finite non-negative real."""
-    if type(alpha) is not int or alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
+    check_alpha(alpha)
     if not (_is_real(epsilon) and math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be a finite non-negative real, got {epsilon!r}")
 

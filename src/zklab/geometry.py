@@ -33,6 +33,12 @@ def check_positive_finite(name: str, v) -> None:
         raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
+def check_alpha(alpha) -> None:
+    """Raise a ValueError unless alpha is the int 0 or 1 (not a bool or float)."""
+    if type(alpha) is not int or alpha not in (0, 1):
+        raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on (0, L) x (-B, B) with nx x ny interior nodes.

@@ -13,22 +13,28 @@ arithmetic on those formulas: no eigensolvers, no iteration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_positive_finite
+from .geometry import check_alpha, check_positive_finite
 
 TWO_PI = 2.0 * math.pi
 CRITICAL_TOL = 1e-9
 
 
+def _check_index(name: str, v) -> None:
+    """Raise a ValueError naming ``name`` unless v is a Python int >= 1 (not a bool)."""
+    if not (type(v) is int and v >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def mode_xi(n: int, B: float) -> float:
     """Transverse Dirichlet eigenvalue (pi*n / 2B)^2."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_index("n", n)
     check_positive_finite("B", B)
     return (math.pi * n / (2.0 * B)) ** 2
 
@@ -92,9 +98,8 @@ class CriticalLength(NamedTuple):
 
 def critical_length(k: int, l: int, xi: float) -> CriticalLength:
     """L = (2 pi / sqrt 3) sqrt((k^2 + k l + l^2) / (1 - xi)) and its s1."""
-    for name, val in (("k", k), ("l", l)):
-        if val < 1 or int(val) != val:
-            raise ValueError(f"{name} must be a positive integer, got {val}")
+    _check_index("k", k)
+    _check_index("l", l)
     if not (0.0 <= xi < 1.0):
         raise ValueError(f"xi must lie in [0, 1); got {xi} (transverse mode too stiff)")
     m = k * k + k * l + l * l
@@ -162,7 +167,9 @@ def critical_residual(L: float, B: float, k: int, l: int, n: int) -> float:
 
     ((2 pi / (L sqrt 3)) sqrt(k^2+kl+l^2))^2 + (pi n / 2B)^2 - 1.
     """
-    check_positive_finite("L", L)  # mode_xi checks B
+    check_positive_finite("L", L)  # mode_xi checks n and B
+    _check_index("k", k)
+    _check_index("l", l)
     m = k * k + k * l + l * l
     return (TWO_PI / (L * math.sqrt(3.0))) ** 2 * m + mode_xi(n, B) - 1.0
 
@@ -196,8 +203,7 @@ def enumerate_critical(L_max: float, B_max: float, k_max: int, l_max: int,
     For alpha = 0 the resonance condition fails for every L > 0, so the
     list is always empty.
     """
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
+    check_alpha(alpha)
     if min(L_max, B_max) <= 0 or min(k_max, l_max, n_max) < 1:
         raise ValueError("bounds must be positive")
     if alpha == 0:
@@ -247,8 +253,10 @@ class ModeProfile:
 
     Coefficients follow the cyclic-difference rule c_j = s_{j+1} - s_{j+2}
     (which clears the four boundary constraints p(0) = p(L) = p'(0)
-    = p'(L) = 0), normalized so max |p| = 1 on [0, L].  The profile is
-    real-valued exactly when beta = 0 (the stationary family k = l).
+    = p'(L) = 0), normalized so max |p| = 1 on [0, L].  With the spacings
+    s2 - s1 = 2 pi k / L and s3 - s2 = 2 pi l / L that amplitude is
+    (2 pi / L) A(k, l), see ``build_profile``.  The profile is real-valued
+    exactly when beta = 0 (the stationary family k = l).
     """
 
     s: tuple
@@ -278,27 +286,67 @@ class ModeProfile:
 _NORMALIZE_SAMPLES = 8193
 
 
+def _parabolic_peak(ym: float, y0: float, yp: float) -> float:
+    """Vertex height of the parabola through three equally spaced samples.
+
+    y0 is the grid maximum; it is returned as is unless the parabola is
+    strictly concave.
+    """
+    denom = ym - 2.0 * y0 + yp
+    if denom < 0.0:
+        return float(y0 - (yp - ym) ** 2 / (8.0 * denom))
+    return float(y0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _unit_amplitude(k: int, l: int) -> float:
+    """max |p| / (2 pi / L) of the profile with spacing indices (k, l).
+
+    In theta = 2 pi x / L the raw coefficients are (2 pi / L)(-l, k+l, -k)
+    and the root spacings k theta, l theta, (k+l) theta, so |p|^2 / (2 pi / L)^2
+    is the real cosine polynomial below, the same for every L.  It is sampled
+    on the 8193 points theta_i = 2 pi i / 8192 of [0, 2 pi], and the peak of
+    its square root is refined by a parabola.
+    """
+    theta = np.linspace(0.0, TWO_PI, _NORMALIZE_SAMPLES)
+    m = k + l
+    p_sq = (l * l + m * m + k * k - 2.0 * l * m * np.cos(k * theta)
+            - 2.0 * k * m * np.cos(l * theta) + 2.0 * k * l * np.cos(m * theta))
+    i = int(np.argmax(p_sq))
+    if 0 < i < p_sq.size - 1:
+        return _parabolic_peak(*np.sqrt(p_sq[i - 1:i + 2]))
+    return float(np.sqrt(p_sq[i]))
+
+
 def build_profile(triple: ResonantTriple) -> ModeProfile:
-    """Profile for a resonant triple; rejects repeated roots."""
+    """Profile for a resonant triple; rejects repeated roots.
+
+    The raw coefficients are the cyclic differences of the roots.  They are
+    divided by (2 pi / L) A(k, l), where A(k, l) is the refined maximum over
+    theta in [0, 2 pi] of
+
+        sqrt(l^2 + (k+l)^2 + k^2 - 2 l (k+l) cos k theta
+             - 2 k (k+l) cos l theta + 2 k l cos (k+l) theta),
+
+    computed once per (k, l) and cached.  That amplitude holds only when the
+    roots are spaced as (k, l, L) say, so a triple whose s2 - s1 or s3 - s2
+    differs from 2 pi k / L or 2 pi l / L by more than 1e-12 max(1, |s|) is
+    rejected.
+    """
+    _check_index("k", triple.k)
+    _check_index("l", triple.l)
     s = triple.roots
     scale = max(1.0, float(np.max(np.abs(s))))
     if min(s[1] - s[0], s[2] - s[1]) <= 1e-12 * scale:
         raise ValueError("repeated roots give only the zero profile")
+    spacing = TWO_PI / triple.L
+    for name, gap, index in (("s2 - s1", s[1] - s[0], triple.k),
+                             ("s3 - s2", s[2] - s[1], triple.l)):
+        if abs(gap - spacing * index) > 1e-12 * scale:
+            raise ValueError(f"spacing {name} = {gap!r} does not match "
+                             f"2 pi * {index} / L = {spacing * index!r}")
     raw = np.array([s[1] - s[2], s[2] - s[0], s[0] - s[1]])
-    xs = np.linspace(0.0, triple.L, _NORMALIZE_SAMPLES)
-    p = np.zeros(xs.shape, dtype=complex)
-    for sj, cj in zip(s, raw):
-        p += cj * np.exp(1j * sj * xs)
-    mag = np.abs(p)
-    i = int(np.argmax(mag))
-    amp = float(mag[i])
-    if 0 < i < mag.size - 1:
-        # parabolic refinement of the grid maximum
-        ym, y0, yp = mag[i - 1], mag[i], mag[i + 1]
-        denom = ym - 2.0 * y0 + yp
-        if denom < 0.0:
-            amp = float(y0 - (yp - ym) ** 2 / (8.0 * denom))
-    coeffs = tuple(raw / amp)
+    coeffs = tuple(raw / (spacing * _unit_amplitude(triple.k, triple.l)))
     beta = 0.0 if triple.beta == 0.0 else triple.beta
     return ModeProfile(s=tuple(s), coeffs=coeffs, L=triple.L, beta=beta)
 

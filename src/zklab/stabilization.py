@@ -25,7 +25,7 @@ import numpy as np
 
 from . import calculus
 from .dynamics import EnergyTrace
-from .geometry import Field, check_positive_finite
+from .geometry import Field, check_alpha, check_positive_finite
 
 ENERGY_FLOOR = 1e-14
 ENVELOPE_TOL = 0.05
@@ -72,8 +72,7 @@ class DecayTheory:
 
 def decay_theory(alpha: int, geometry: DecayGeometry) -> DecayTheory:
     """Evaluate the decay statement matching (alpha, geometry)."""
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
+    check_alpha(alpha)
     L = geometry.L
     inv_b2 = geometry.inv_b_sq
     two_a_sq = 24.0 / L ** 2 + 2.0 * inv_b2 - alpha

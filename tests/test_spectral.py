@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from zklab import (build_profile, critical_length, critical_residual,
                    cubic_roots, enumerate_critical, kdv_critical_set,
                    minimal_critical_rectangle, mode_xi, resonant_family,
                    stationary_mode)
-from zklab.spectral import ResonantTriple
+from zklab.spectral import ResonantTriple, _unit_amplitude
 
 TWO_PI = 2 * math.pi
 
@@ -20,6 +21,29 @@ def test_mode_xi_values():
         mode_xi(0, 1.0)
     with pytest.raises(ValueError):
         mode_xi(1, -1.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: mode_xi(True, 1.0), "n"),
+    (lambda: mode_xi(1.0, 1.0), "n"),
+    (lambda: mode_xi(np.int64(1), 1.0), "n"),
+    (lambda: critical_length(True, 1, 0.0), "k"),
+    (lambda: critical_length(1, 2.0, 0.0), "l"),
+    (lambda: critical_length(1, -1, 0.0), "l"),
+    (lambda: resonant_family(True, 1, 1, math.pi), "k"),
+    (lambda: resonant_family(2.0, 1, 1, math.pi), "k"),
+    (lambda: resonant_family(1, 1, True, math.pi), "n"),
+    (lambda: critical_residual(7.0, math.pi, 1, True, 1), "l"),
+])
+def test_indices_must_be_ints(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        call()
+
+
+@pytest.mark.parametrize("alpha", [True, False, 1.0, 0.0, 2, -1, "1", None])
+def test_enumerate_critical_rejects_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be 0 or 1"):
+        enumerate_critical(10.0, 10.0, 1, 1, 1, alpha)
 
 
 def test_cubic_roots_golden():
@@ -199,3 +223,59 @@ def test_stationary_mode_walls_vanish():
         assert np.max(np.abs(mode(np.full_like(ys, L), ys))) < 1e-12
         assert np.max(np.abs(mode(xs, np.full_like(xs, B)))) < 1e-12
         assert np.max(np.abs(mode(xs, np.full_like(xs, -B)))) < 1e-12
+
+
+def _direct_coeffs(triple):
+    """Reference normaliser: max |p| of the complex profile on 8193 samples of
+    [0, L], refined by a parabola through the grid maximum and its neighbours."""
+    s = triple.roots
+    raw = np.array([s[1] - s[2], s[2] - s[0], s[0] - s[1]])
+    xs = np.linspace(0.0, triple.L, 8193)
+    p = np.zeros(xs.shape, dtype=complex)
+    for sj, cj in zip(s, raw):
+        p += cj * np.exp(1j * sj * xs)
+    mag = np.abs(p)
+    i = int(np.argmax(mag))
+    amp = float(mag[i])
+    if 0 < i < mag.size - 1:
+        ym, y0, yp = mag[i - 1], mag[i], mag[i + 1]
+        denom = ym - 2.0 * y0 + yp
+        if denom < 0.0:
+            amp = float(y0 - (yp - ym) ** 2 / (8.0 * denom))
+    return raw / amp
+
+
+def test_profile_amplitude_matches_direct_sampling():
+    worst = 0.0
+    for k in range(1, 13):
+        for l in range(1, 13):
+            for n, B in ((1, math.pi), (2, 2.7 * math.pi)):
+                t = resonant_family(k, l, n, B)
+                got = np.array(build_profile(t).coeffs)
+                want = _direct_coeffs(t)
+                worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst < 1e-12
+
+
+def test_build_profile_rejects_inconsistent_spacing():
+    t = resonant_family(1, 2, 1, math.pi)
+    with pytest.raises(ValueError, match="spacing s2 - s1"):
+        build_profile(replace(t, k=2, l=1))
+    with pytest.raises(ValueError, match="spacing s2 - s1"):
+        build_profile(replace(t, L=t.L * (1 + 1e-9)))
+    with pytest.raises(ValueError, match="spacing s3 - s2"):
+        build_profile(replace(t, s3=t.s3 + 1e-9))
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        build_profile(replace(t, k=True))
+
+
+def test_profile_amplitude_cache_is_order_free():
+    triples = [resonant_family(k, l, n, B)
+               for k in range(1, 5) for l in range(1, 5)
+               for n, B in ((1, math.pi), (1, 2.0), (2, 5.0))]
+    _unit_amplitude.cache_clear()
+    first = [build_profile(t).coeffs for t in triples]
+    _unit_amplitude.cache_clear()
+    order = np.random.default_rng(7).permutation(len(triples))
+    again = {int(i): build_profile(triples[i]).coeffs for i in order}
+    assert all(again[i] == first[i] for i in range(len(triples)))

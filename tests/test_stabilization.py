@@ -33,6 +33,12 @@ def make_trace(t, weighted, **cols):
 # ---------------------------------------------------------------------------
 # decay_theory golden table
 
+@pytest.mark.parametrize("alpha", [True, False, 1.0, 0.0, 2, -1, "1", None])
+def test_theory_rejects_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be 0 or 1"):
+        decay_theory(alpha, rect(2.0, 1.0))
+
+
 def test_theory_alpha1_rectangle():
     th = decay_theory(1, rect(2.0, 1.0))
     assert th.admissible
