@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,11 +117,15 @@ def apply_operator(fld: Field, kind: str) -> Field:
     return fld.with_interior(interior)
 
 
+@functools.lru_cache(maxsize=16)
 def trapezoid_weights(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only trapezoid weights (wx, wy) of the grid, built once per grid."""
     wx = np.full(grid.nx + 2, grid.hx)
     wx[0] = wx[-1] = grid.hx / 2.0
     wy = np.full(grid.ny + 2, grid.hy)
     wy[0] = wy[-1] = grid.hy / 2.0
+    wx.flags.writeable = False
+    wy.flags.writeable = False
     return wx, wy
 
 
@@ -253,38 +259,76 @@ def weighted_energy(fld: Field) -> float:
     return float((wx * (1.0 + g.xs())) @ (fld.values ** 2) @ wy)
 
 
+class _Terms(NamedTuple):
+    """What the certificates of one field share; the arrays are read-only."""
+
+    v2: np.ndarray      # v * v
+    l2_sq: float        # integrate(v * v)
+    ux: np.ndarray      # gradient_full(fld)[0]
+    ux2: np.ndarray     # ux * ux
+    uy2: np.ndarray     # uy * uy
+    grad_sq: float      # integrate(ux * ux + uy * uy)
+
+
+# One-entry memo (weakref to a Field, its _Terms), so the five certificates
+# of one field take one gradient.  A dead or different field never matches
+# the weakref, and a Field's values are a frozen private copy, so identity
+# stands for the values.  The pair is read and replaced as one tuple.
+_memo: tuple = (lambda: None, None)
+
+
+def _shared_terms(fld: Field) -> _Terms:
+    global _memo
+    ref, terms = _memo
+    if ref() is fld:
+        return terms
+    g = fld.grid
+    v = fld.values
+    ux, uy = gradient_full(fld)
+    v2, ux2, uy2 = v * v, ux * ux, uy * uy
+    for a in (v2, ux, ux2, uy2):
+        a.flags.writeable = False
+    terms = _Terms(v2=v2, l2_sq=integrate(v2, g), ux=ux, ux2=ux2, uy2=uy2,
+                   grad_sq=integrate(ux2 + uy2, g))
+    _memo = (weakref.ref(fld), terms)
+    return terms
+
+
 def check_gn(fld: Field, q: int) -> float:
     """Gagliardo-Nirenberg certificate for zero-trace fields.
 
     Returns ||u||_q / (beta * ||grad u||^theta * ||u||^(1-theta)) with
     theta = 2(1/2 - 1/q), beta = 2^theta; 0 for the zero field.
-    A value <= 1 + tol certifies the inequality on this sample.
+    A value <= 1 + tol certifies the inequality on this sample.  The
+    certificates of one field share one gradient and one ||u||^2.
     """
     if q not in (3, 4):
         raise ValueError(f"q must be 3 or 4, got {q}")
     g = fld.grid
     v = fld.values
-    l2 = np.sqrt(integrate(v * v, g))
+    t = _shared_terms(fld)
+    l2 = np.sqrt(t.l2_sq)
     if l2 == 0.0:
         return 0.0
     theta = 2.0 * (0.5 - 1.0 / q)
     beta = 2.0 ** theta
     lq = integrate(np.abs(v) ** q, g) ** (1.0 / q)
-    ux, uy = gradient_full(fld)
-    gn = np.sqrt(integrate(ux * ux + uy * uy, g))
+    gn = np.sqrt(t.grad_sq)
     return float(lq / (beta * gn ** theta * l2 ** (1.0 - theta)))
 
 
 def check_sup_bound(fld: Field) -> float:
-    """Certificate for sup u^2 <= ||u||_H1^2 + ||u_xy||^2; 0 for zero field."""
+    """Certificate for sup u^2 <= ||u||_H1^2 + ||u_xy||^2; 0 for zero field.
+
+    Reads the gradient shared by the certificates of this field.
+    """
     g = fld.grid
-    v = fld.values
-    sup_sq = float(np.max(v * v))
+    t = _shared_terms(fld)
+    sup_sq = float(np.max(t.v2))
     if sup_sq == 0.0:
         return 0.0
-    ux, uy = gradient_full(fld)
-    uxy = _d1_full(ux.T, g.hy).T
-    denom = (integrate(v * v + ux * ux + uy * uy, g)
+    uxy = _d1_full(t.ux.T, g.hy).T
+    denom = (integrate(t.v2 + t.ux2 + t.uy2, g)
              + integrate(uxy * uxy, g))
     return sup_sq / denom
 
@@ -294,20 +338,18 @@ def check_poincare(fld: Field, axis: str) -> float:
 
     axis 'y': ||w||^2 <= (B^2/2) ||w_y||^2;  axis 'x': ||w||^2 <= (L^2/8) ||w_x||^2.
     Returns the ratio ||w||^2 / (C * ||w_axis||^2); 0 for the zero field.
+    Reads the gradient shared by the certificates of this field.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     g = fld.grid
-    v = fld.values
-    l2sq = integrate(v * v, g)
-    if l2sq == 0.0:
+    t = _shared_terms(fld)
+    if t.l2_sq == 0.0:
         return 0.0
-    ux, uy = gradient_full(fld)
     if axis == "y":
         c = g.B ** 2 / 2.0
-        gsq = integrate(uy * uy, g)
+        gsq = integrate(t.uy2, g)
     else:
         c = g.L ** 2 / 8.0
-        gsq = integrate(ux * ux, g)
-    return float(l2sq / (c * gsq))
-
+        gsq = integrate(t.ux2, g)
+    return float(t.l2_sq / (c * gsq))

@@ -65,9 +65,11 @@ def cubic_roots(xi: float, beta: float) -> np.ndarray:
         roots = np.array(sorted(m * math.cos(phi - TWO_PI * k / 3.0)
                                 for k in range(3)), dtype=complex)
         return _polish(roots, p, q)
-    # one real root, complex pair
+    # one real root, complex pair.  Near the double-root curve disc rounds
+    # below zero and the radicand, rounded on its own, can too: clamp it at
+    # 0, which leaves every non-negative radicand as it was.
     half_q = q / 2.0
-    inner = math.sqrt(half_q ** 2 + (p / 3.0) ** 3)
+    inner = math.sqrt(max(0.0, half_q ** 2 + (p / 3.0) ** 3))
     u = np.cbrt(-half_q + inner)
     v = np.cbrt(-half_q - inner)
     t1 = u + v
@@ -204,8 +206,10 @@ def enumerate_critical(L_max: float, B_max: float, k_max: int, l_max: int,
     list is always empty.
     """
     check_alpha(alpha)
-    if min(L_max, B_max) <= 0 or min(k_max, l_max, n_max) < 1:
-        raise ValueError("bounds must be positive")
+    check_positive_finite("L_max", L_max)
+    check_positive_finite("B_max", B_max)
+    for name, v in (("k_max", k_max), ("l_max", l_max), ("n_max", n_max)):
+        _check_index(name, v)
     if alpha == 0:
         return []
     out = []
@@ -240,8 +244,8 @@ def minimal_critical_rectangle(B: float) -> float:
 
 def kdv_critical_set(k_max: int, l_max: int) -> list[float]:
     """Sorted distinct critical lengths (2 pi / sqrt 3) sqrt(k^2 + kl + l^2)."""
-    if k_max < 1 or l_max < 1:
-        raise ValueError("bounds must be >= 1")
+    _check_index("k_max", k_max)
+    _check_index("l_max", l_max)
     ms = {k * k + k * l + l * l
           for k in range(1, k_max + 1) for l in range(1, l_max + 1)}
     return [TWO_PI / math.sqrt(3.0) * math.sqrt(m) for m in sorted(ms)]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from zklab import (Grid, SimConfig, apply_operator, build_grid, check_gn, check_poincare,
-                   check_sup_bound, enforce_dirichlet, initial_field,
+from zklab import (Field, Grid, SimConfig, apply_operator, build_grid, check_gn,
+                   check_poincare, check_sup_bound, enforce_dirichlet, initial_field,
                    initial_regularity, integrate, norms, sample_field, simulate,
                    stationary_mode, trace_flux, trace_row, weighted_energy,
                    zero_field)
-from zklab.calculus import _CENTERED, _D3_LEFT, _D4_LEFT, fd_weights, gradient_full
+from zklab.calculus import (_CENTERED, _D3_LEFT, _D4_LEFT, _d1_full, fd_weights,
+                            gradient_full, trapezoid_weights)
 from zklab.harness import random_clean_field
 
 
@@ -217,6 +218,88 @@ def test_check_poincare_analytic_values():
     assert check_poincare(zero, "x") == 0.0
     with pytest.raises(ValueError):
         check_poincare(fx, "z")
+
+
+def _certificates(fld):
+    return [check_gn(fld, 3), check_gn(fld, 4), check_sup_bound(fld),
+            check_poincare(fld, "x"), check_poincare(fld, "y")]
+
+
+def _inline_certificates(fld):
+    """The five certificates from a fresh gradient, each in its own arithmetic form."""
+    g, v = fld.grid, fld.values
+    ux, uy = gradient_full(fld)
+    uxy = _d1_full(ux.T, g.hy).T
+    l2 = np.sqrt(integrate(v * v, g))
+    gn = np.sqrt(integrate(ux * ux + uy * uy, g))
+    out = []
+    for q in (3, 4):
+        theta = 2.0 * (0.5 - 1.0 / q)
+        lq = integrate(np.abs(v) ** q, g) ** (1.0 / q)
+        out.append(float(lq / (2.0 ** theta * gn ** theta * l2 ** (1.0 - theta))))
+    out.append(float(np.max(v * v)) / (integrate(v * v + ux * ux + uy * uy, g)
+                                       + integrate(uxy * uxy, g)))
+    out.append(float(integrate(v * v, g) / (g.L ** 2 / 8.0 * integrate(ux * ux, g))))
+    out.append(float(integrate(v * v, g) / (g.B ** 2 / 2.0 * integrate(uy * uy, g))))
+    return out
+
+
+def test_certificates_equal_inline_recomputation():
+    # Each new field may take the address of the one dropped before it, so
+    # this also checks that a dead field's shared terms are never reused.
+    rng = np.random.default_rng(11)
+    for g in (build_grid(2.0, 1.0, 63, 63), build_grid(3.0, 0.7, 63, 31)):
+        for _ in range(12):
+            fld = random_clean_field(g, rng)
+            assert _certificates(fld) == _inline_certificates(fld)
+
+
+def test_certificates_interleaved_fields():
+    rng = np.random.default_rng(12)
+    g = build_grid(2.0, 1.0, 63, 63)
+    a, b = random_clean_field(g, rng), random_clean_field(g, rng)
+    want_a, want_b = _inline_certificates(a), _inline_certificates(b)
+    assert want_a != want_b
+    assert [_certificates(f) for f in (a, b, a)] == [want_a, want_b, want_a]
+    # Interleaved one certificate at a time, too.
+    for k, cert in enumerate((lambda f: check_gn(f, 3), lambda f: check_gn(f, 4),
+                              check_sup_bound, lambda f: check_poincare(f, "x"),
+                              lambda f: check_poincare(f, "y"))):
+        assert [cert(a), cert(b), cert(a)] == [want_a[k], want_b[k], want_a[k]]
+
+
+def test_dead_field_terms_are_not_reused():
+    # Each temporary Field dies after its call, so the next one is usually
+    # allocated at the same address: identity alone (id) would match it.
+    rng = np.random.default_rng(14)
+    g = build_grid(2.0, 1.0, 63, 63)
+    values = [random_clean_field(g, rng).values for _ in range(8)]
+    want = [_inline_certificates(Field(g, v)) for v in values]
+    assert [_certificates(Field(g, v)) for v in values] == want
+
+
+def test_certificates_of_equal_fields():
+    rng = np.random.default_rng(13)
+    g = build_grid(2.0, 1.0, 63, 63)
+    a = random_clean_field(g, rng)
+    twin = Field(g, a.values)
+    other = random_clean_field(g, rng)
+    want = _inline_certificates(a)
+    assert _certificates(a) == want
+    assert _certificates(other) == _inline_certificates(other)
+    assert _certificates(twin) == want
+    assert _certificates(a) == want
+
+
+def test_trapezoid_weights_are_read_only():
+    g = build_grid(2.0, 1.0, 32, 16)
+    wx, wy = trapezoid_weights(g)
+    for w in (wx, wy):
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+    # Built once per grid: an equal grid gets the same arrays back.
+    assert all(a is b for a, b in zip(trapezoid_weights(build_grid(2.0, 1.0, 32, 16)), (wx, wy)))
+    assert wx.sum() == pytest.approx(g.L) and wy.sum() == pytest.approx(2 * g.B)
 
 
 def test_gradient_full_matches_interior():

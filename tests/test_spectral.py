@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zklab import (build_profile, critical_length, critical_residual,
                    cubic_roots, enumerate_critical, kdv_critical_set,
@@ -70,6 +71,31 @@ def test_cubic_roots_residuals_random():
         assert abs(e2 + (1 - xi)) < 1e-12
         assert abs(roots.prod() + beta) < 1e-12
     assert worst < 1e-10
+
+
+def test_cubic_roots_near_double_root_does_not_raise():
+    # disc rounds to -7.3e-12 and the separately rounded Cardano radicand to
+    # -1.1e-13; an unclamped sqrt raised "math domain error" here.
+    xi, beta = -23.861801141184486, 47.714128538255174
+    roots = cubic_roots(xi, beta)
+    assert roots.shape == (3,)
+    res = np.abs(roots ** 3 - (1.0 - xi) * roots + beta)
+    assert float(res.max()) / (np.abs(roots).max() + 1.0) ** 3 <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(xi=st.floats(-50.0, 0.999),
+       delta=st.one_of(st.just(0.0), st.floats(1e-18, 1e-3)),
+       beta_sign=st.sampled_from([-1.0, 1.0]),
+       delta_sign=st.sampled_from([-1.0, 1.0]))
+def test_cubic_roots_near_double_root_curve(xi, delta, beta_sign, delta_sign):
+    # On beta = +-2((1 - xi)/3)^(3/2) the cubic has a double root; the branch
+    # choice and the Newton polish both sit on a knife edge near it.
+    beta = beta_sign * 2.0 * ((1.0 - xi) / 3.0) ** 1.5 * (1.0 + delta_sign * delta)
+    roots = cubic_roots(xi, beta)
+    assert roots.shape == (3,)
+    res = np.abs(roots ** 3 - (1.0 - xi) * roots + beta)
+    assert float(res.max()) / (np.abs(roots).max() + 1.0) ** 3 <= 1e-10
 
 
 def test_critical_length_golden():
@@ -141,6 +167,37 @@ def test_enumerate_critical_contains_counterexample():
 
 def test_enumerate_critical_small_bounds_empty():
     assert enumerate_critical(2.0, 2.0, 2, 2, 2, alpha=1) == []
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: enumerate_critical(10.0, 10.0, 1.5, 1, 1, 1), "k_max"),
+    (lambda: enumerate_critical(10.0, 10.0, True, 1, 1, 1), "k_max"),
+    (lambda: enumerate_critical(10.0, 10.0, 1, 2.0, 1, 1), "l_max"),
+    (lambda: enumerate_critical(10.0, 10.0, 1, 1, 0, 1), "n_max"),
+    (lambda: enumerate_critical(10.0, 10.0, 1, 1, True, 0), "n_max"),
+    (lambda: kdv_critical_set(1.5, 1), "k_max"),
+    (lambda: kdv_critical_set(True, 1), "k_max"),
+    (lambda: kdv_critical_set(1, True), "l_max"),
+    (lambda: kdv_critical_set(1, 0), "l_max"),
+])
+def test_index_bounds_must_be_ints(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        call()
+
+
+@pytest.mark.parametrize("L_max, B_max, name", [
+    (math.nan, 10.0, "L_max"),
+    (math.inf, 10.0, "L_max"),
+    (-1.0, 10.0, "L_max"),
+    (True, 10.0, "L_max"),
+    (10.0, math.nan, "B_max"),
+    (10.0, -math.inf, "B_max"),
+    (10.0, 0.0, "B_max"),
+])
+def test_enumerate_critical_rejects_length_bounds(L_max, B_max, name):
+    for alpha in (0, 1):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            enumerate_critical(L_max, B_max, 1, 1, 1, alpha)
 
 
 def test_minimal_critical_rectangle():
