@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 
 from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, build_grid,
                        enforce_dirichlet, sample_field, zero_field)
-from .calculus import (NormReport, apply_operator, check_gn, check_poincare,
-                       check_sup_bound, initial_regularity, integrate, norms,
-                       trace_flux, trace_row, weighted_energy)
+from .calculus import (check_gn, check_poincare, check_sup_bound,
+                       initial_regularity, integrate, trace_flux, trace_row,
+                       weighted_energy)
 from .spectral import (CriticalRectangle, ResonantTriple, build_profile,
                        critical_length, critical_residual, cubic_roots,
                        enumerate_critical, kdv_critical_set,
@@ -22,8 +22,8 @@ from .dynamics import (BlowupError, EnergyTrace, SimConfig, Stepper,
                        read_snapshot, simulate, simulate_regularized_sweep,
                        write_snapshot)
 from .stabilization import (DecayGeometry, DecayTheory, DecayVerdict,
-                            check_smallness, decay_theory, energy_balance,
-                            fit_decay_rate, lyapunov_monitor, verdict)
+                            decay_theory, energy_balance, fit_decay_rate,
+                            lyapunov_monitor, verdict)
 from .harness import (ConfigError, RunManifest, cli_main, emit_artifacts,
                       load_config, random_clean_field, read_trace_csv,
                       write_trace_csv)

@@ -1,76 +1,27 @@
-"""Discrete differential operators, norms, and functional-inequality checks.
+"""Quadrature, trace functionals, and functional-inequality checks.
 
-All operators are second-order finite differences on the uniform grid.
-Interior nodes use centered stencils; nodes adjacent to a wall use biased
-five/six-point stencils built from the available data (including the
-boundary layer), so every operator is pointwise second-order consistent
-for smooth fields regardless of boundary conditions.  Quadrature is the
-tensor trapezoidal rule on the closed rectangle.
+Everything here reads a field through three second-order difference rows:
+the centered first and second differences at interior nodes and the
+one-sided u_x row at a wall (``_d1_wall``), which the gradient and the
+inflow flux share.  Quadrature is the tensor trapezoidal rule on the
+closed rectangle.  The stepper's x-operators, closed by the boundary
+conditions, live in ``dynamics``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Field
 
-OPERATOR_KINDS = ("dx", "dy", "dxx", "dyy", "dxxx", "dxyy", "dx4", "dy4")
-
-# The stencil table.  Centered second-order rows on offsets -2..2 by order,
-# as (weights, divisor): the derivative is weights @ u / (divisor * h**order).
-_CENTERED = {
-    1: (np.array([0.0, -1.0, 0.0, 1.0, 0.0]), 2.0),
-    3: (np.array([-1.0, 2.0, 0.0, -2.0, 1.0]), 2.0),
-    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 1.0),
-}
-# Closure rows for the third and fourth derivative at the node next to a
-# wall (offsets relative to that node; the off-wall ghost is eliminated by
-# one-sided extrapolation, which collapses to these biased weights).  The
-# right-wall rows are their reflections.
-_D3_LEFT = np.array([-3.0, 10.0, -12.0, 6.0, -1.0])   # offsets -1..3, /(2h^3)
-_D4_LEFT = np.array([2.0, -9.0, 16.0, -14.0, 6.0, -1.0])  # offsets -1..4, /h^4
-_CLOSURES = {3: (_D3_LEFT, -_D3_LEFT[::-1]), 4: (_D4_LEFT, _D4_LEFT[::-1])}
-
-
-def fd_weights(offsets, order: int) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at 0 on integer offsets.
-
-    Solves the Vandermonde moment system; weights are per h**order.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    n = offsets.size
-    if order >= n:
-        raise ValueError("need more points than the derivative order")
-    A = np.vander(offsets, n, increasing=True).T
-    b = np.zeros(n)
-    b[order] = float(math.factorial(order))
-    return np.linalg.solve(A, b)
-
-
-def _d1_interior(v: np.ndarray, h: float) -> np.ndarray:
-    return (v[2:] - v[:-2]) / (2.0 * h)
-
 
 def _d2_interior(v: np.ndarray, h: float) -> np.ndarray:
+    """Second derivative along axis 0 at the interior nodes, centered."""
     return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-
-
-def _d34_interior(v: np.ndarray, h: float, order: int) -> np.ndarray:
-    """The third or fourth derivative along axis 0 at the interior nodes."""
-    w, div = _CENTERED[order]
-    left, right = _CLOSURES[order]
-    n = v.shape[0] - 2
-    out = np.empty((n,) + v.shape[1:])
-    out[1:-1] = sum(w[k] * v[k:k + n - 2] for k in range(4, -1, -1) if w[k])
-    out[0] = left @ v[:left.size]
-    out[-1] = right @ v[-right.size:]
-    return out / (div * h**order)
 
 
 def _d1_wall(v: np.ndarray, h: float) -> np.ndarray:
@@ -85,36 +36,6 @@ def _d1_full(v: np.ndarray, h: float) -> np.ndarray:
     out[0] = _d1_wall(v, h)
     out[-1] = -_d1_wall(v[::-1], h)
     return out
-
-
-def apply_operator(fld: Field, kind: str) -> Field:
-    """Second-order discrete derivative of the given kind.
-
-    The output boundary layer is zeroed; interior values treat the input
-    boundary layer as data.
-    """
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
-    g = fld.grid
-    v = fld.values
-    if kind == "dx":
-        interior = _d1_interior(v[:, 1:-1], g.hx)
-    elif kind == "dy":
-        interior = _d1_interior(v[1:-1, :].T, g.hy).T
-    elif kind == "dxx":
-        interior = _d2_interior(v[:, 1:-1], g.hx)
-    elif kind == "dyy":
-        interior = _d2_interior(v[1:-1, :].T, g.hy).T
-    elif kind == "dxxx":
-        interior = _d34_interior(v[:, 1:-1], g.hx, 3)
-    elif kind == "dx4":
-        interior = _d34_interior(v[:, 1:-1], g.hx, 4)
-    elif kind == "dy4":
-        interior = _d34_interior(v[1:-1, :].T, g.hy, 4).T
-    else:  # dxyy: y-second-derivative of the x-derivative, both centered
-        wy = _d2_interior(v.T, g.hy).T        # (nx+2, ny)
-        interior = _d1_interior(wy, g.hx)     # (nx, ny)
-    return fld.with_interior(interior)
 
 
 @functools.lru_cache(maxsize=16)
@@ -204,36 +125,6 @@ def trace_flux(fld: Field) -> float:
     return float(wy @ (ux0 * ux0))
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Norms and monitored functionals of a single field."""
-
-    l2: float
-    lq: dict
-    h1_semi: float
-    weighted_l2: float
-    sup_sq: float
-    trace_flux: float
-
-
-def norms(fld: Field) -> NormReport:
-    """Populate a NormReport."""
-    g = fld.grid
-    v = fld.values
-    l2sq = integrate(v * v, g)
-    lq = {q: integrate(np.abs(v) ** q, g) ** (1.0 / q) for q in (3, 4)}
-    ux, uy = gradient_full(fld)
-    h1_semi_sq = integrate(ux * ux + uy * uy, g)
-    return NormReport(
-        l2=float(np.sqrt(l2sq)),
-        lq=lq,
-        h1_semi=float(np.sqrt(h1_semi_sq)),
-        weighted_l2=weighted_energy(fld),
-        sup_sq=float(np.max(v * v)),
-        trace_flux=trace_flux(fld),
-    )
-
-
 def initial_regularity(fld: Field) -> float:
     """The initial-regularity functional i0 of a field.
 
@@ -243,13 +134,14 @@ def initial_regularity(fld: Field) -> float:
     g = fld.grid
     v = fld.values
     ux, uy = gradient_full(fld)
-    uyy = apply_operator(fld, "dyy")
+    uyy = np.zeros(g.shape)
+    uyy[1:-1, 1:-1] = _d2_interior(v[1:-1, :].T, g.hy).T
     lap_ux = (_d2_interior(ux[:, 1:-1], g.hx)
               + _d2_interior(ux[1:-1, :].T, g.hy).T)
     nl_full = np.zeros(g.shape)
     nl_full[1:-1, 1:-1] = v[1:-1, 1:-1] * ux[1:-1, 1:-1] + lap_ux
     return (integrate(v * v, g) + integrate(ux * ux + uy * uy, g)
-            + integrate(uyy.values ** 2, g) + integrate(nl_full * nl_full, g))
+            + integrate(uyy ** 2, g) + integrate(nl_full * nl_full, g))
 
 
 def weighted_energy(fld: Field) -> float:

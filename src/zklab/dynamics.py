@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
@@ -45,7 +46,7 @@ BLOWUP_THRESHOLD = 1.0e6
 def _check_coefficients(alpha, epsilon) -> None:
     """alpha must be the int 0 or 1, epsilon a finite non-negative real."""
     check_alpha(alpha)
-    if not (_is_real(epsilon) and math.isfinite(epsilon) and epsilon >= 0):
+    if not (_is_real(epsilon) and 0 <= epsilon <= sys.float_info.max):
         raise ValueError(f"epsilon must be a finite non-negative real, got {epsilon!r}")
 
 
@@ -81,6 +82,12 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.scale_weighted is not None:
             check_positive_finite("scale_weighted", self.scale_weighted)
+        ini = self.initial
+        if not (isinstance(ini, str) or (isinstance(ini, dict) and set(ini) == {"file"}
+                                         and isinstance(ini["file"], str))):
+            raise ValueError(f"initial must be a tag string or {{'file': path}}, got {ini!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end={self.t_end!r} / dt={self.dt!r} overflows the step count")
         if self.n_steps < 1:
             raise ValueError("t_end must cover at least one step")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
@@ -112,13 +119,24 @@ def config_from_dict(raw: dict) -> SimConfig:
 # ---------------------------------------------------------------------------
 # initial data
 
+def _tag_numbers(tag: str, count: int, parse=float) -> list:
+    """The ``count`` comma-separated finite numbers after the tag's colon."""
+    kind, _, args = tag.partition(":")
+    try:
+        nums = [parse(s) for s in args.split(",")]
+    except ValueError:
+        nums = []
+    # nan, the infinities and ints beyond the float range fail the comparison.
+    if len(nums) != count or not all(abs(x) <= sys.float_info.max for x in nums):
+        raise ValueError(f"initial: cannot parse {kind} tag {tag!r}")
+    return nums
+
+
 def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
     """Sample the configured initial datum onto the grid, Dirichlet-clean."""
     g = grid if grid is not None else config.grid()
     spec_ = config.initial
     if isinstance(spec_, dict):
-        if set(spec_) != {"file"}:
-            raise ValueError(f"initial: file reference must be {{'file': path}}, got {spec_!r}")
         fld = read_snapshot(spec_["file"])[1]
         if fld.grid.shape != g.shape:
             raise ValueError("initial: snapshot grid does not match config grid")
@@ -129,30 +147,20 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
         fld = Field(g, fld.values)
     elif spec_ == "zero":
         fld = zero_field(g)
-    elif isinstance(spec_, str) and spec_.startswith("mode:"):
-        try:
-            k, l, n = (int(s) for s in spec_[5:].split(","))
-        except Exception as exc:
-            raise ValueError(f"initial: cannot parse mode tag {spec_!r}") from exc
+    elif spec_.startswith("mode:"):
+        k, l, n = _tag_numbers(spec_, 3, int)
         mode = spectral.stationary_mode(k, l, n, g.B)
         if abs(mode.triple.L - g.L) > 1e-9 * g.L:
             raise ValueError(
                 f"initial: grid L={g.L} does not host the critical length "
                 f"{mode.triple.L} of mode {spec_!r}")
         fld = sample_field(g, mode)
-    elif isinstance(spec_, str) and spec_.startswith("cos-product:"):
-        try:
-            amp = float(spec_.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValueError(f"initial: cannot parse cos-product tag {spec_!r}") from exc
+    elif spec_.startswith("cos-product:"):
+        amp, = _tag_numbers(spec_, 1)
         fld = sample_field(g, lambda x, y: amp * (1.0 - np.cos(2.0 * np.pi * x / g.L))
                            * np.cos(np.pi * y / (2.0 * g.B)))
-    elif isinstance(spec_, str) and spec_.startswith("cos-bump:"):
-        try:
-            amp_s, r_s = spec_.split(":", 1)[1].split(",")
-            amp, r = float(amp_s), float(r_s)
-        except Exception as exc:
-            raise ValueError(f"initial: cannot parse cos-bump tag {spec_!r}") from exc
+    elif spec_.startswith("cos-bump:"):
+        amp, r = _tag_numbers(spec_, 2)
         if not (0 < r <= g.B):
             raise ValueError(f"initial: bump radius {r} outside (0, B]")
         if g.domain_kind == TRUNCATED_STRIP and g.B < 4.0 * r:
@@ -185,6 +193,19 @@ def transverse_eigenvalues(ny: int, hy: float) -> np.ndarray:
     return 4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2
 
 
+# The stencil table of the stepper.  Centered second-order rows on offsets
+# -2..2 by order, as (weights, divisor): the derivative is
+# weights @ u / (divisor * h**order).
+_CENTERED = {
+    1: (np.array([0.0, -1.0, 0.0, 1.0, 0.0]), 2.0),
+    3: (np.array([-1.0, 2.0, 0.0, -2.0, 1.0]), 2.0),
+    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 1.0),
+}
+# The second-order D3 row at the node next to the left wall, on offsets
+# -1..3, /(2h^3): the weights that one-sided extrapolation of the ghost
+# u(-h) collapses to.
+_D3_LEFT = np.array([-3.0, 10.0, -12.0, 6.0, -1.0])
+
 # Bandwidths of every A_m: the D3 row at the u(0) = 0 wall reaches three
 # columns right, every other row two columns either side.
 _KL, _KU = 2, 3
@@ -194,21 +215,20 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     """The order-th x-derivative on the n interior nodes, closed by the IBVP.
 
     BLAS band storage, d[i, j] at [_KU + i - j, j].  Each row is the
-    centered row of ``calculus._CENTERED``; a weight on a wall node drops,
-    as u = 0 there.  Three wall rows use the boundary conditions, where
-    ``calculus`` closes an arbitrary field by extrapolation:
-    - at x = h, D3 takes ``_D3_LEFT[1:]``: u(0) = 0 drops its ghost;
+    centered row of ``_CENTERED``; a weight on a wall node drops, as u = 0
+    there.  Three wall rows use the boundary conditions:
+    - at x = h, D3 takes ``_D3_LEFT[1:]``: u(0) = 0 drops its first weight;
     - at x = h, D4 folds the u_xx(0) = 0 reflection u(-h) = -u(h) into the
-      diagonal, where ``calculus`` uses ``_D4_LEFT``;
+      diagonal;
     - at x = L - h, D3 and D4 fold the u_x(L) = 0 mirror u(L+h) = u(L-h)
-      into the diagonal, where ``calculus`` uses the reflected closures.
+      into the diagonal.
     """
-    w, div = calculus._CENTERED[order]
+    w, div = _CENTERED[order]
     b = np.zeros((_KL + _KU + 1, n))
     for k, c in zip(range(-2, 3), w):
         b[_KU - k, max(k, 0):n + min(k, 0)] = c
     if order == 3:
-        b[_KU - np.arange(4), np.arange(4)] = calculus._D3_LEFT[1:]
+        b[_KU - np.arange(4), np.arange(4)] = _D3_LEFT[1:]
     if order == 4:
         b[_KU, 0] -= w[0]
     if order >= 3:

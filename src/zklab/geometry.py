@@ -9,7 +9,7 @@ neighbour.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,8 +28,8 @@ def _is_real(v) -> bool:
 
 
 def check_positive_finite(name: str, v) -> None:
-    """Raise a ValueError naming ``name`` unless v is a finite positive real."""
-    if not (_is_real(v) and math.isfinite(v) and v > 0):
+    """Raise a ValueError naming ``name`` unless v is a positive real a float holds."""
+    if not (_is_real(v) and 0 < v <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calculus
 from .dynamics import EnergyTrace
-from .geometry import Field, check_alpha, check_positive_finite
+from .geometry import check_alpha, check_positive_finite
 
 ENERGY_FLOOR = 1e-14
 ENVELOPE_TOL = 0.05
@@ -90,14 +89,6 @@ def decay_theory(alpha: int, geometry: DecayGeometry) -> DecayTheory:
     return DecayTheory(alpha=alpha, geometry=geometry, admissible=True,
                        a_sq=a_sq, threshold=threshold, rate=rate,
                        delta=delta, eps_small=eps_small)
-
-
-def check_smallness(u0: Field, theory: DecayTheory) -> tuple[float, bool]:
-    """Weighted energy of the datum and whether it clears the threshold."""
-    if not theory.admissible:
-        raise ValueError("smallness is undefined for an inadmissible theory")
-    w = calculus.weighted_energy(u0)
-    return w, bool(w < theory.threshold)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
-from zklab import (Field, Grid, SimConfig, apply_operator, build_grid, check_gn,
-                   check_poincare, check_sup_bound, enforce_dirichlet, initial_field,
-                   initial_regularity, integrate, norms, sample_field, simulate,
+from zklab import (Field, Grid, SimConfig, build_grid, check_gn, check_poincare,
+                   check_sup_bound, enforce_dirichlet, initial_field,
+                   initial_regularity, integrate, sample_field, simulate,
                    stationary_mode, trace_flux, trace_row, weighted_energy,
                    zero_field)
-from zklab.calculus import (_CENTERED, _D3_LEFT, _D4_LEFT, _d1_full, fd_weights,
-                            gradient_full, trapezoid_weights)
+from zklab.calculus import _d1_full, gradient_full, trapezoid_weights
+from zklab.dynamics import _CENTERED, _D3_LEFT
 from zklab.harness import random_clean_field
+
+
+def fd_weights(offsets, order: int) -> np.ndarray:
+    """Finite-difference weights for d^order/dx^order at 0 on integer offsets.
+
+    Solves the Vandermonde moment system; weights are per h**order.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    n = offsets.size
+    A = np.vander(offsets, n, increasing=True).T
+    b = np.zeros(n)
+    b[order] = float(math.factorial(order))
+    return np.linalg.solve(A, b)
 
 
 def test_fd_weights_reproduce_closures():
@@ -16,7 +31,6 @@ def test_fd_weights_reproduce_closures():
     assert np.allclose(centered, [-0.5, 1.0, 0.0, -1.0, 0.5], atol=1e-12)
     biased = fd_weights([-1, 0, 1, 2, 3], 3)
     assert np.allclose(2.0 * biased, _D3_LEFT, atol=1e-11)
-    assert np.allclose(fd_weights(range(-1, 5), 4), _D4_LEFT, atol=1e-10)
     # The centered rows are the narrowest: three points for order 1, five else.
     for order, (weights, divisor) in _CENTERED.items():
         r = 1 if order == 1 else 2
@@ -25,65 +39,7 @@ def test_fd_weights_reproduce_closures():
                            weights[2 - r:3 + r], atol=1e-11)
 
 
-def test_dxyy_exact_on_polynomial():
-    g = build_grid(1.5, 1.0, 32, 24)
-    f = sample_field(g, lambda x, y: x * y ** 2)
-    d = apply_operator(f, "dxyy")
-    assert np.max(np.abs(d.interior - 2.0)) < 1e-10
-
-
-def test_dxxx_on_sine_second_order():
-    errs = {}
-    for nx in (63, 127):
-        g = build_grid(2 * np.pi, 1.0, nx, 8)
-        f = sample_field(g, lambda x, y: np.sin(x) + 0.0 * y)
-        d = apply_operator(f, "dxxx")
-        exact = -np.cos(g.xs_interior())[:, None]
-        errs[nx] = np.max(np.abs(d.interior - exact))
-    assert 3.0 < errs[63] / errs[127] < 5.0
-
-
-def test_linearized_operator_on_mode_refines():
-    mode = stationary_mode(1, 1, 1, np.pi)
-    errs = {}
-    for nx in (63, 127):
-        g = build_grid(mode.triple.L, np.pi, nx, nx)
-        f = sample_field(g, mode)
-        resid = (apply_operator(f, "dx").values
-                 + apply_operator(f, "dxxx").values
-                 + apply_operator(f, "dxyy").values)
-        errs[nx] = np.max(np.abs(resid))
-    assert 3.0 < errs[63] / errs[127] < 5.0
-
-
-def test_every_operator_second_order():
-    f_exact = {
-        "dx": lambda x, y: np.cos(x) * np.sin(y),
-        "dy": lambda x, y: np.sin(x) * np.cos(y),
-        "dxx": lambda x, y: -np.sin(x) * np.sin(y),
-        "dyy": lambda x, y: -np.sin(x) * np.sin(y),
-        "dxxx": lambda x, y: -np.cos(x) * np.sin(y),
-        "dxyy": lambda x, y: -np.cos(x) * np.sin(y),
-        "dx4": lambda x, y: np.sin(x) * np.sin(y),
-        "dy4": lambda x, y: np.sin(x) * np.sin(y),
-    }
-    for kind, exact in f_exact.items():
-        errs = []
-        for nx in (47, 95):
-            g = build_grid(2.0, 1.0, nx, nx)
-            f = sample_field(g, lambda x, y: np.sin(x) * np.sin(y))
-            d = apply_operator(f, kind)
-            X, Y = np.meshgrid(g.xs_interior(), g.ys()[1:-1], indexing="ij")
-            errs.append(np.max(np.abs(d.interior - exact(X, Y))))
-        ratio = errs[0] / errs[1]
-        assert 3.5 < ratio < 4.5, f"{kind}: ratio {ratio}"
-
-
 def test_unknown_kind_and_coarse_grid():
-    g = build_grid(1.0, 1.0, 8, 8)
-    f = sample_field(g, lambda x, y: x)
-    with pytest.raises(ValueError):
-        apply_operator(f, "d5x")
     # No grid below the stencils' reach exists to differentiate: the Grid
     # constructor applies the config's rules, also when called directly.
     with pytest.raises(ValueError, match="^nx must"):
@@ -96,12 +52,15 @@ def test_unknown_kind_and_coarse_grid():
         Grid(1.0, 1.0, 16, 16, "disk")
 
 
+def l2(fld):
+    return math.sqrt(integrate(fld.values ** 2, fld.grid))
+
+
 def test_norms_constant_field():
     L, B, c = 2.0, 1.0, 3.0
     g = build_grid(L, B, 32, 32)
     f = sample_field(g, lambda x, y: np.full_like(x, c))
-    rep = norms(f)
-    assert np.isclose(rep.l2, c * np.sqrt(2 * L * B), rtol=1e-13)
+    assert np.isclose(l2(f), c * np.sqrt(2 * L * B), rtol=1e-13)
 
 
 def test_norms_sine_exact_quadrature():
@@ -109,30 +68,27 @@ def test_norms_sine_exact_quadrature():
     L, B = 2.0, 1.0
     g = build_grid(L, B, 255, 255)
     f = sample_field(g, lambda x, y: np.sin(np.pi * x / L) + 0.0 * y)
-    rep = norms(f)
-    assert abs(rep.l2 ** 2 - L * B) < 1e-6
+    assert abs(l2(f) ** 2 - L * B) < 1e-6
     # cleaning the y-walls cuts one trapezoid row: O(1/ny) deficit, not 1e-6
-    rep_clean = norms(enforce_dirichlet(f))
-    assert abs(rep_clean.l2 ** 2 - L * B) / (L * B) < 1e-2
+    assert abs(l2(enforce_dirichlet(f)) ** 2 - L * B) / (L * B) < 1e-2
 
 
 def test_weighted_energy_analytic():
     L, B = 2.0, 1.0
     g = build_grid(L, B, 255, 255)
     f = sample_field(g, lambda x, y: np.sin(np.pi * x / L) + 0.0 * y)
-    rep = norms(f)
     expected = 2 * B * (L / 2 + L ** 2 / 4)
-    assert abs(rep.weighted_l2 - expected) / expected < 1e-5
+    assert abs(weighted_energy(f) - expected) / expected < 1e-5
 
 
 def test_norm_sandwich():
     g = build_grid(2.5, 1.0, 64, 64)
     rng = np.random.default_rng(11)
     f = random_clean_field(g, rng)
-    rep = norms(f)
-    l2sq = rep.l2 ** 2
-    assert l2sq <= rep.weighted_l2 * (1 + 1e-12)
-    assert rep.weighted_l2 <= (1 + g.L) * l2sq * (1 + 1e-12)
+    l2sq = l2(f) ** 2
+    w = weighted_energy(f)
+    assert l2sq <= w * (1 + 1e-12)
+    assert w <= (1 + g.L) * l2sq * (1 + 1e-12)
 
 
 def test_trace_flux_analytic():
@@ -158,9 +114,9 @@ def test_i0_finite_and_dominates_h1():
     f = sample_field(g, lambda x, y: (1 - np.cos(2 * np.pi * x / L))
                      * np.cos(np.pi * y / (2 * B)))
     i0 = initial_regularity(f)
-    rep = norms(f)
+    ux, uy = gradient_full(f)
     assert np.isfinite(i0) and i0 > 0
-    assert i0 >= rep.l2 ** 2 + rep.h1_semi ** 2
+    assert i0 >= integrate(f.values ** 2, g) + integrate(ux * ux + uy * uy, g)
 
 
 def test_initial_regularity_is_the_norms_i0():
@@ -306,8 +262,9 @@ def test_gradient_full_matches_interior():
     g = build_grid(2.0, 1.0, 63, 63)
     f = sample_field(g, lambda x, y: np.sin(x) * np.cos(y))
     ux, uy = gradient_full(f)
-    dx = apply_operator(f, "dx")
-    assert np.allclose(ux[1:-1, 1:-1], dx.interior, atol=1e-14)
+    v = f.values
+    centered = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * g.hx)
+    assert np.allclose(ux[1:-1, 1:-1], centered, atol=1e-14)
     X, Y = g.meshgrid()
     assert np.max(np.abs(ux - np.cos(X) * np.cos(Y))) < 5e-3
 

@@ -1,14 +1,16 @@
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zklab import (BlowupError, SimConfig, Stepper, assemble_linear_part, build_grid,
@@ -17,7 +19,8 @@ from zklab import (BlowupError, SimConfig, Stepper, assemble_linear_part, build_
                    stationary_mode, write_snapshot, zero_field)
 from zklab.dynamics import LinearPart, config_from_dict, transverse_eigenvalues
 from zklab.geometry import TRUNCATED_STRIP, Field, Grid
-from zklab.harness import ConfigError, emit_artifacts, load_config, random_clean_field
+from zklab.harness import (ConfigError, canonical_config_json, emit_artifacts, load_config,
+                           random_clean_field)
 
 CRIT_L = 4 * math.pi / math.sqrt(3)
 
@@ -76,6 +79,73 @@ def test_config_rejects_bad_values(tmp_path):
         path.write_text(json.dumps({**base, key: True}))
         with pytest.raises(ConfigError, match=f"^{key} must"):
             load_config(path)
+    for over in ({"dt": 1e-320}, {"t_end": 1e308}):
+        with pytest.raises(ValueError, match=r"^t_end=.* / dt=.* overflows the step count"):
+            small_config(**over)
+    path = tmp_path / "tiny_dt.json"
+    path.write_text(json.dumps({**base, "dt": 1e-320}))
+    with pytest.raises(ConfigError, match="overflows the step count"):
+        load_config(path)
+    for bad in ({"file": True}, {"file": 3}, {"file": "u0.zks", "t": 0.0}, {}, math.nan,
+                None, 1, ["zero"]):
+        with pytest.raises(ValueError, match="^initial must be a tag string"):
+            small_config(initial=bad)
+    assert small_config(initial={"file": "u0.zks"}).initial == {"file": "u0.zks"}
+
+
+def test_initial_naming_an_open_descriptor_is_rejected():
+    # An int path would make open() read and then close that descriptor.
+    with tempfile.TemporaryFile() as fh:
+        fd = fh.fileno()
+        with pytest.raises(ValueError, match="^initial must"):
+            initial_field(small_config(initial={"file": fd}))
+        os.fstat(fd)
+
+
+@pytest.mark.parametrize("tag", ["cos-product:inf", "cos-product:-inf", "cos-product:nan",
+                                 "cos-bump:inf,0.5", "cos-bump:nan,0.5", "cos-bump:1.0,inf",
+                                 "cos-bump:1.0,nan", "cos-bump:1.0", "mode:1,1",
+                                 "mode:1.5,1,1"])
+def test_initial_tags_reject_unparsable_numbers(tag):
+    with pytest.raises(ValueError, match=rf"^initial: cannot parse {tag.split(':')[0]} "
+                                         rf"tag '{tag}'$"):
+        initial_field(small_config(B=8.0, initial=tag))
+
+
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.text(max_size=8),
+    st.sampled_from(["zero", "cos-product:0.4", "rectangle", "truncated_strip"]),
+    st.lists(st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
+    st.dictionaries(st.sampled_from(["file", "path"]),
+                    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                              st.text(max_size=8)), max_size=2))
+
+
+@st.composite
+def raw_configs(draw):
+    """A valid mapping with some keys overridden by arbitrary JSON-like values, some dropped."""
+    names = [f.name for f in fields(SimConfig)]
+    raw = {"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01}
+    raw.update(draw(st.dictionaries(st.sampled_from(names), CONFIG_VALUES, max_size=4)))
+    for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+        raw.pop(name, None)
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_configs())
+@example({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01, "dt": 1e-320})
+@example({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01, "initial": math.nan})
+@example({"L": 10 ** 400, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01})
+@example({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01, "epsilon": 10 ** 400})
+def test_config_is_rejected_or_round_trips(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ValueError:
+        return
+    assert config_from_dict(json.loads(canonical_config_json(cfg))) == cfg
 
 
 def test_initial_tags():

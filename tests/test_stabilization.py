@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zklab import (SimConfig, check_smallness, decay_theory, energy_balance,
-                   fit_decay_rate, initial_field, lyapunov_monitor, verdict)
+from zklab import (SimConfig, decay_theory, energy_balance, fit_decay_rate,
+                   initial_field, lyapunov_monitor, verdict, weighted_energy)
 from zklab.dynamics import EnergyTrace
 from zklab.stabilization import DecayGeometry
 
@@ -119,19 +119,24 @@ def test_rate_monotone_decreasing_in_L_and_B():
 # smallness
 
 def test_check_smallness():
+    # Smallness is the verdict's test of the datum's weighted energy.
+    def small(u0, th):
+        w = weighted_energy(u0)
+        t = np.linspace(0.0, 1.0, 11)
+        return w, verdict(make_trace(t, np.full_like(t, w)), th).smallness_ok
+
     th = decay_theory(1, rect(2.0, 1.0))
     cfg = dict(L=2.0, B=1.0, nx=31, ny=31, dt=1e-3, t_end=1e-3,
                initial="cos-product:1.0")
     zero = initial_field(SimConfig(**{**cfg, "initial": "zero"}))
-    assert check_smallness(zero, th) == (0.0, True)
+    assert small(zero, th) == (0.0, True)
     half = initial_field(SimConfig(**cfg, scale_weighted=0.5 * th.threshold))
-    w, ok = check_smallness(half, th)
+    w, ok = small(half, th)
     assert ok and abs(w - 0.5 * th.threshold) < 1e-12
     big = initial_field(SimConfig(**cfg, scale_weighted=2.0 * th.threshold))
-    w, ok = check_smallness(big, th)
+    w, ok = small(big, th)
     assert not ok
-    with pytest.raises(ValueError):
-        check_smallness(zero, decay_theory(1, rect(10.0, 10.0)))
+    assert small(zero, decay_theory(1, rect(10.0, 10.0))) == (0.0, False)
 
 
 # ---------------------------------------------------------------------------
