@@ -11,7 +11,6 @@ conditions, live in ``dynamics``.
 from __future__ import annotations
 
 import functools
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -162,28 +161,20 @@ class _Terms(NamedTuple):
     grad_sq: float      # integrate(ux * ux + uy * uy)
 
 
-# One-entry memo (weakref to a Field, its _Terms), so the five certificates
-# of one field take one gradient.  A dead or different field never matches
-# the weakref, and a Field's values are a frozen private copy, so identity
-# stands for the values.  The pair is read and replaced as one tuple.
-_memo: tuple = (lambda: None, None)
-
-
+# One-entry memo keyed on the Field, so the five certificates of one field
+# take one gradient.  A Field hashes by identity and freezes a private copy
+# of its values, so identity stands for the values; the entry holds the
+# most recent field alive.
+@functools.lru_cache(maxsize=1)
 def _shared_terms(fld: Field) -> _Terms:
-    global _memo
-    ref, terms = _memo
-    if ref() is fld:
-        return terms
     g = fld.grid
     v = fld.values
     ux, uy = gradient_full(fld)
     v2, ux2, uy2 = v * v, ux * ux, uy * uy
     for a in (v2, ux, ux2, uy2):
         a.flags.writeable = False
-    terms = _Terms(v2=v2, l2_sq=integrate(v2, g), ux=ux, ux2=ux2, uy2=uy2,
-                   grad_sq=integrate(ux2 + uy2, g))
-    _memo = (weakref.ref(fld), terms)
-    return terms
+    return _Terms(v2=v2, l2_sq=integrate(v2, g), ux=ux, ux2=ux2, uy2=uy2,
+                  grad_sq=integrate(ux2 + uy2, g))
 
 
 def check_gn(fld: Field, q: int) -> float:

@@ -36,8 +36,8 @@ import numpy as np
 from scipy.fft import dst, idst
 
 from . import calculus, spectral
-from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, _is_real,
-                       check_alpha, check_positive_finite, enforce_dirichlet,
+from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, _is_real, check_alpha,
+                       check_int, check_positive_finite, enforce_dirichlet,
                        sample_field, zero_field)
 
 BLOWUP_THRESHOLD = 1.0e6
@@ -76,10 +76,8 @@ class SimConfig:
         _check_coefficients(self.alpha, self.epsilon)
         if not isinstance(self.linear, bool):
             raise ValueError(f"linear must be a bool, got {self.linear!r}")
-        for name in ("snapshot_stride", "trace_stride"):
-            v = getattr(self, name)
-            if not (type(v) is int and v >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        check_int("snapshot_stride", self.snapshot_stride, 1)
+        check_int("trace_stride", self.trace_stride, 1)
         if self.scale_weighted is not None:
             check_positive_finite("scale_weighted", self.scale_weighted)
         ini = self.initial
@@ -133,8 +131,20 @@ def _tag_numbers(tag: str, count: int, parse=float) -> list:
 
 
 def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
-    """Sample the configured initial datum onto the grid, Dirichlet-clean."""
-    g = grid if grid is not None else config.grid()
+    """Sample the configured initial datum onto the grid, Dirichlet-clean.
+
+    A datum whose samples, indices or weighted energy overflow the float
+    range raises a ValueError naming the tag, and no numpy warning.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _initial_datum(config, grid if grid is not None else config.grid())
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"initial: {config.initial!r} overflows the float range: "
+                         f"{exc}") from exc
+
+
+def _initial_datum(config: SimConfig, g: Grid) -> Field:
     spec_ = config.initial
     if isinstance(spec_, dict):
         fld = read_snapshot(spec_["file"])[1]

@@ -33,6 +33,12 @@ def check_positive_finite(name: str, v) -> None:
         raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
+def check_int(name: str, v, lo: int) -> None:
+    """Raise a ValueError naming ``name`` unless v is a Python int >= lo (not a bool)."""
+    if not (type(v) is int and v >= lo):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+
+
 def check_alpha(alpha) -> None:
     """Raise a ValueError unless alpha is the int 0 or 1 (not a bool or float)."""
     if type(alpha) is not int or alpha not in (0, 1):
@@ -59,10 +65,8 @@ class Grid:
     def __post_init__(self):
         check_positive_finite("L", self.L)
         check_positive_finite("B", self.B)
-        for name in ("nx", "ny"):
-            v = getattr(self, name)
-            if not (type(v) is int and v >= MIN_POINTS):
-                raise ValueError(f"{name} must be an integer >= {MIN_POINTS}, got {v!r}")
+        check_int("nx", self.nx, MIN_POINTS)
+        check_int("ny", self.ny, MIN_POINTS)
         if self.domain_kind not in _DOMAIN_KINDS:
             raise ValueError(
                 f"domain_kind must be one of {_DOMAIN_KINDS}, got {self.domain_kind!r}")
@@ -100,12 +104,13 @@ def build_grid(L: float, B: float, nx: int, ny: int,
     return Grid(L, B, nx, ny, domain_kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Real scalar samples on a Grid, boundary layer included.
 
-    Value-semantic: construction checks the shape and finiteness and
-    freezes a private copy of the array; operations return new Fields.
+    Construction checks the shape and finiteness and freezes a private
+    copy of the array; operations return new Fields.  A Field compares and
+    hashes by identity, which stands for its values.
     """
 
     grid: Grid

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, calculus, spectral
 from .dynamics import (EnergyTrace, SimConfig, TRACE_COLUMNS, Trajectory,
                        config_from_dict, simulate, write_snapshot)
-from .geometry import Field, Grid, check_positive_finite, enforce_dirichlet
+from .geometry import Field, Grid, check_int, check_positive_finite, enforce_dirichlet
 from .stabilization import (DecayGeometry, decay_theory, energy_balance,
                             verdict as decay_verdict)
 
@@ -67,11 +67,8 @@ def config_hash(config: SimConfig) -> str:
 # trace CSV (17 significant digits: float64 round-trips exactly)
 
 def write_trace_csv(trace: EnergyTrace, path) -> None:
-    cols = [trace.column(c) for c in TRACE_COLUMNS]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, np.column_stack([trace.column(c) for c in TRACE_COLUMNS]),
+               fmt="%.17g", delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
 
 
 def read_trace_csv(path) -> EnergyTrace:
@@ -167,11 +164,10 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
 # ---------------------------------------------------------------------------
 # seeded random fields for the property suites
 
-def random_clean_field(grid: Grid, rng: np.random.Generator,
-                       n_modes: int = 6) -> Field:
-    """Smooth random field from low Dirichlet modes with decaying weights."""
-    i = np.arange(1, n_modes + 1)
-    coeffs = rng.normal(size=(n_modes, n_modes)) / np.add.outer(i ** 2, i ** 2)
+def random_clean_field(grid: Grid, rng: np.random.Generator) -> Field:
+    """Smooth random field from the 6 x 6 lowest Dirichlet modes, weights decaying."""
+    i = np.arange(1, 7)
+    coeffs = rng.normal(size=(i.size, i.size)) / np.add.outer(i ** 2, i ** 2)
     sx = np.sin(np.pi * np.multiply.outer(i, grid.xs()) / grid.L)
     sy = np.sin(np.pi * np.multiply.outer(i, grid.ys() + grid.B) / (2.0 * grid.B))
     vals = sx.T @ coeffs @ sy
@@ -269,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one configured simulation")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True)
+    sim.set_defaults(run=_cmd_simulate)
 
     crit = sub.add_parser("critical", help="critical-rectangle residual rows")
     crit.add_argument("--L", type=float, required=True)
@@ -277,15 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--lmax", type=int, required=True)
     crit.add_argument("--nmax", type=int, required=True)
     crit.add_argument("--alpha", type=int, required=True, choices=(0, 1))
+    crit.set_defaults(run=_cmd_critical)
 
     mini = sub.add_parser("minimal-rectangle", help="minimal critical length")
     mini.add_argument("--B", type=float, required=True)
+    mini.set_defaults(run=_cmd_minimal_rectangle)
 
     rep = sub.add_parser("decay-report", help="verdict for a stored trace")
     rep.add_argument("--trace", required=True)
     rep.add_argument("--alpha", type=int, required=True, choices=(0, 1))
     rep.add_argument("--L", type=float, required=True)
     rep.add_argument("--B", type=float, default=None)
+    rep.set_defaults(run=_cmd_decay_report)
 
     ver = sub.add_parser("verify", help="seeded property suites")
     ver.add_argument("--suite", required=True, choices=sorted(_SUITES),
@@ -293,11 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "--samples and --seed")
     ver.add_argument("--samples", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
+    ver.set_defaults(run=lambda args: run_verify(args.suite, args.samples, args.seed))
 
     sw = sub.add_parser("sweep", help="one-parameter family of runs")
     sw.add_argument("--config", required=True)
     sw.add_argument("--vary", required=True, metavar="KEY=lo:hi:steps")
     sw.add_argument("--out", required=True)
+    sw.set_defaults(run=_cmd_sweep)
     return p
 
 
@@ -305,6 +307,7 @@ _SWEEP_KEYS = {"L", "B", "dt", "t_end", "epsilon", "scale_weighted", "nx", "ny"}
 
 
 def _parse_vary(spec: str):
+    """The key and the member values, as Python numbers, of a --vary spec."""
     try:
         key, rng = spec.split("=", 1)
         lo, hi, steps = rng.split(":")
@@ -315,9 +318,11 @@ def _parse_vary(spec: str):
         raise ConfigError(f"--vary key must be one of {sorted(_SWEEP_KEYS)}, got {key!r}")
     if steps < 1:
         raise ConfigError(f"--vary needs steps >= 1, got {steps}")
-    values = np.linspace(lo, hi, steps)
+    if not np.isfinite(hi - lo):  # also a nan, an infinity or an overflowing span
+        raise ConfigError(f"--vary needs finite lo and hi, got {spec!r}")
+    values = np.linspace(lo, hi, steps).tolist()
     if key in ("nx", "ny"):
-        values = np.unique(np.rint(values).astype(int))
+        values = sorted({round(v) for v in values})
     return key, values
 
 
@@ -337,6 +342,8 @@ def _cmd_critical(args) -> int:
     # Checked before any output, and for alpha = 0, which computes no residual.
     check_positive_finite("L", args.L)
     check_positive_finite("B", args.B)
+    for name in ("kmax", "lmax", "nmax"):
+        check_int(name, getattr(args, name), 1)
     print("k l n residual is_critical")
     if args.alpha == 0:
         return 0  # no critical rectangles exist without the transport term
@@ -369,10 +376,9 @@ def _cmd_decay_report(args) -> int:
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     key, values = _parse_vary(args.vary)
+    configs = [replace(base, **{key: value}) for value in values]  # all checked first
     out_root = Path(args.out)
-    for idx, value in enumerate(values):
-        value = value.item()
-        config = replace(base, **{key: value})
+    for idx, (value, config) in enumerate(zip(values, configs)):
         run_dir = out_root / f"run_{idx:03d}_{key}={value:g}"
         t0 = time.perf_counter()
         traj = simulate(config)
@@ -389,22 +395,10 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "critical":
-            return _cmd_critical(args)
-        if args.command == "minimal-rectangle":
-            return _cmd_minimal_rectangle(args)
-        if args.command == "decay-report":
-            return _cmd_decay_report(args)
-        if args.command == "verify":
-            return run_verify(args.suite, args.samples, args.seed)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def main() -> None:

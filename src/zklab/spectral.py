@@ -20,21 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_alpha, check_positive_finite
+from .geometry import check_alpha, check_int, check_positive_finite
 
 TWO_PI = 2.0 * math.pi
 CRITICAL_TOL = 1e-9
 
 
-def _check_index(name: str, v) -> None:
-    """Raise a ValueError naming ``name`` unless v is a Python int >= 1 (not a bool)."""
-    if not (type(v) is int and v >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-
-
 def mode_xi(n: int, B: float) -> float:
     """Transverse Dirichlet eigenvalue (pi*n / 2B)^2."""
-    _check_index("n", n)
+    check_int("n", n, 1)
     check_positive_finite("B", B)
     return (math.pi * n / (2.0 * B)) ** 2
 
@@ -100,8 +94,8 @@ class CriticalLength(NamedTuple):
 
 def critical_length(k: int, l: int, xi: float) -> CriticalLength:
     """L = (2 pi / sqrt 3) sqrt((k^2 + k l + l^2) / (1 - xi)) and its s1."""
-    _check_index("k", k)
-    _check_index("l", l)
+    check_int("k", k, 1)
+    check_int("l", l, 1)
     if not (0.0 <= xi < 1.0):
         raise ValueError(f"xi must lie in [0, 1); got {xi} (transverse mode too stiff)")
     m = k * k + k * l + l * l
@@ -170,8 +164,8 @@ def critical_residual(L: float, B: float, k: int, l: int, n: int) -> float:
     ((2 pi / (L sqrt 3)) sqrt(k^2+kl+l^2))^2 + (pi n / 2B)^2 - 1.
     """
     check_positive_finite("L", L)  # mode_xi checks n and B
-    _check_index("k", k)
-    _check_index("l", l)
+    check_int("k", k, 1)
+    check_int("l", l, 1)
     m = k * k + k * l + l * l
     return (TWO_PI / (L * math.sqrt(3.0))) ** 2 * m + mode_xi(n, B) - 1.0
 
@@ -209,7 +203,7 @@ def enumerate_critical(L_max: float, B_max: float, k_max: int, l_max: int,
     check_positive_finite("L_max", L_max)
     check_positive_finite("B_max", B_max)
     for name, v in (("k_max", k_max), ("l_max", l_max), ("n_max", n_max)):
-        _check_index(name, v)
+        check_int(name, v, 1)
     if alpha == 0:
         return []
     out = []
@@ -243,12 +237,11 @@ def minimal_critical_rectangle(B: float) -> float:
 
 
 def kdv_critical_set(k_max: int, l_max: int) -> list[float]:
-    """Sorted distinct critical lengths (2 pi / sqrt 3) sqrt(k^2 + kl + l^2)."""
-    _check_index("k_max", k_max)
-    _check_index("l_max", l_max)
-    ms = {k * k + k * l + l * l
-          for k in range(1, k_max + 1) for l in range(1, l_max + 1)}
-    return [TWO_PI / math.sqrt(3.0) * math.sqrt(m) for m in sorted(ms)]
+    """Sorted distinct critical lengths at xi = 0, (2 pi / sqrt 3) sqrt(k^2 + kl + l^2)."""
+    check_int("k_max", k_max, 1)
+    check_int("l_max", l_max, 1)
+    return sorted({critical_length(k, l, 0.0).L
+                   for k in range(1, k_max + 1) for l in range(1, l_max + 1)})
 
 
 @dataclass(frozen=True)
@@ -310,16 +303,15 @@ def _unit_amplitude(k: int, l: int) -> float:
     and the root spacings k theta, l theta, (k+l) theta, so |p|^2 / (2 pi / L)^2
     is the real cosine polynomial below, the same for every L.  It is sampled
     on the 8193 points theta_i = 2 pi i / 8192 of [0, 2 pi], and the peak of
-    its square root is refined by a parabola.
+    its square root is refined by a parabola.  The polynomial is (k + l - m)^2
+    = 0 at theta = 0 and near 0 at 2 pi, so the peak sample is interior.
     """
     theta = np.linspace(0.0, TWO_PI, _NORMALIZE_SAMPLES)
     m = k + l
     p_sq = (l * l + m * m + k * k - 2.0 * l * m * np.cos(k * theta)
             - 2.0 * k * m * np.cos(l * theta) + 2.0 * k * l * np.cos(m * theta))
     i = int(np.argmax(p_sq))
-    if 0 < i < p_sq.size - 1:
-        return _parabolic_peak(*np.sqrt(p_sq[i - 1:i + 2]))
-    return float(np.sqrt(p_sq[i]))
+    return _parabolic_peak(*np.sqrt(p_sq[i - 1:i + 2]))
 
 
 def build_profile(triple: ResonantTriple) -> ModeProfile:
@@ -337,8 +329,8 @@ def build_profile(triple: ResonantTriple) -> ModeProfile:
     differs from 2 pi k / L or 2 pi l / L by more than 1e-12 max(1, |s|) is
     rejected.
     """
-    _check_index("k", triple.k)
-    _check_index("l", triple.l)
+    check_int("k", triple.k, 1)
+    check_int("l", triple.l, 1)
     s = triple.roots
     scale = max(1.0, float(np.max(np.abs(s))))
     if min(s[1] - s[0], s[2] - s[1]) <= 1e-12 * scale:
@@ -375,10 +367,7 @@ class StationaryMode:
         return np.cos(w * y) if self.n % 2 == 1 else np.sin(w * y)
 
     def __call__(self, x, y) -> np.ndarray:
-        p = self.profile(x)
-        if np.iscomplexobj(p):
-            p = p.real
-        return p * self.q(y)
+        return np.real(self.profile(x)) * self.q(y)
 
 
 def stationary_mode(k: int, l: int, n: int, B: float) -> StationaryMode:

@@ -76,17 +76,14 @@ def decay_theory(alpha: int, geometry: DecayGeometry) -> DecayTheory:
     inv_b2 = geometry.inv_b_sq
     two_a_sq = 24.0 / L ** 2 + 2.0 * inv_b2 - alpha
     admissible = two_a_sq > 0.0
-    if not admissible:
-        nan = float("nan")
-        return DecayTheory(alpha=alpha, geometry=geometry, admissible=False,
-                           a_sq=two_a_sq / 2.0, threshold=nan, rate=nan,
-                           delta=nan, eps_small=nan)
     a_sq = two_a_sq / 2.0
     delta = a_sq / 2.0
     eps_small = a_sq / (2.0 * (8.0 / L ** 2 + 2.0 * inv_b2))
     threshold = 9.0 * eps_small * delta / 4.0
     rate = a_sq / (1.0 + L)
-    return DecayTheory(alpha=alpha, geometry=geometry, admissible=True,
+    if not admissible:  # no decay statement: only the margin a_sq is defined
+        threshold = rate = delta = eps_small = float("nan")
+    return DecayTheory(alpha=alpha, geometry=geometry, admissible=admissible,
                        a_sq=a_sq, threshold=threshold, rate=rate,
                        delta=delta, eps_small=eps_small)
 
@@ -147,13 +144,12 @@ def energy_balance(trace: EnergyTrace) -> tuple[float, float]:
     return rise, defect
 
 
-def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float],
-                   floor: float = ENERGY_FLOOR) -> tuple[float, float]:
+def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> tuple[float, float]:
     """Least-squares exponential rate of the weighted energy over a window.
 
     Returns (rate, r_squared) from the slope of -log(weighted).  Raises
     if the window holds fewer than 5 samples or the energy underflows
-    the floor anywhere inside it.
+    ENERGY_FLOOR anywhere inside it.
     """
     t_lo, t_hi = window
     if not t_hi > t_lo:
@@ -162,9 +158,9 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float],
     if int(mask.sum()) < 5:
         raise ValueError(f"fewer than 5 samples in window {window}")
     w = trace.weighted[mask]
-    if np.any(w <= floor):
+    if np.any(w <= ENERGY_FLOOR):
         raise ValueError(
-            f"window underflow: weighted energy fell below the {floor} floor")
+            f"window underflow: weighted energy fell below the {ENERGY_FLOOR} floor")
     t = trace.t[mask]
     y = -np.log(w)
     a = np.vstack([t, np.ones_like(t)]).T
@@ -206,14 +202,14 @@ class DecayVerdict:
         }
 
 
-def _fit_window(trace: EnergyTrace, floor: float) -> tuple[float, float] | None:
+def _fit_window(trace: EnergyTrace) -> tuple[float, float] | None:
     """Preferred window [t_end/2, t_end], shrunk to the above-floor prefix.
 
     The theorems bound the energy from above, so once it underflows the
     rounding floor there is no exponent left to measure; the window then
     covers the last half of the resolvable decay instead.
     """
-    guard = max(floor, trace.weighted[0] * RELATIVE_GUARD)
+    guard = max(ENERGY_FLOOR, trace.weighted[0] * RELATIVE_GUARD)
     above = trace.t[trace.weighted > guard]
     if above.size < 5:
         return None
@@ -224,13 +220,11 @@ def _fit_window(trace: EnergyTrace, floor: float) -> tuple[float, float] | None:
     return (t_hi / 2.0, t_hi)
 
 
-def verdict(trace: EnergyTrace, theory: DecayTheory,
-            envelope_tol: float = ENVELOPE_TOL,
-            floor: float = ENERGY_FLOOR) -> DecayVerdict:
+def verdict(trace: EnergyTrace, theory: DecayTheory) -> DecayVerdict:
     """Envelope check plus fitted rate for one trace.
 
     envelope_ok demands weighted(t) <= weighted(0) * exp(-rate t) *
-    (1 + envelope_tol) at every sample; an inadmissible theory has no
+    (1 + ENVELOPE_TOL) at every sample; an inadmissible theory has no
     envelope, so envelope_ok is False there.  The verdict never claims
     the converse: failing smallness is not a failure of the theory.
     """
@@ -239,15 +233,15 @@ def verdict(trace: EnergyTrace, theory: DecayTheory,
     w0 = float(trace.weighted[0])
     smallness_ok = bool(theory.admissible and w0 < theory.threshold)
     if theory.admissible and theory.rate > 0:
-        envelope = w0 * np.exp(-theory.rate * trace.t) * (1.0 + envelope_tol)
+        envelope = w0 * np.exp(-theory.rate * trace.t) * (1.0 + ENVELOPE_TOL)
         envelope_ok = bool(np.all(trace.weighted <= envelope))
     else:
         envelope_ok = False
-    window = _fit_window(trace, floor)
+    window = _fit_window(trace)
     if window is None:
         fitted, r_sq = float("nan"), float("nan")
     else:
-        fitted, r_sq = fit_decay_rate(trace, window, floor=floor)
+        fitted, r_sq = fit_decay_rate(trace, window)
     margin = fitted / theory.rate if theory.admissible else float("nan")
     return DecayVerdict(theory=theory, initial_weighted=w0,
                         smallness_ok=smallness_ok, envelope_ok=envelope_ok,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zklab import (Field, Grid, SimConfig, build_grid, check_gn, check_poincare,
+from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
                    check_sup_bound, enforce_dirichlet, initial_field,
                    initial_regularity, integrate, sample_field, simulate,
                    stationary_mode, trace_flux, trace_row, weighted_energy,
@@ -39,31 +39,18 @@ def test_fd_weights_reproduce_closures():
                            weights[2 - r:3 + r], atol=1e-11)
 
 
-def test_unknown_kind_and_coarse_grid():
-    # No grid below the stencils' reach exists to differentiate: the Grid
-    # constructor applies the config's rules, also when called directly.
-    with pytest.raises(ValueError, match="^nx must"):
-        Grid(1.0, 1.0, 3, 3)
-    with pytest.raises(ValueError, match="^L must"):
-        build_grid(True, 1.0, 16, 16)
-    with pytest.raises(ValueError, match="^nx must"):
-        build_grid(1.0, 1.0, 16.0, 16)
-    with pytest.raises(ValueError, match="^domain_kind must"):
-        Grid(1.0, 1.0, 16, 16, "disk")
-
-
 def l2(fld):
     return math.sqrt(integrate(fld.values ** 2, fld.grid))
 
 
-def test_norms_constant_field():
+def test_l2_of_constant_field():
     L, B, c = 2.0, 1.0, 3.0
     g = build_grid(L, B, 32, 32)
     f = sample_field(g, lambda x, y: np.full_like(x, c))
     assert np.isclose(l2(f), c * np.sqrt(2 * L * B), rtol=1e-13)
 
 
-def test_norms_sine_exact_quadrature():
+def test_l2_of_sine_exact_quadrature():
     # uncleaned constant extension in y: trapezoid integrates it exactly
     L, B = 2.0, 1.0
     g = build_grid(L, B, 255, 255)
@@ -81,7 +68,7 @@ def test_weighted_energy_analytic():
     assert abs(weighted_energy(f) - expected) / expected < 1e-5
 
 
-def test_norm_sandwich():
+def test_weighted_energy_sandwiches_l2():
     g = build_grid(2.5, 1.0, 64, 64)
     rng = np.random.default_rng(11)
     f = random_clean_field(g, rng)
@@ -119,7 +106,7 @@ def test_i0_finite_and_dominates_h1():
     assert i0 >= integrate(f.values ** 2, g) + integrate(ux * ux + uy * uy, g)
 
 
-def test_initial_regularity_is_the_norms_i0():
+def test_initial_regularity_is_the_simulate_i0():
     # The i0 that simulate records is initial_regularity of the datum, bit for bit.
     cfg = SimConfig(L=2.0, B=1.0, nx=31, ny=31, dt=1e-3, t_end=2e-3,
                     initial="cos-product:0.4")

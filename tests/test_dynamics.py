@@ -112,6 +112,19 @@ def test_initial_tags_reject_unparsable_numbers(tag):
         initial_field(small_config(B=8.0, initial=tag))
 
 
+# Finite tag numbers whose datum leaves the float range; each run is
+# under tier-1's error::RuntimeWarning filter, so a numpy warning fails it.
+@pytest.mark.parametrize("over", [
+    dict(initial="cos-product:1e200", scale_weighted=0.5),  # the weighted energy overflows
+    dict(initial="cos-product:1e308"),                      # the samples overflow
+    dict(L=CRIT_L, B=math.pi, initial="mode:" + "9" * 200 + ",1,1"),  # k overflows a float
+], ids=["weighted-energy", "samples", "mode-index"])
+def test_initial_overflow_names_the_tag(over):
+    cfg = small_config(**over)
+    with pytest.raises(ValueError, match=f"^initial: '{cfg.initial[:16]}.* overflows the float"):
+        initial_field(cfg)
+
+
 CONFIG_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),

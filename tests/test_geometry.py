@@ -3,7 +3,7 @@ import pytest
 
 from zklab import (build_grid, enforce_dirichlet, sample_field, stationary_mode,
                    zero_field)
-from zklab.geometry import Field, RECTANGLE
+from zklab.geometry import Field, Grid, RECTANGLE, check_int
 
 
 def test_spacings_match_definition():
@@ -15,6 +15,30 @@ def test_spacings_match_definition():
 def test_nx_below_minimum_rejected():
     with pytest.raises(ValueError, match="nx"):
         build_grid(1.0, 1.0, 7, 8)
+
+
+def test_grid_rejects_coarse_float_bool_and_unknown_kind():
+    # No grid below the stencils' reach exists to differentiate: the Grid
+    # constructor applies the config's rules, also when called directly.
+    with pytest.raises(ValueError, match="^nx must"):
+        Grid(1.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="^L must"):
+        build_grid(True, 1.0, 16, 16)
+    with pytest.raises(ValueError, match="^nx must"):
+        build_grid(1.0, 1.0, 16.0, 16)
+    with pytest.raises(ValueError, match="^domain_kind must"):
+        Grid(1.0, 1.0, 16, 16, "disk")
+
+
+@pytest.mark.parametrize("v", [0, -3, True, 2.0, "3", None])
+def test_check_int_rejects_with_one_message(v):
+    with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {v!r}$"):
+        check_int("k", v, 1)
+
+
+def test_check_int_accepts_ints_from_lo():
+    for lo, v in ((1, 1), (1, 10 ** 30), (8, 8), (-2, -2)):
+        check_int("n", v, lo)
 
 
 @pytest.mark.parametrize("L,B", [(0.0, 1.0), (-1.0, 1.0), (1.0, np.inf), (1.0, np.nan)])
@@ -95,6 +119,13 @@ def test_field_shape_and_immutability():
     f = zero_field(g)
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
+
+
+def test_field_compares_and_hashes_by_identity():
+    g = build_grid(1.0, 1.0, 8, 8)
+    a, b = zero_field(g), zero_field(g)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_with_interior_copies_once_and_checks():

@@ -1,18 +1,19 @@
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zklab import (ConfigError, SimConfig, build_grid, cli_main, emit_artifacts,
                    load_config, random_clean_field, read_trace_csv, simulate,
                    write_trace_csv)
 from zklab.dynamics import TRACE_COLUMNS, EnergyTrace
-from zklab.harness import canonical_config_json, config_hash
+from zklab.harness import _parse_vary, canonical_config_json, config_hash, main
 
 
 def write_config(tmp_path, name="cfg.json", **over):
@@ -309,6 +310,80 @@ def test_cli_usage_errors_exit_2(capsys):
     assert cli_main(["no-such-command"]) == 2
     assert cli_main(["simulate", "--config", "x", "--out", "y",
                      "--bogus", "1"]) == 2
+
+
+def test_cli_simulate_overflowing_datum_is_one_error_line(tmp_path, capsys):
+    # Unchecked, the overflowing weighted energy scaled this datum to zero
+    # and the run read "ok" with an all-zero trace.
+    cfg = write_config(tmp_path, initial="cos-product:1e200", scale_weighted=0.5)
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: initial: 'cos-product:1e200' overflows")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("vary", ["nx=nan:16:2", "L=1:inf:2", "B=-inf:1:2",
+                                  "epsilon=-1e308:1e308:3"])
+def test_parse_vary_rejects_non_finite_bounds(vary):
+    with pytest.raises(ConfigError, match="^--vary needs finite lo and hi"):
+        _parse_vary(vary)
+
+
+def test_parse_vary_rounds_grid_sizes_to_distinct_ints():
+    key, values = _parse_vary("nx=8:9:4")
+    assert key == "nx" and values == [8, 9] and all(type(v) is int for v in values)
+
+
+VARY_BOUNDS = ["-1", "0", "0.5", "8", "16", "nan", "inf", "-inf"]
+
+
+@st.composite
+def cli_calls(draw):
+    """argv of a ``critical`` or a ``sweep --vary`` call with drawn bounds."""
+    if draw(st.booleans()):
+        k, l, n = (draw(st.integers(-3, 3)) for _ in range(3))
+        return ["critical", "--L", "7.2552", "--B", "3.1416", "--kmax", str(k),
+                "--lmax", str(l), "--nmax", str(n), "--alpha", draw(st.sampled_from("01"))]
+    key = draw(st.sampled_from(["L", "B", "nx", "epsilon"]))
+    lo, hi = draw(st.sampled_from(VARY_BOUNDS)), draw(st.sampled_from(VARY_BOUNDS))
+    return ["sweep", "--vary", f"{key}={lo}:{hi}:{draw(st.integers(1, 3))}"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_calls())
+@example(["critical", "--L", "7.2552", "--B", "3.1416", "--kmax", "0", "--lmax", "-3",
+          "--nmax", "1", "--alpha", "1"])
+@example(["sweep", "--vary", "L=1:-1:3"])
+@example(["sweep", "--vary", "nx=nan:16:2"])
+def test_cli_flags_exit_0_or_1_and_fail_before_any_output(tmp_path, capsys, argv):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    out_dir = work / "out"
+    if argv[0] == "sweep":
+        cfg = write_config(work, t_end=1e-3)  # 16x16, one step
+        argv = argv + ["--config", str(cfg), "--out", str(out_dir)]
+    capsys.readouterr()
+    code = cli_main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    if argv[0] == "critical" and min(int(argv[i]) for i in (6, 8, 10)) < 1:
+        assert code == 1
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+        assert not out_dir.exists()
+
+
+def test_main_exits_with_the_cli_code(monkeypatch, capsys):
+    # main is the [project.scripts] entry point.
+    for argv, code in ((["minimal-rectangle", "--B", "3.1416"], 0), ([], 2)):
+        monkeypatch.setattr(sys, "argv", ["zklab", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
 
 
 def test_cli_domain_error_exit_1(tmp_path):

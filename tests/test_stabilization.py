@@ -118,7 +118,7 @@ def test_rate_monotone_decreasing_in_L_and_B():
 # ---------------------------------------------------------------------------
 # smallness
 
-def test_check_smallness():
+def test_verdict_smallness_of_initial_data():
     # Smallness is the verdict's test of the datum's weighted energy.
     def small(u0, th):
         w = weighted_energy(u0)
