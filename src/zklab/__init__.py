@@ -7,8 +7,8 @@ the exponential-decay statements (thresholds, rates, Lyapunov monitor).
 
 __version__ = "0.1.0"
 
-from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, build_grid,
-                       enforce_dirichlet, sample_field, zero_field)
+from .geometry import (Field, Grid, build_grid, enforce_dirichlet, sample_field,
+                       zero_field)
 from .calculus import (check_gn, check_poincare, check_sup_bound,
                        initial_regularity, integrate, trace_flux, trace_row,
                        weighted_energy)
@@ -17,8 +17,8 @@ from .spectral import (CriticalRectangle, ResonantTriple, build_profile,
                        enumerate_critical, kdv_critical_set,
                        minimal_critical_rectangle, mode_xi, resonant_family,
                        stationary_mode)
-from .dynamics import (BlowupError, EnergyTrace, SimConfig, Stepper,
-                       Trajectory, assemble_linear_part, initial_field,
+from .dynamics import (RECTANGLE, TRUNCATED_STRIP, BlowupError, EnergyTrace,
+                       LinearPart, SimConfig, Stepper, Trajectory, initial_field,
                        read_snapshot, simulate, simulate_regularized_sweep,
                        write_snapshot)
 from .stabilization import (DecayGeometry, DecayTheory, DecayVerdict,

@@ -26,21 +26,26 @@ can be cleared of blow-up without the inverse transform.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 from scipy.fft import dst, idst
 
 from . import calculus, spectral
-from .geometry import (Field, Grid, RECTANGLE, TRUNCATED_STRIP, _is_real, check_alpha,
-                       check_int, check_positive_finite, enforce_dirichlet,
-                       sample_field, zero_field)
+from .geometry import (Field, Grid, _is_real, check_alpha, check_int, check_positive_finite,
+                       enforce_dirichlet, sample_field)
 
 BLOWUP_THRESHOLD = 1.0e6
+
+RECTANGLE = "rectangle"
+TRUNCATED_STRIP = "truncated_strip"
+
+_DOMAIN_KINDS = (RECTANGLE, TRUNCATED_STRIP)
 
 
 def _check_coefficients(alpha, epsilon) -> None:
@@ -52,7 +57,7 @@ def _check_coefficients(alpha, epsilon) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class SimConfig:
-    """Validated simulation configuration (flat, JSON-serializable)."""
+    """Validated, flat, JSON-serializable simulation configuration: the one description of a run."""
 
     L: float
     B: float
@@ -70,7 +75,10 @@ class SimConfig:
     trace_stride: int = 10
 
     def __post_init__(self):
-        self.grid()  # the Grid checks L, B, nx, ny and domain_kind
+        self.grid()  # the Grid checks L, B, nx, ny
+        if self.domain_kind not in _DOMAIN_KINDS:
+            raise ValueError(
+                f"domain_kind must be one of {_DOMAIN_KINDS}, got {self.domain_kind!r}")
         check_positive_finite("dt", self.dt)
         check_positive_finite("t_end", self.t_end)
         _check_coefficients(self.alpha, self.epsilon)
@@ -80,10 +88,6 @@ class SimConfig:
         check_int("trace_stride", self.trace_stride, 1)
         if self.scale_weighted is not None:
             check_positive_finite("scale_weighted", self.scale_weighted)
-        ini = self.initial
-        if not (isinstance(ini, str) or (isinstance(ini, dict) and set(ini) == {"file"}
-                                         and isinstance(ini["file"], str))):
-            raise ValueError(f"initial must be a tag string or {{'file': path}}, got {ini!r}")
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end={self.t_end!r} / dt={self.dt!r} overflows the step count")
         if self.n_steps < 1:
@@ -91,16 +95,15 @@ class SimConfig:
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end={self.t_end!r} is not a whole number of steps "
                              f"of dt={self.dt!r}")
+        with _overflow_names(self.initial):  # the tag is parsed and checked here, once
+            object.__setattr__(self, "_sampler", _initial_sampler(self))
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
     def grid(self) -> Grid:
-        return Grid(self.L, self.B, self.nx, self.ny, self.domain_kind)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return Grid(self.L, self.B, self.nx, self.ny)
 
 
 def config_from_dict(raw: dict) -> SimConfig:
@@ -130,68 +133,80 @@ def _tag_numbers(tag: str, count: int, parse=float) -> list:
     return nums
 
 
+@contextlib.contextmanager
+def _overflow_names(tag):
+    """Turn a float-range overflow, or numpy's warning of one, into a ValueError naming the tag."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"initial: {tag!r} overflows the float range: {exc}") from exc
+
+
+def _initial_sampler(config: SimConfig):
+    """The config's initial tag as f(x, y) to sample, or None for a snapshot file.
+
+    Checks every tag rule that needs neither the file nor the samples.
+    """
+    tag, L, B = config.initial, config.L, config.B
+    if isinstance(tag, dict) and set(tag) == {"file"} and isinstance(tag["file"], str):
+        return None
+    if not isinstance(tag, str):
+        raise ValueError(f"initial must be a tag string or {{'file': path}}, got {tag!r}")
+    if tag == "zero":
+        return lambda x, y: 0.0
+    if tag.startswith("mode:"):
+        k, l, n = _tag_numbers(tag, 3, int)
+        mode = spectral.stationary_mode(k, l, n, B)
+        if abs(mode.triple.L - L) > 1e-9 * L:
+            raise ValueError(f"initial: grid L={L} does not host the critical length "
+                             f"{mode.triple.L} of mode {tag!r}")
+        return mode
+    if tag.startswith("cos-product:"):
+        amp, = _tag_numbers(tag, 1)
+        return lambda x, y: (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
+                             * np.cos(np.pi * y / (2.0 * B)))
+    if tag.startswith("cos-bump:"):
+        amp, r = _tag_numbers(tag, 2)
+        if not (0 < r <= B):
+            raise ValueError(f"initial: bump radius {r} outside (0, B]")
+        if config.domain_kind == TRUNCATED_STRIP and B < 4.0 * r:
+            raise ValueError(f"initial: strip truncation needs B >= 4x the bump radius "
+                             f"(B={B}, r={r})")
+        return lambda x, y: (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
+                             * np.clip(1.0 - (y / r) ** 2, 0.0, None) ** 3)
+    raise ValueError(f"initial: unknown tag {tag!r}")
+
+
 def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
     """Sample the configured initial datum onto the grid, Dirichlet-clean.
 
-    A datum whose samples, indices or weighted energy overflow the float
-    range raises a ValueError naming the tag, and no numpy warning.
+    ``grid``, when given, must be ``config.grid()``.  A datum whose samples
+    or weighted energy overflow the float range raises a ValueError naming
+    the tag, and no numpy warning.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _initial_datum(config, grid if grid is not None else config.grid())
-    except (FloatingPointError, OverflowError) as exc:
-        raise ValueError(f"initial: {config.initial!r} overflows the float range: "
-                         f"{exc}") from exc
-
-
-def _initial_datum(config: SimConfig, g: Grid) -> Field:
-    spec_ = config.initial
-    if isinstance(spec_, dict):
-        fld = read_snapshot(spec_["file"])[1]
-        if fld.grid.shape != g.shape:
-            raise ValueError("initial: snapshot grid does not match config grid")
-        # A snapshot carries no domain_kind; the config's applies.
-        if (fld.grid.L, fld.grid.B) != (g.L, g.B):
-            raise ValueError(f"initial: snapshot L={fld.grid.L!r}, B={fld.grid.B!r} does not "
-                             f"match config L={g.L!r}, B={g.B!r}")
-        fld = Field(g, fld.values)
-    elif spec_ == "zero":
-        fld = zero_field(g)
-    elif spec_.startswith("mode:"):
-        k, l, n = _tag_numbers(spec_, 3, int)
-        mode = spectral.stationary_mode(k, l, n, g.B)
-        if abs(mode.triple.L - g.L) > 1e-9 * g.L:
-            raise ValueError(
-                f"initial: grid L={g.L} does not host the critical length "
-                f"{mode.triple.L} of mode {spec_!r}")
-        fld = sample_field(g, mode)
-    elif spec_.startswith("cos-product:"):
-        amp, = _tag_numbers(spec_, 1)
-        fld = sample_field(g, lambda x, y: amp * (1.0 - np.cos(2.0 * np.pi * x / g.L))
-                           * np.cos(np.pi * y / (2.0 * g.B)))
-    elif spec_.startswith("cos-bump:"):
-        amp, r = _tag_numbers(spec_, 2)
-        if not (0 < r <= g.B):
-            raise ValueError(f"initial: bump radius {r} outside (0, B]")
-        if g.domain_kind == TRUNCATED_STRIP and g.B < 4.0 * r:
-            raise ValueError(
-                f"initial: strip truncation needs B >= 4x the bump radius "
-                f"(B={g.B}, r={r})")
-
-        def bump(x, y):
-            q = np.clip(1.0 - (y / r) ** 2, 0.0, None) ** 3
-            return amp * (1.0 - np.cos(2.0 * np.pi * x / g.L)) * q
-
-        fld = sample_field(g, bump)
-    else:
-        raise ValueError(f"initial: unknown tag {spec_!r}")
-    fld = enforce_dirichlet(fld)
-    if config.scale_weighted is not None:
-        w = calculus.weighted_energy(fld)
-        if w == 0.0:
-            raise ValueError("scale_weighted: initial datum is identically zero")
-        fld = Field(fld.grid, fld.values * math.sqrt(config.scale_weighted / w))
-    return fld
+    g = config.grid()
+    if grid not in (None, g):
+        raise ValueError(f"initial: {grid} is not the config's grid {g}")
+    with _overflow_names(config.initial):
+        if config._sampler is not None:
+            fld = sample_field(g, config._sampler)
+        else:
+            fld = read_snapshot(config.initial["file"])[1]
+            if fld.grid.shape != g.shape:
+                raise ValueError("initial: snapshot grid does not match config grid")
+            if (fld.grid.L, fld.grid.B) != (g.L, g.B):
+                raise ValueError(f"initial: snapshot L={fld.grid.L!r}, B={fld.grid.B!r} "
+                                 f"does not match config L={g.L!r}, B={g.B!r}")
+        fld = enforce_dirichlet(fld)
+        if config.scale_weighted is not None:
+            w = calculus.weighted_energy(fld)
+            if w == 0.0:
+                cause = ("is identically zero" if not fld.values.any()
+                         else "is nonzero, but its weighted energy underflows to 0")
+                raise ValueError(f"scale_weighted: initial datum {cause}")
+            fld = Field(fld.grid, fld.values * math.sqrt(config.scale_weighted / w))
+        return fld
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +262,12 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
 
 
 class LinearPart:
-    """The linear spatial operator: ``bands[:, m]`` is A_m in band storage, (6, ny, nx)."""
+    """alpha*Dx + Dxxx + Dxyy + eps*(Dx4 + Dy4) with the IBVP closures.
 
-    def __init__(self, grid: Grid, alpha: int, epsilon: float):
+    ``bands[:, m]`` is A_m in band storage, (6, ny, nx).
+    """
+
+    def __init__(self, grid: Grid, alpha: int, epsilon: float = 0.0):
         _check_coefficients(alpha, epsilon)
         self.grid = grid
         nx, hx = grid.nx, grid.hx
@@ -283,11 +301,6 @@ class LinearPart:
         return fld.with_interior(self.from_modes(self.apply_modes(self.to_modes(fld.interior))))
 
 
-def assemble_linear_part(grid: Grid, alpha: int, epsilon: float = 0.0) -> LinearPart:
-    """alpha*Dx + Dxxx + Dxyy + eps*(Dx4 + Dy4) with the IBVP closures."""
-    return LinearPart(grid, alpha, epsilon)
-
-
 # ---------------------------------------------------------------------------
 # trace and trajectory containers
 
@@ -318,14 +331,13 @@ class EnergyTrace:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulation output: config echo, snapshots, energy trace.
+    """Simulation output: config echo (the grid is ``config.grid()``), snapshots, trace.
 
     ``blowup`` is the unraised ``BlowupError`` (step, time, node and
     magnitude) of a run that blew up, and None otherwise.
     """
 
     config: SimConfig
-    grid: Grid
     snapshots: list
     trace: EnergyTrace
     blowup: "BlowupError | None" = None
@@ -371,9 +383,9 @@ class Stepper:
         # Imported here: scipy.linalg adds ~6 MiB to a process that never steps.
         from scipy.linalg import blas, lapack
         self.config = config
-        self.grid = grid if grid is not None else config.grid()
-        self.linear_part = assemble_linear_part(self.grid, config.alpha, config.epsilon)
-        nx, ny = self.grid.nx, self.grid.ny
+        grid = grid if grid is not None else config.grid()
+        self.linear_part = LinearPart(grid, config.alpha, config.epsilon)
+        nx, ny = grid.nx, grid.ny
         ldab = 2 * _KL + _KU + 1  # dgbtrf wants _KL extra rows for pivoting fill-in
         # The spare last column keeps the lower-band view below inside buf.
         buf = np.zeros((ldab, nx * ny + 1), order="F")
@@ -399,7 +411,6 @@ class Stepper:
         self._tail_piv = self.piv[h:] - h
         self._tbsv = blas.dtbsv
         self._gbtrs = lapack.dgbtrs
-        self.steps = 0
         self._nonlin_prev: np.ndarray | None = None
         self._modes: np.ndarray | None = None
         self._interior: np.ndarray | None = None
@@ -421,7 +432,7 @@ class Stepper:
 
     def _nonlin(self, interior: np.ndarray) -> np.ndarray:
         """(u^2/2)_x in conservative form; walls carry u = 0."""
-        h = self.grid.hx
+        h = self.linear_part.grid.hx
         u2 = interior * interior
         out = np.empty_like(interior)
         out[0, :] = u2[1, :] / (2.0 * h)
@@ -432,14 +443,13 @@ class Stepper:
     def start(self, interior: np.ndarray) -> None:
         """Begin a fresh run from an (nx, ny) physical interior: one forward DST.
 
-        The nonlinear history and the step count are reset, so the first
-        ``advance`` takes the Euler predictor step.
+        The nonlinear history is reset, so the first ``advance`` takes the
+        Euler predictor step.
         """
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)
         self._nonlin_prev = None
-        self.steps = 0
 
     def advance(self) -> None:
         """One IMEX step of the held modal state.
@@ -474,7 +484,6 @@ class Stepper:
         x -= m
         self._modes = x
         self._interior = None if self.config.linear else self._physical()
-        self.steps += 1
 
     def _physical(self) -> np.ndarray:
         u = self.linear_part.from_modes(self._modes)
@@ -500,7 +509,7 @@ class Stepper:
         """
         if self._interior is None:
             col = np.abs(self._modes).sum(axis=0)
-            if np.max(col) <= BLOWUP_THRESHOLD * (1.0 - 1e-9) * (self.grid.ny + 1):
+            if np.max(col) <= BLOWUP_THRESHOLD * (1.0 - 1e-9) * (self.linear_part.grid.ny + 1):
                 return False
         # NaN fails <=, so a non-finite value anywhere counts as blow-up.
         return not np.max(np.abs(self.interior())) <= BLOWUP_THRESHOLD
@@ -565,15 +574,13 @@ def simulate(config: SimConfig) -> Trajectory:
         snapshots.append((n_steps * config.dt, u0.with_interior(stepper.interior())))
     cols = list(zip(*rows))
     trace = EnergyTrace(*(np.asarray(c, dtype=float) for c in cols), i0_initial=i0)
-    return Trajectory(config=config, grid=grid, snapshots=snapshots, trace=trace,
-                      blowup=blowup)
+    return Trajectory(config=config, snapshots=snapshots, trace=trace, blowup=blowup)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Regularization sweep output: one trajectory per epsilon."""
+    """Regularization sweep output: one trajectory per epsilon, in the given order."""
 
-    epsilons: tuple
     trajectories: list
     pairwise_distances: list
     distances_to_limit: list
@@ -585,7 +592,8 @@ def simulate_regularized_sweep(config: SimConfig, epsilons) -> SweepResult:
     Reports the pairwise terminal distances d_i = ||u_{eps_i}(T) -
     u_{eps_{i+1}}(T)|| and, when the last entry is the smallest, each
     state's distance to that terminal state (the passage-to-the-limit
-    view).  A trailing epsilon of exactly 0 is allowed.
+    view).  A trailing epsilon of exactly 0 is allowed; a member that blows
+    up raises a ValueError naming its epsilon and blow-up step and time.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
@@ -593,8 +601,14 @@ def simulate_regularized_sweep(config: SimConfig, epsilons) -> SweepResult:
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
     configs = [replace(config, epsilon=e) for e in eps]  # each checks its epsilon
-    trajectories = [simulate(c) for c in configs]
-    grid = trajectories[0].grid
+    trajectories = []
+    for e, c in zip(eps, configs):
+        tr = simulate(c)
+        if tr.blowup is not None:
+            raise ValueError(f"sweep member epsilon={e!r} blew up at step {tr.blowup.n}, "
+                             f"t={tr.blowup.t}")
+        trajectories.append(tr)
+    grid = config.grid()
 
     def dist(a: Field, b: Field) -> float:
         d = a.values - b.values
@@ -603,7 +617,7 @@ def simulate_regularized_sweep(config: SimConfig, epsilons) -> SweepResult:
     finals = [tr.final for tr in trajectories]
     pairwise = [dist(a, b) for a, b in zip(finals, finals[1:])]
     to_limit = [dist(f, finals[-1]) for f in finals[:-1]]
-    return SweepResult(epsilons=tuple(eps), trajectories=trajectories,
+    return SweepResult(trajectories=trajectories,
                        pairwise_distances=pairwise, distances_to_limit=to_limit)
 
 

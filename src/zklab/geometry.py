@@ -1,4 +1,4 @@
-"""Uniform tensor-product grids on rectangles and truncated strips.
+"""Uniform tensor-product grids and the fields sampled on them.
 
 The computational domain is (0, L) x (-B, B) with homogeneous Dirichlet
 walls.  Fields carry one explicit boundary layer (the first/last row and
@@ -15,10 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-RECTANGLE = "rectangle"
-TRUNCATED_STRIP = "truncated_strip"
-
-_DOMAIN_KINDS = (RECTANGLE, TRUNCATED_STRIP)
 MIN_POINTS = 8
 
 
@@ -51,25 +47,21 @@ class Grid:
 
     Node (i, j), 0 <= i <= nx+1, 0 <= j <= ny+1, sits at
     (i*hx, -B + j*hy); i in {0, nx+1} and j in {0, ny+1} are wall nodes.
-    ``domain_kind`` records whether B is a physical half-width or a
-    truncation of an unbounded strip.  Construction validates every field,
-    so every Grid that exists is valid.
+    A Grid is geometry only: whether B is a physical half-width or the
+    truncation of a strip is a fact about the run, held by its SimConfig.
+    Construction validates every field, so every Grid that exists is valid.
     """
 
     L: float
     B: float
     nx: int
     ny: int
-    domain_kind: str = RECTANGLE
 
     def __post_init__(self):
         check_positive_finite("L", self.L)
         check_positive_finite("B", self.B)
         check_int("nx", self.nx, MIN_POINTS)
         check_int("ny", self.ny, MIN_POINTS)
-        if self.domain_kind not in _DOMAIN_KINDS:
-            raise ValueError(
-                f"domain_kind must be one of {_DOMAIN_KINDS}, got {self.domain_kind!r}")
 
     @property
     def hx(self) -> float:
@@ -98,10 +90,9 @@ class Grid:
         return (self.nx + 2, self.ny + 2)
 
 
-def build_grid(L: float, B: float, nx: int, ny: int,
-               domain_kind: str = RECTANGLE) -> Grid:
+def build_grid(L: float, B: float, nx: int, ny: int) -> Grid:
     """The Grid with these fields, validated by its constructor."""
-    return Grid(L, B, nx, ny, domain_kind)
+    return Grid(L, B, nx, ny)
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,7 +56,7 @@ def load_config(path) -> SimConfig:
 
 
 def canonical_config_json(config: SimConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(config: SimConfig) -> str:
@@ -147,7 +147,7 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
         write_snapshot(spath, t, fld)
         outputs.append(_file_entry(spath))
     manifest = RunManifest(
-        config=trajectory.config.to_dict(),
+        config=asdict(trajectory.config),
         config_sha256=config_hash(trajectory.config),
         tool_version=__version__,
         wall_time_s=wall_time_s,
@@ -365,9 +365,7 @@ def _cmd_minimal_rectangle(args) -> int:
 
 def _cmd_decay_report(args) -> int:
     trace = read_trace_csv(args.trace)
-    geometry = (DecayGeometry.strip(args.L) if args.B is None
-                else DecayGeometry.rectangle(args.L, args.B))
-    theory = decay_theory(args.alpha, geometry)
+    theory = decay_theory(args.alpha, DecayGeometry(args.L, args.B))
     v = decay_verdict(trace, theory)
     print(json.dumps(v.to_dict(), indent=2))
     return 0

@@ -252,32 +252,26 @@ class ModeProfile:
     (which clears the four boundary constraints p(0) = p(L) = p'(0)
     = p'(L) = 0), normalized so max |p| = 1 on [0, L].  With the spacings
     s2 - s1 = 2 pi k / L and s3 - s2 = 2 pi l / L that amplitude is
-    (2 pi / L) A(k, l), see ``build_profile``.  The profile is real-valued
-    exactly when beta = 0 (the stationary family k = l).
+    (2 pi / L) A(k, l), see ``build_profile``.  ``is_real`` (beta = 0, the
+    stationary family k = l) makes the profile and its derivative real arrays.
     """
 
     s: tuple
     coeffs: tuple
-    L: float
-    beta: float
+    is_real: bool
 
-    @property
-    def is_real(self) -> bool:
-        return self.beta == 0.0
+    def _series(self, x, weights) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        p = np.zeros(x.shape, dtype=complex)
+        for sj, wj in zip(self.s, weights):
+            p += wj * np.exp(1j * sj * x)
+        return p.real if self.is_real else p
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        p = np.zeros(x.shape, dtype=complex)
-        for sj, cj in zip(self.s, self.coeffs):
-            p += cj * np.exp(1j * sj * x)
-        return p.real if self.is_real else p
+        return self._series(x, self.coeffs)
 
     def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        p = np.zeros(x.shape, dtype=complex)
-        for sj, cj in zip(self.s, self.coeffs):
-            p += 1j * sj * cj * np.exp(1j * sj * x)
-        return p.real if self.is_real else p
+        return self._series(x, [1j * sj * cj for sj, cj in zip(self.s, self.coeffs)])
 
 
 _NORMALIZE_SAMPLES = 8193
@@ -343,8 +337,7 @@ def build_profile(triple: ResonantTriple) -> ModeProfile:
                              f"2 pi * {index} / L = {spacing * index!r}")
     raw = np.array([s[1] - s[2], s[2] - s[0], s[0] - s[1]])
     coeffs = tuple(raw / (spacing * _unit_amplitude(triple.k, triple.l)))
-    beta = 0.0 if triple.beta == 0.0 else triple.beta
-    return ModeProfile(s=tuple(s), coeffs=coeffs, L=triple.L, beta=beta)
+    return ModeProfile(s=tuple(s), coeffs=coeffs, is_real=triple.beta == 0.0)
 
 
 @dataclass(frozen=True)

@@ -33,22 +33,28 @@ RELATIVE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class DecayGeometry:
-    """Rectangle (finite B) or strip (B absent) of length L."""
+    """Rectangle of length L and half-width B, or strip (B None); checked, stored as floats."""
 
-    kind: str
     L: float
     B: float | None = None
 
+    def __post_init__(self):
+        for name in ("L",) if self.B is None else ("L", "B"):
+            check_positive_finite(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     @classmethod
     def rectangle(cls, L: float, B: float) -> "DecayGeometry":
-        check_positive_finite("L", L)
-        check_positive_finite("B", B)
-        return cls("rectangle", float(L), float(B))
+        check_positive_finite("B", B)  # a None B would build a strip
+        return cls(L, B)
 
     @classmethod
     def strip(cls, L: float) -> "DecayGeometry":
-        check_positive_finite("L", L)
-        return cls("strip", float(L), None)
+        return cls(L)
+
+    @property
+    def kind(self) -> str:
+        return "strip" if self.B is None else "rectangle"
 
     @property
     def inv_b_sq(self) -> float:
@@ -232,11 +238,8 @@ def verdict(trace: EnergyTrace, theory: DecayTheory) -> DecayVerdict:
         raise ValueError("trace too short for a verdict")
     w0 = float(trace.weighted[0])
     smallness_ok = bool(theory.admissible and w0 < theory.threshold)
-    if theory.admissible and theory.rate > 0:
-        envelope = w0 * np.exp(-theory.rate * trace.t) * (1.0 + ENVELOPE_TOL)
-        envelope_ok = bool(np.all(trace.weighted <= envelope))
-    else:
-        envelope_ok = False
+    envelope = w0 * np.exp(-theory.rate * trace.t) * (1.0 + ENVELOPE_TOL)  # nan if inadmissible
+    envelope_ok = bool(theory.admissible and np.all(trace.weighted <= envelope))
     window = _fit_window(trace)
     if window is None:
         fitted, r_sq = float("nan"), float("nan")

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from zklab import (SimConfig, assemble_linear_part, build_grid, critical_length,
+from zklab import (LinearPart, SimConfig, build_grid, critical_length,
                    critical_residual, decay_theory, energy_balance,
                    enforce_dirichlet, fit_decay_rate, lyapunov_monitor, resonant_family,
                    sample_field, simulate, simulate_regularized_sweep,
@@ -51,7 +51,7 @@ def test_c03_stationary_mode_residual_refinement():
     errs = []
     for nx in (63, 127, 255):
         g = build_grid(CRIT_L, math.pi, nx, nx)
-        lp = assemble_linear_part(g, alpha=1, epsilon=0.0)
+        lp = LinearPart(g, alpha=1, epsilon=0.0)
         f = enforce_dirichlet(sample_field(g, mode))
         errs.append(np.max(np.abs(lp.apply(f).values)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zklab import (BlowupError, SimConfig, Stepper, assemble_linear_part, build_grid,
+from zklab import (TRUNCATED_STRIP, BlowupError, LinearPart, SimConfig, Stepper, build_grid,
                    enforce_dirichlet, initial_field, integrate, read_snapshot,
                    sample_field, simulate, simulate_regularized_sweep,
                    stationary_mode, write_snapshot, zero_field)
-from zklab.dynamics import LinearPart, config_from_dict, transverse_eigenvalues
-from zklab.geometry import TRUNCATED_STRIP, Field, Grid
+from zklab.dynamics import config_from_dict, transverse_eigenvalues
+from zklab.geometry import Field, Grid
 from zklab.harness import (ConfigError, canonical_config_json, emit_artifacts, load_config,
                            random_clean_field)
 
@@ -109,7 +109,7 @@ def test_initial_naming_an_open_descriptor_is_rejected():
 def test_initial_tags_reject_unparsable_numbers(tag):
     with pytest.raises(ValueError, match=rf"^initial: cannot parse {tag.split(':')[0]} "
                                          rf"tag '{tag}'$"):
-        initial_field(small_config(B=8.0, initial=tag))
+        small_config(B=8.0, initial=tag)
 
 
 # Finite tag numbers whose datum leaves the float range; each run is
@@ -120,9 +120,11 @@ def test_initial_tags_reject_unparsable_numbers(tag):
     dict(L=CRIT_L, B=math.pi, initial="mode:" + "9" * 200 + ",1,1"),  # k overflows a float
 ], ids=["weighted-energy", "samples", "mode-index"])
 def test_initial_overflow_names_the_tag(over):
-    cfg = small_config(**over)
-    with pytest.raises(ValueError, match=f"^initial: '{cfg.initial[:16]}.* overflows the float"):
-        initial_field(cfg)
+    # The mode index overflows while the config parses its tag, the others
+    # while the datum is sampled; both errors name the tag.
+    tag = over["initial"]
+    with pytest.raises(ValueError, match=f"^initial: '{tag[:16]}.* overflows the float"):
+        initial_field(small_config(**over))
 
 
 CONFIG_VALUES = st.one_of(
@@ -161,6 +163,11 @@ def test_config_is_rejected_or_round_trips(raw):
     assert config_from_dict(json.loads(canonical_config_json(cfg))) == cfg
 
 
+def test_config_checks_domain_kind():
+    with pytest.raises(ValueError, match="^domain_kind must be one of"):
+        small_config(domain_kind="disk")
+
+
 def test_initial_tags():
     cfg = small_config(initial="zero")
     assert not initial_field(cfg).values.any()
@@ -171,18 +178,39 @@ def test_initial_tags():
     cfg = small_config(L=CRIT_L, B=math.pi, initial="mode:1,1,1")
     fld = initial_field(cfg)
     assert abs(fld.values.max() - 1.0) < 1e-6
+    # A tag rule that needs neither a file nor the samples fails as the
+    # config is built, so no run or sweep member starts on a bad tag.
     with pytest.raises(ValueError, match="critical length"):
-        initial_field(small_config(L=2.0, B=math.pi, initial="mode:1,1,1"))
+        small_config(L=2.0, B=math.pi, initial="mode:1,1,1")
     with pytest.raises(ValueError, match="unknown tag"):
-        initial_field(small_config(initial="wavelet:1"))
+        small_config(initial="wavelet:1")
     with pytest.raises(ValueError, match="cos-product:abc"):
-        initial_field(small_config(initial="cos-product:abc"))
+        small_config(initial="cos-product:abc")
+
+
+def test_initial_field_takes_only_the_configs_grid():
+    # The datum reads L and B from the config; another grid would get it
+    # scaled to the wrong domain.
+    cfg = small_config()
+    assert np.array_equal(initial_field(cfg, cfg.grid()).values, initial_field(cfg).values)
+    with pytest.raises(ValueError, match="is not the config's grid"):
+        initial_field(cfg, Grid(4.0, 1.0, 31, 31))
 
 
 def test_initial_scale_weighted():
     from zklab import weighted_energy
     cfg = small_config(initial="cos-product:1.0", scale_weighted=0.25)
     assert abs(weighted_energy(initial_field(cfg)) - 0.25) < 1e-12
+
+
+def test_scale_weighted_names_a_zero_datum_and_an_underflow():
+    with pytest.raises(ValueError, match="^scale_weighted: initial datum is identically zero$"):
+        initial_field(small_config(nx=16, ny=16, initial="zero", scale_weighted=0.5))
+    # Nonzero samples whose squares underflow: the weighted energy reads 0.
+    with pytest.raises(ValueError, match="^scale_weighted: initial datum is nonzero, but its "
+                                         "weighted energy underflows to 0$"):
+        initial_field(small_config(nx=16, ny=16, initial="cos-product:1e-300",
+                                   scale_weighted=0.5))
 
 
 def test_initial_bump_support():
@@ -193,19 +221,20 @@ def test_initial_bump_support():
     mask_out = np.abs(g.ys()) >= 2.0
     assert not fld.values[:, mask_out].any()
     with pytest.raises(ValueError, match="4x"):
-        initial_field(small_config(B=4.0, ny=63, domain_kind=TRUNCATED_STRIP,
-                                   initial="cos-bump:1.0,2.0"))
+        small_config(B=4.0, ny=63, domain_kind=TRUNCATED_STRIP, initial="cos-bump:1.0,2.0")
+    with pytest.raises(ValueError, match=r"^initial: bump radius 1\.5 outside \(0, B\]$"):
+        small_config(initial="cos-bump:0.1,1.5")
 
 
 # ---------------------------------------------------------------------------
-# assembled linear operator
+# linear operator
 
 def test_operator_residual_on_mode_refines():
     mode = stationary_mode(1, 1, 1, math.pi)
     errs = {}
     for nx in (63, 127):
         g = build_grid(CRIT_L, math.pi, nx, nx)
-        lp = assemble_linear_part(g, alpha=1, epsilon=0.0)
+        lp = LinearPart(g, alpha=1, epsilon=0.0)
         f = enforce_dirichlet(sample_field(g, mode))
         errs[nx] = np.max(np.abs(lp.apply(f).values))
     assert 3.0 < errs[63] / errs[127] < 5.0
@@ -269,8 +298,8 @@ def test_dense_reference_rows():
 
 def test_alpha_difference_is_dx():
     g = build_grid(2.0, 1.0, 16, 12)
-    lp1 = assemble_linear_part(g, alpha=1)
-    lp0 = assemble_linear_part(g, alpha=0)
+    lp1 = LinearPart(g, alpha=1)
+    lp0 = LinearPart(g, alpha=0)
     assert lp1.bands.shape == (6, g.ny, g.nx)
     diff = lp1.bands - lp0.bands
     d1 = dense_x_operator(1, g.nx, g.hx)
@@ -288,7 +317,7 @@ def test_alpha_difference_is_dx():
 def test_linear_part_applies_the_config_coefficient_rule(alpha, epsilon, match):
     g = build_grid(2.0, 1.0, 16, 12)
     with pytest.raises(ValueError, match=match):
-        assemble_linear_part(g, alpha=alpha, epsilon=epsilon)
+        LinearPart(g, alpha=alpha, epsilon=epsilon)
     with pytest.raises(ValueError, match=match):
         small_config(alpha=alpha, epsilon=epsilon)
 
@@ -354,8 +383,8 @@ def test_import_leaves_scipy_linalg_unloaded():
 def test_regularization_quadratic_form_nonnegative():
     g = build_grid(2.0, 1.0, 24, 24)
     eps = 1e-2
-    lp_eps = assemble_linear_part(g, alpha=1, epsilon=eps)
-    lp0 = assemble_linear_part(g, alpha=1, epsilon=0.0)
+    lp_eps = LinearPart(g, alpha=1, epsilon=eps)
+    lp0 = LinearPart(g, alpha=1, epsilon=0.0)
     rng = np.random.default_rng(8)
     for _ in range(20):
         u = random_clean_field(g, rng)
@@ -404,7 +433,6 @@ def test_start_begins_a_fresh_run():
         used.advance()
     used.start(u0)
     used.advance()
-    assert used.steps == fresh.steps == 1
     assert np.array_equal(used.interior(), fresh.interior())
 
 
@@ -690,7 +718,7 @@ def test_blown_up_names_first_non_finite_node():
     stepper, g = linear_stepper_after_one_step(lambda g: np.ones((g.nx, g.ny)))
     stepper._modes[4, 6] = np.nan
     assert stepper.blown_up()
-    err = BlowupError.at(stepper.steps, stepper.config.dt, stepper.interior())
+    err = BlowupError.at(1, stepper.config.dt, stepper.interior())
     # A NaN in mode 4 of x column 6 spoils that whole column in physical space.
     assert err.node == (7, 1)
     assert np.isfinite(err.magnitude) and err.magnitude > 0
@@ -701,6 +729,16 @@ def test_sweep_zero_datum_all_distances_zero():
     res = simulate_regularized_sweep(cfg, [1e-2, 5e-3, 0.0])
     assert res.pairwise_distances == [0.0, 0.0]
     assert res.distances_to_limit == [0.0, 0.0]
+
+
+def test_sweep_member_blow_up_is_an_error():
+    # A member that blows up keeps its t = 0 datum as its final state; both
+    # members here abort at t = 0.02, and their distance would read 0.0.
+    cfg = SimConfig(L=2.0, B=1.0, nx=16, ny=16, dt=1e-2, t_end=0.05,
+                    initial="cos-product:300", trace_stride=1)
+    with pytest.raises(ValueError, match=r"^sweep member epsilon=0\.01 blew up at step 2, "
+                                         r"t=0\.02$"):
+        simulate_regularized_sweep(cfg, [1e-2, 0.0])
 
 
 def test_sweep_validates_epsilons():

@@ -3,7 +3,7 @@ import pytest
 
 from zklab import (build_grid, enforce_dirichlet, sample_field, stationary_mode,
                    zero_field)
-from zklab.geometry import Field, Grid, RECTANGLE, check_int
+from zklab.geometry import Field, Grid, check_int
 
 
 def test_spacings_match_definition():
@@ -17,7 +17,7 @@ def test_nx_below_minimum_rejected():
         build_grid(1.0, 1.0, 7, 8)
 
 
-def test_grid_rejects_coarse_float_bool_and_unknown_kind():
+def test_grid_rejects_coarse_float_and_bool():
     # No grid below the stencils' reach exists to differentiate: the Grid
     # constructor applies the config's rules, also when called directly.
     with pytest.raises(ValueError, match="^nx must"):
@@ -26,8 +26,6 @@ def test_grid_rejects_coarse_float_bool_and_unknown_kind():
         build_grid(True, 1.0, 16, 16)
     with pytest.raises(ValueError, match="^nx must"):
         build_grid(1.0, 1.0, 16.0, 16)
-    with pytest.raises(ValueError, match="^domain_kind must"):
-        Grid(1.0, 1.0, 16, 16, "disk")
 
 
 @pytest.mark.parametrize("v", [0, -3, True, 2.0, "3", None])
@@ -49,7 +47,7 @@ def test_bad_dimensions_rejected(L, B):
 
 def test_counterexample_rectangle_grid():
     g = build_grid(4 * np.pi / np.sqrt(3), np.pi, 127, 127)
-    assert g.nx == 127 and g.domain_kind == RECTANGLE
+    assert g.nx == 127
     assert np.isclose(g.hx * 128, 4 * np.pi / np.sqrt(3), rtol=0, atol=1e-15)
 
 

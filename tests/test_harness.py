@@ -299,6 +299,20 @@ def test_cli_sweep_disjoint_dirs(tmp_path, capsys):
         assert (out_dir / r / "trace.csv").exists()
 
 
+def test_cli_sweep_bad_member_fails_before_any_output(tmp_path, capsys):
+    # The B=0.5 member cannot host the bump radius 1.0.  Checked only when
+    # its datum was sampled, the sweep used to write two members first.
+    cfg = write_config(tmp_path, B=1.5, nx=15, ny=15, t_end=0.002,
+                       initial="cos-bump:0.1,1.0")
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", "--config", str(cfg), "--vary", "B=1.5:0.5:3",
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: initial: bump radius 1.0 outside (0, B]\n"
+    assert not out.exists()
+
+
 def test_cli_sweep_rejects_bad_key(tmp_path):
     cfg_path = write_config(tmp_path)
     assert cli_main(["sweep", "--config", str(cfg_path),

@@ -39,6 +39,26 @@ def test_theory_rejects_alpha(alpha):
         decay_theory(alpha, rect(2.0, 1.0))
 
 
+@pytest.mark.parametrize("L,B,name", [(0.0, 1.0, "L"), (math.inf, None, "L"), (True, None, "L"),
+                                      (2.0, -1.0, "B"), (2.0, math.nan, "B"), (2.0, True, "B")])
+def test_decay_geometry_checks_itself(L, B, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        DecayGeometry(L, B)
+
+
+def test_decay_geometry_kind_follows_b():
+    g = DecayGeometry(2, 1)
+    assert g.kind == "rectangle" and g == rect(2.0, 1.0)
+    assert type(g.L) is float and type(g.B) is float  # verdict.json writes 2.0, not 2
+    assert DecayGeometry(2.0).kind == "strip" and DecayGeometry(2.0) == strip(2)
+    with pytest.raises(ValueError, match="^B must"):
+        rect(2.0, None)  # a rectangle needs its B, not the strip's None
+    with pytest.raises(ValueError, match="^L must"):
+        rect(-1.0, 1.0)
+    with pytest.raises(ValueError, match="^L must"):
+        strip(math.nan)
+
+
 def test_theory_alpha1_rectangle():
     th = decay_theory(1, rect(2.0, 1.0))
     assert th.admissible
