@@ -7,16 +7,12 @@ the exponential-decay statements (thresholds, rates, Lyapunov monitor).
 
 __version__ = "0.1.0"
 
-from .geometry import (Field, Grid, build_grid, enforce_dirichlet, sample_field,
-                       zero_field)
+from .geometry import Field, Grid, build_grid, enforce_dirichlet, sample_field
 from .calculus import (check_gn, check_poincare, check_sup_bound,
-                       initial_regularity, integrate, trace_flux, trace_row,
-                       weighted_energy)
-from .spectral import (CriticalRectangle, ResonantTriple, build_profile,
-                       critical_length, critical_residual, cubic_roots,
-                       enumerate_critical, kdv_critical_set,
-                       minimal_critical_rectangle, mode_xi, resonant_family,
-                       stationary_mode)
+                       initial_regularity, integrate, trace_row)
+from .spectral import (ResonantTriple, build_profile, critical_length,
+                       critical_residual, cubic_roots, minimal_critical_rectangle,
+                       mode_xi, resonant_family, stationary_mode)
 from .dynamics import (RECTANGLE, TRUNCATED_STRIP, BlowupError, EnergyTrace,
                        LinearPart, SimConfig, Stepper, Trajectory, initial_field,
                        read_snapshot, simulate, simulate_regularized_sweep,

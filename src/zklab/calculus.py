@@ -2,10 +2,11 @@
 
 Everything here reads a field through three second-order difference rows:
 the centered first and second differences at interior nodes and the
-one-sided u_x row at a wall (``_d1_wall``), which the gradient and the
-inflow flux share.  Quadrature is the tensor trapezoidal rule on the
-closed rectangle.  The stepper's x-operators, closed by the boundary
-conditions, live in ``dynamics``.
+one-sided u_x row at a wall (``_d1_wall``), which ``gradient_full`` reads
+and ``trace_row`` applies to a zero wall as (4 u_1 - u_2) / 2h.
+Quadrature is the tensor trapezoidal rule on the closed rectangle.  The
+stepper's x-operators, closed by the boundary conditions, live in
+``dynamics``.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def trace_row(interior: np.ndarray, grid) -> tuple:
     The single definition of a trace row, read from the (nx, ny) interior
     of a field whose boundary layer is zero: the walls carry no quadrature
     weight except through the one-sided derivatives there, and the
-    derivative along a wall vanishes.  Equals ``integrate(v*v)``,
-    ``weighted_energy``, ``trace_flux``, the ``gradient_full`` energies and
-    ``integrate(v**3)`` of that field up to round-off.
+    derivative along a wall vanishes.  Equals ``integrate(v*v)``, the
+    Lyapunov functional ``integrate((1+x) v*v)``, the inflow flux
+    int u_x(0,y)^2 dy on the wall row of ``gradient_full``, the
+    ``gradient_full`` energies and ``integrate(v**3)`` of that field up to
+    round-off.
     """
     u = interior
     hx, hy = grid.hx, grid.hy
@@ -113,15 +116,6 @@ def trace_row(interior: np.ndarray, grid) -> tuple:
     inner, lo, hi = _d1_sq_sums(u.T, buf.T)
     grad_y_sq = hx * (inner + 0.5 * (lo + hi)) / (4.0 * hy)
     return l2_sq, weighted, flux0, grad_x_sq, grad_y_sq, cubic
-
-
-def trace_flux(fld: Field) -> float:
-    """Boundary dissipation integral at the inflow wall: int u_x(0,y)^2 dy."""
-    g = fld.grid
-    v = fld.values
-    ux0 = _d1_wall(v, g.hx)
-    _, wy = trapezoid_weights(g)
-    return float(wy @ (ux0 * ux0))
 
 
 def initial_regularity(fld: Field) -> float:
@@ -141,13 +135,6 @@ def initial_regularity(fld: Field) -> float:
     nl_full[1:-1, 1:-1] = v[1:-1, 1:-1] * ux[1:-1, 1:-1] + lap_ux
     return (integrate(v * v, g) + integrate(ux * ux + uy * uy, g)
             + integrate(uyy ** 2, g) + integrate(nl_full * nl_full, g))
-
-
-def weighted_energy(fld: Field) -> float:
-    """The Lyapunov functional ((1+x), u^2)."""
-    g = fld.grid
-    wx, wy = trapezoid_weights(g)
-    return float((wx * (1.0 + g.xs())) @ (fld.values ** 2) @ wy)
 
 
 class _Terms(NamedTuple):

@@ -27,6 +27,7 @@ can be cleared of blow-up without the inverse transform.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -143,6 +144,23 @@ def _overflow_names(tag):
         raise ValueError(f"initial: {tag!r} overflows the float range: {exc}") from exc
 
 
+# The tagged data are module-level functions, bound to their numbers with
+# functools.partial, so a SimConfig holding one pickles.
+
+def _zero(x, y):
+    return 0.0
+
+
+def _cos_product(amp, L, B, x, y):
+    return (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
+            * np.cos(np.pi * y / (2.0 * B)))
+
+
+def _cos_bump(amp, r, L, x, y):
+    return (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
+            * np.clip(1.0 - (y / r) ** 2, 0.0, None) ** 3)
+
+
 def _initial_sampler(config: SimConfig):
     """The config's initial tag as f(x, y) to sample, or None for a snapshot file.
 
@@ -154,7 +172,7 @@ def _initial_sampler(config: SimConfig):
     if not isinstance(tag, str):
         raise ValueError(f"initial must be a tag string or {{'file': path}}, got {tag!r}")
     if tag == "zero":
-        return lambda x, y: 0.0
+        return _zero
     if tag.startswith("mode:"):
         k, l, n = _tag_numbers(tag, 3, int)
         mode = spectral.stationary_mode(k, l, n, B)
@@ -164,8 +182,7 @@ def _initial_sampler(config: SimConfig):
         return mode
     if tag.startswith("cos-product:"):
         amp, = _tag_numbers(tag, 1)
-        return lambda x, y: (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
-                             * np.cos(np.pi * y / (2.0 * B)))
+        return functools.partial(_cos_product, amp, L, B)
     if tag.startswith("cos-bump:"):
         amp, r = _tag_numbers(tag, 2)
         if not (0 < r <= B):
@@ -173,8 +190,7 @@ def _initial_sampler(config: SimConfig):
         if config.domain_kind == TRUNCATED_STRIP and B < 4.0 * r:
             raise ValueError(f"initial: strip truncation needs B >= 4x the bump radius "
                              f"(B={B}, r={r})")
-        return lambda x, y: (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
-                             * np.clip(1.0 - (y / r) ** 2, 0.0, None) ** 3)
+        return functools.partial(_cos_bump, amp, r, L)
     raise ValueError(f"initial: unknown tag {tag!r}")
 
 
@@ -200,7 +216,10 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
                                  f"does not match config L={g.L!r}, B={g.B!r}")
         fld = enforce_dirichlet(fld)
         if config.scale_weighted is not None:
-            w = calculus.weighted_energy(fld)
+            with np.errstate(over="ignore", invalid="ignore"):  # read the weighted column only
+                w = calculus.trace_row(fld.interior, g)[1]
+            if w == math.inf:
+                raise OverflowError("the weighted energy overflows")
             if w == 0.0:
                 cause = ("is identically zero" if not fld.values.any()
                          else "is nonzero, but its weighted energy underflows to 0")

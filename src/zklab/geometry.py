@@ -140,10 +140,6 @@ def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) 
     return Field(grid, np.broadcast_to(np.asarray(f(X, Y), dtype=float), grid.shape))
 
 
-def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape))
-
-
 def enforce_dirichlet(fld: Field) -> Field:
     """Zero the boundary layer; interior untouched. Idempotent."""
     vals = fld.values.copy()

@@ -245,6 +245,9 @@ _SUITES = {
 
 
 def run_verify(suite: str, samples: int, seed: int, out=None) -> int:
+    """Write one PASS/FAIL line per check of the suite; 0 if every check passes."""
+    check_int("samples", samples, 1)
+    check_int("seed", seed, 0)
     out = sys.stdout if out is None else out
     results = _SUITES[suite](samples, seed)
     ok = True
@@ -289,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="seeded property suites")
     ver.add_argument("--suite", required=True, choices=sorted(_SUITES),
-                     help="conservation is one fixed linear run and ignores "
-                          "--samples and --seed")
+                     help="conservation is one fixed linear run and uses "
+                          "neither --samples nor --seed")
     ver.add_argument("--samples", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(run=lambda args: run_verify(args.suite, args.samples, args.seed))
@@ -350,11 +353,9 @@ def _cmd_critical(args) -> int:
     for k in range(1, args.kmax + 1):
         for l in range(1, args.lmax + 1):
             for n in range(1, args.nmax + 1):
-                rect = spectral.CriticalRectangle(
-                    L=args.L, B=args.B, k=k, l=l, n=n,
-                    residual=spectral.critical_residual(args.L, args.B, k, l, n))
-                flag = "yes" if rect.is_critical else "no"
-                print(f"{rect.k} {rect.l} {rect.n} {rect.residual:.12e} {flag}")
+                r = spectral.critical_residual(args.L, args.B, k, l, n)
+                flag = "yes" if abs(r) <= spectral.CRITICAL_TOL else "no"
+                print(f"{k} {l} {n} {r:.12e} {flag}")
     return 0
 
 

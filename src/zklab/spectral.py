@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_alpha, check_int, check_positive_finite
+from .geometry import check_int, check_positive_finite
 
 TWO_PI = 2.0 * math.pi
 CRITICAL_TOL = 1e-9
@@ -154,7 +154,8 @@ def resonant_family(k: int, l: int, n: int, B: float) -> ResonantTriple:
     spacing = TWO_PI / L
     s2 = s1 + spacing * k
     s3 = s2 + spacing * l
-    beta = -s1 * s2 * s3
+    # -s1 s2 s3 in closed form: exactly 0.0 for the stationary family k = l.
+    beta = (TWO_PI / (3.0 * L)) ** 3 * ((2 * k + l) * (k - l) * (k + 2 * l))
     return ResonantTriple(s1=s1, s2=s2, s3=s3, beta=beta, xi=xi, k=k, l=l, L=L)
 
 
@@ -170,60 +171,6 @@ def critical_residual(L: float, B: float, k: int, l: int, n: int) -> float:
     return (TWO_PI / (L * math.sqrt(3.0))) ** 2 * m + mode_xi(n, B) - 1.0
 
 
-@dataclass(frozen=True)
-class CriticalRectangle:
-    """A rectangle satisfying the critical condition for indices (k, l, n)."""
-
-    L: float
-    B: float
-    k: int
-    l: int
-    n: int
-    residual: float
-
-    @property
-    def is_critical(self) -> bool:
-        return abs(self.residual) <= CRITICAL_TOL
-
-
-# The B-sampling for enumeration: xi on the rational grid {j/XI_DENOM},
-# so B = pi n / (2 sqrt(xi)).  The grid contains xi = 1/4, hence the
-# (4 pi / sqrt 3, pi, 1, 1, 1) golden rectangle appears exactly.
-XI_DENOM = 64
-
-
-def enumerate_critical(L_max: float, B_max: float, k_max: int, l_max: int,
-                       n_max: int, alpha: int) -> list[CriticalRectangle]:
-    """All critical rectangles within the bounds, on the declared B-sampling.
-
-    For alpha = 0 the resonance condition fails for every L > 0, so the
-    list is always empty.
-    """
-    check_alpha(alpha)
-    check_positive_finite("L_max", L_max)
-    check_positive_finite("B_max", B_max)
-    for name, v in (("k_max", k_max), ("l_max", l_max), ("n_max", n_max)):
-        check_int(name, v, 1)
-    if alpha == 0:
-        return []
-    out = []
-    for n in range(1, n_max + 1):
-        for j in range(1, XI_DENOM):
-            xi = j / XI_DENOM
-            B = math.pi * n / (2.0 * math.sqrt(xi))
-            if B > B_max:
-                continue
-            for k in range(1, k_max + 1):
-                for l in range(1, l_max + 1):
-                    L = critical_length(k, l, xi).L
-                    if L <= L_max:
-                        out.append(CriticalRectangle(
-                            L=L, B=B, k=k, l=l, n=n,
-                            residual=critical_residual(L, B, k, l, n)))
-    out.sort(key=lambda r: (r.L, r.B, r.k, r.l, r.n))
-    return out
-
-
 def minimal_critical_rectangle(B: float) -> float:
     """Length L* of the minimal critical rectangle at half-width B.
 
@@ -234,14 +181,6 @@ def minimal_critical_rectangle(B: float) -> float:
         raise ValueError(
             f"B must exceed pi/2 for a critical length to exist, got {B}")
     return TWO_PI / math.sqrt(1.0 - math.pi ** 2 / (4.0 * B ** 2))
-
-
-def kdv_critical_set(k_max: int, l_max: int) -> list[float]:
-    """Sorted distinct critical lengths at xi = 0, (2 pi / sqrt 3) sqrt(k^2 + kl + l^2)."""
-    check_int("k_max", k_max, 1)
-    check_int("l_max", l_max, 1)
-    return sorted({critical_length(k, l, 0.0).L
-                   for k in range(1, k_max + 1) for l in range(1, l_max + 1)})
 
 
 @dataclass(frozen=True)

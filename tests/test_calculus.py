@@ -6,9 +6,8 @@ import pytest
 from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
                    check_sup_bound, enforce_dirichlet, initial_field,
                    initial_regularity, integrate, sample_field, simulate,
-                   stationary_mode, trace_flux, trace_row, weighted_energy,
-                   zero_field)
-from zklab.calculus import _d1_full, gradient_full, trapezoid_weights
+                   stationary_mode, trace_row)
+from zklab.calculus import _d1_full, _d1_wall, gradient_full, trapezoid_weights
 from zklab.dynamics import _CENTERED, _D3_LEFT
 from zklab.harness import random_clean_field
 
@@ -43,6 +42,17 @@ def l2(fld):
     return math.sqrt(integrate(fld.values ** 2, fld.grid))
 
 
+def trace_flux(fld):
+    """Oracle of trace_row's flux0: int u_x(0,y)^2 dy on the full field's wall row."""
+    ux0 = _d1_wall(fld.values, fld.grid.hx)
+    return float(trapezoid_weights(fld.grid)[1] @ (ux0 * ux0))
+
+
+def weighted(fld):
+    """trace_row's weighted column, the Lyapunov functional ((1+x), u^2)."""
+    return trace_row(fld.interior, fld.grid)[1]
+
+
 def test_l2_of_constant_field():
     L, B, c = 2.0, 1.0, 3.0
     g = build_grid(L, B, 32, 32)
@@ -63,9 +73,9 @@ def test_l2_of_sine_exact_quadrature():
 def test_weighted_energy_analytic():
     L, B = 2.0, 1.0
     g = build_grid(L, B, 255, 255)
-    f = sample_field(g, lambda x, y: np.sin(np.pi * x / L) + 0.0 * y)
-    expected = 2 * B * (L / 2 + L ** 2 / 4)
-    assert abs(weighted_energy(f) - expected) / expected < 1e-5
+    f = sample_field(g, lambda x, y: np.sin(np.pi * x / L) * np.cos(np.pi * y / (2 * B)))
+    expected = B * (L / 2 + L ** 2 / 4)
+    assert abs(weighted(f) - expected) / expected < 1e-5
 
 
 def test_weighted_energy_sandwiches_l2():
@@ -73,7 +83,7 @@ def test_weighted_energy_sandwiches_l2():
     rng = np.random.default_rng(11)
     f = random_clean_field(g, rng)
     l2sq = l2(f) ** 2
-    w = weighted_energy(f)
+    w = weighted(f)
     assert l2sq <= w * (1 + 1e-12)
     assert w <= (1 + g.L) * l2sq * (1 + 1e-12)
 
@@ -83,6 +93,8 @@ def test_trace_flux_analytic():
     g = build_grid(L, B, 128, 128)
     f = sample_field(g, lambda x, y: x * np.cos(np.pi * y / (2 * B)))
     assert abs(trace_flux(f) - B) < 1e-12
+    # The y walls are clean and flux0 reads no x = L data, so trace_row agrees.
+    assert abs(trace_row(f.interior, g)[2] - B) < 1e-12
     g0 = build_grid(1.0, 1.0, 8, 8)
     zero = sample_field(g0, lambda x, y: 0.0 * x)
     assert trace_flux(zero) == 0.0
@@ -265,7 +277,8 @@ def test_integrate_full_trapezoid():
 def _general_row(fld):
     g, v = fld.grid, fld.values
     ux, uy = gradient_full(fld)
-    return (integrate(v * v, g), weighted_energy(fld), trace_flux(fld),
+    x = g.meshgrid()[0]
+    return (integrate(v * v, g), integrate((1.0 + x) * v * v, g), trace_flux(fld),
             integrate(ux * ux, g), integrate(uy * uy, g), integrate(v ** 3, g))
 
 
@@ -282,7 +295,7 @@ def test_trace_row_matches_general_functions(case):
         fld = random_clean_field(g, rng)
     else:
         g = build_grid(2.0, 1.5, 40, 23)
-        fld = zero_field(g).with_interior(rng.normal(size=(g.nx, g.ny)))
+        fld = Field(g, np.zeros(g.shape)).with_interior(rng.normal(size=(g.nx, g.ny)))
     want = np.array(_general_row(fld))
     # Any memory layout of the interior: the simulate loop hands in a transposed view.
     for interior in (fld.interior, np.asfortranarray(fld.interior), fld.interior.copy()):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from zklab import (TRUNCATED_STRIP, BlowupError, LinearPart, SimConfig, Stepper, build_grid,
                    enforce_dirichlet, initial_field, integrate, read_snapshot,
                    sample_field, simulate, simulate_regularized_sweep,
-                   stationary_mode, write_snapshot, zero_field)
+                   stationary_mode, trace_row, write_snapshot)
 from zklab.dynamics import config_from_dict, transverse_eigenvalues
 from zklab.geometry import Field, Grid
 from zklab.harness import (ConfigError, canonical_config_json, emit_artifacts, load_config,
@@ -155,12 +156,28 @@ def raw_configs(draw):
 @example({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01, "initial": math.nan})
 @example({"L": 10 ** 400, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01})
 @example({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01, "epsilon": 10 ** 400})
+@example({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16, "t_end": 0.01, "initial": "cos-bump:0.5,0.5"})
+@example({"L": CRIT_L, "B": math.pi, "nx": 16, "ny": 16, "t_end": 0.01, "initial": "mode:1,1,1"})
 def test_config_is_rejected_or_round_trips(raw):
     try:
         cfg = config_from_dict(raw)
     except ValueError:
         return
     assert config_from_dict(json.loads(canonical_config_json(cfg))) == cfg
+    # A config crosses process boundaries by pickle, its parsed datum included.
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert clone == cfg
+    assert _sampled(clone) == _sampled(cfg)
+
+
+def _sampled(cfg):
+    """The bytes of the config's initial samples, or the error that sampling raises."""
+    if not isinstance(cfg.initial, str) or cfg.nx * cfg.ny > 64 * 64:
+        return None  # a snapshot file these configs do not write, or a drawn huge grid
+    try:
+        return initial_field(cfg).values.tobytes()
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_config_checks_domain_kind():
@@ -198,9 +215,12 @@ def test_initial_field_takes_only_the_configs_grid():
 
 
 def test_initial_scale_weighted():
-    from zklab import weighted_energy
     cfg = small_config(initial="cos-product:1.0", scale_weighted=0.25)
-    assert abs(weighted_energy(initial_field(cfg)) - 0.25) < 1e-12
+    fld = initial_field(cfg)
+    assert abs(trace_row(fld.interior, fld.grid)[1] - 0.25) < 1e-12
+    # The cube of this datum overflows, but only its weighted energy is read.
+    fld = initial_field(small_config(initial="cos-product:1e120", scale_weighted=0.25))
+    assert abs(trace_row(fld.interior, fld.grid)[1] - 0.25) < 1e-12
 
 
 def test_scale_weighted_names_a_zero_datum_and_an_underflow():
@@ -414,7 +434,7 @@ def test_transverse_eigenvalues_match_dst_modes():
 def test_step_zero_state_stays_zero():
     cfg = small_config()
     stepper = Stepper(cfg)
-    stepper.start(zero_field(cfg.grid()).interior)
+    stepper.start(np.zeros((cfg.nx, cfg.ny)))
     stepper.advance()
     assert not stepper.interior().any()
 
@@ -798,7 +818,7 @@ def test_snapshot_round_trip_is_bitwise(snap):
 def test_read_snapshot_rejects_malformed_file(tmp_path, case, cause):
     g = build_grid(2.0, 1.0, 16, 12)
     path = tmp_path / "state.zks"
-    write_snapshot(path, 0.5, zero_field(g))
+    write_snapshot(path, 0.5, Field(g, np.zeros(g.shape)))
     raw = bytearray(path.read_bytes())
     if case == "truncated":
         del raw[-8:]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from zklab import (build_grid, enforce_dirichlet, sample_field, stationary_mode,
-                   zero_field)
+from zklab import build_grid, enforce_dirichlet, sample_field, stationary_mode
 from zklab.geometry import Field, Grid, check_int
 
 
@@ -114,14 +113,14 @@ def test_field_shape_and_immutability():
     g = build_grid(1.0, 1.0, 8, 8)
     with pytest.raises(ValueError):
         Field(g, np.zeros((5, 5)))
-    f = zero_field(g)
+    f = Field(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
 
 
 def test_field_compares_and_hashes_by_identity():
     g = build_grid(1.0, 1.0, 8, 8)
-    a, b = zero_field(g), zero_field(g)
+    a, b = Field(g, np.zeros(g.shape)), Field(g, np.zeros(g.shape))
     assert a == a and a != b
     assert len({a, b, a}) == 2
 
@@ -129,7 +128,7 @@ def test_field_compares_and_hashes_by_identity():
 def test_with_interior_copies_once_and_checks():
     g = build_grid(1.0, 2.0, 9, 12)
     interior = np.random.default_rng(5).normal(size=(9, 12))
-    f = zero_field(g).with_interior(interior)
+    f = Field(g, np.zeros(g.shape)).with_interior(interior)
     assert not f.values[[0, -1], :].any() and not f.values[:, [0, -1]].any()
     assert np.array_equal(f.interior, interior)
     assert not np.shares_memory(f.values, interior)

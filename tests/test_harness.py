@@ -211,17 +211,26 @@ def test_random_clean_field_is_clean_and_smoothish():
 # ---------------------------------------------------------------------------
 # CLI
 
+# The README's and CI's ``critical`` command, byte for byte.
+CRITICAL_GOLDEN = """\
+k l n residual is_critical
+1 1 1 -1.694987190271e-06 no
+1 1 2 7.499947973726e-01 no
+1 2 1 9.999976039811e-01 no
+1 2 2 1.749994096341e+00 no
+2 1 1 9.999976039811e-01 no
+2 1 2 1.749994096341e+00 no
+2 2 1 2.249996727691e+00 no
+2 2 2 2.999993220051e+00 no
+"""
+
+
 def test_cli_critical_golden_row(capsys):
     code = cli_main(["critical", "--L", "7.2552", "--B", "3.1416",
                      "--kmax", "2", "--lmax", "2", "--nmax", "2",
                      "--alpha", "1"])
     assert code == 0
-    rows = capsys.readouterr().out.strip().splitlines()
-    assert rows[0].split() == ["k", "l", "n", "residual", "is_critical"]
-    first = [r for r in rows[1:] if r.startswith("1 1 1 ")]
-    assert first
-    residual = float(first[0].split()[3])
-    assert abs(residual) < 1e-3
+    assert capsys.readouterr().out == CRITICAL_GOLDEN
 
 
 def test_cli_critical_alpha0_no_rows(capsys):
@@ -270,6 +279,20 @@ def test_cli_verify_spectral(capsys):
 def test_cli_verify_inequalities_small(capsys):
     assert cli_main(["verify", "--suite", "inequalities", "--samples", "5",
                      "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    ("inequalities", "samples", "0"),
+    ("spectral", "samples", "-3"),
+    ("conservation", "samples", "0"),
+    ("spectral", "seed", "-1"),
+])
+def test_cli_verify_rejects_no_samples_and_negative_seeds(capsys, suite, flag, value):
+    # A suite run on no samples certifies nothing, so it must not print PASS.
+    assert cli_main(["verify", "--suite", suite, f"--{flag}", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} must be an integer >= {int(flag == 'samples')}, got {value}\n"
 
 
 def test_cli_verify_conservation(capsys):

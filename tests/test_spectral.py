@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zklab import (build_profile, critical_length, critical_residual,
-                   cubic_roots, enumerate_critical, kdv_critical_set,
-                   minimal_critical_rectangle, mode_xi, resonant_family,
-                   stationary_mode)
+                   cubic_roots, minimal_critical_rectangle, mode_xi,
+                   resonant_family, stationary_mode)
 from zklab.spectral import ResonantTriple, _unit_amplitude
 
 TWO_PI = 2 * math.pi
@@ -39,12 +38,6 @@ def test_mode_xi_values():
 def test_indices_must_be_ints(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         call()
-
-
-@pytest.mark.parametrize("alpha", [True, False, 1.0, 0.0, 2, -1, "1", None])
-def test_enumerate_critical_rejects_alpha(alpha):
-    with pytest.raises(ValueError, match="alpha must be 0 or 1"):
-        enumerate_critical(10.0, 10.0, 1, 1, 1, alpha)
 
 
 def test_cubic_roots_golden():
@@ -103,6 +96,12 @@ def test_critical_length_golden():
     assert abs(critical_length(1, 1, 0.25).L - 4 * math.pi / math.sqrt(3)) < 1e-12
     assert abs(critical_length(1, 2, 0.0).L
                - TWO_PI / math.sqrt(3) * math.sqrt(7)) < 1e-12
+    assert abs(critical_length(2, 2, 0.0).L - 4 * math.pi) < 1e-12
+    # At xi = 0 the lengths are the KdV critical set (2 pi / sqrt 3) sqrt(k^2 + kl + l^2).
+    for k in range(1, 6):
+        for l in range(1, 6):
+            want = TWO_PI / math.sqrt(3) * math.sqrt(k * k + k * l + l * l)
+            assert abs(critical_length(k, l, 0.0).L - want) < 1e-11
     L, s1 = critical_length(2, 1, 0.1)
     assert abs(s1 + TWO_PI / (3 * L) * 5) < 1e-14
     with pytest.raises(ValueError):
@@ -117,6 +116,25 @@ def test_resonant_family_golden():
     assert np.allclose([t.s1, t.s2, t.s3], [-root3 / 2, 0.0, root3 / 2], atol=1e-14)
     assert t.beta == 0.0
     assert abs(t.L - 4 * math.pi / root3) < 1e-12
+
+
+def test_stationary_family_has_zero_beta_and_real_profiles():
+    # s1 s2 s3 rounds to -8.06e-17 here; the closed-form beta is exactly 0.
+    t = resonant_family(2, 2, 1, 3.0)
+    assert t.beta == 0.0
+    assert build_profile(t).is_real
+
+
+def test_product_identity_is_not_zero_by_construction():
+    # C02's tuples: beta is not stored as -s1 s2 s3, so the product
+    # residual measures the roots' rounding instead of reading 0.
+    rng = np.random.default_rng(42)
+    worst = 0.0
+    for _ in range(500):
+        k, l, n = (int(rng.integers(1, 6)) for _ in range(3))
+        B = math.pi * n / 2 * (1.05 + 2.95 * rng.random())
+        worst = max(worst, resonant_family(k, l, n, B).identity_residuals()["product"])
+    assert 0.0 < worst <= 1e-12
 
 
 def test_resonant_family_rejects_stiff_mode():
@@ -152,54 +170,6 @@ def test_formula_consistency_over_indices():
                     assert abs(critical_residual(L, B, k, l, n)) < 1e-12
 
 
-def test_enumerate_critical_alpha0_empty():
-    assert enumerate_critical(100.0, 100.0, 3, 3, 3, alpha=0) == []
-
-
-def test_enumerate_critical_contains_counterexample():
-    rects = enumerate_critical(8.0, 4.0, 2, 2, 2, alpha=1)
-    hits = [r for r in rects
-            if (r.k, r.l, r.n) == (1, 1, 1)
-            and abs(r.L - 4 * math.pi / math.sqrt(3)) < 1e-12
-            and abs(r.B - math.pi) < 1e-12]
-    assert hits and hits[0].is_critical
-
-
-def test_enumerate_critical_small_bounds_empty():
-    assert enumerate_critical(2.0, 2.0, 2, 2, 2, alpha=1) == []
-
-
-@pytest.mark.parametrize("call, name", [
-    (lambda: enumerate_critical(10.0, 10.0, 1.5, 1, 1, 1), "k_max"),
-    (lambda: enumerate_critical(10.0, 10.0, True, 1, 1, 1), "k_max"),
-    (lambda: enumerate_critical(10.0, 10.0, 1, 2.0, 1, 1), "l_max"),
-    (lambda: enumerate_critical(10.0, 10.0, 1, 1, 0, 1), "n_max"),
-    (lambda: enumerate_critical(10.0, 10.0, 1, 1, True, 0), "n_max"),
-    (lambda: kdv_critical_set(1.5, 1), "k_max"),
-    (lambda: kdv_critical_set(True, 1), "k_max"),
-    (lambda: kdv_critical_set(1, True), "l_max"),
-    (lambda: kdv_critical_set(1, 0), "l_max"),
-])
-def test_index_bounds_must_be_ints(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
-        call()
-
-
-@pytest.mark.parametrize("L_max, B_max, name", [
-    (math.nan, 10.0, "L_max"),
-    (math.inf, 10.0, "L_max"),
-    (-1.0, 10.0, "L_max"),
-    (True, 10.0, "L_max"),
-    (10.0, math.nan, "B_max"),
-    (10.0, -math.inf, "B_max"),
-    (10.0, 0.0, "B_max"),
-])
-def test_enumerate_critical_rejects_length_bounds(L_max, B_max, name):
-    for alpha in (0, 1):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
-            enumerate_critical(L_max, B_max, 1, 1, 1, alpha)
-
-
 def test_minimal_critical_rectangle():
     assert abs(minimal_critical_rectangle(math.pi)
                - 4 * math.pi / math.sqrt(3)) < 1e-12
@@ -208,21 +178,6 @@ def test_minimal_critical_rectangle():
                - TWO_PI * math.sqrt(2)) < 1e-12
     with pytest.raises(ValueError):
         minimal_critical_rectangle(math.pi / 2)
-
-
-def test_kdv_critical_set():
-    assert np.allclose(kdv_critical_set(1, 1), [TWO_PI], atol=1e-14)
-    got = kdv_critical_set(2, 2)
-    expected = [TWO_PI, TWO_PI / math.sqrt(3) * math.sqrt(7), 4 * math.pi]
-    assert np.allclose(got, expected, atol=1e-12)
-    assert any(abs(v - TWO_PI) < 1e-12 for v in got)
-
-
-def test_kdv_set_matches_critical_length_at_xi0():
-    vals = kdv_critical_set(5, 5)
-    lengths = sorted({round(critical_length(k, l, 0.0).L, 12)
-                      for k in range(1, 6) for l in range(1, 6)})
-    assert np.allclose(vals, lengths, atol=1e-11)
 
 
 def test_build_profile_counterexample_form():

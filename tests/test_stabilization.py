@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zklab import (SimConfig, decay_theory, energy_balance, fit_decay_rate,
-                   initial_field, lyapunov_monitor, verdict, weighted_energy)
+                   initial_field, lyapunov_monitor, trace_row, verdict)
 from zklab.dynamics import EnergyTrace
 from zklab.stabilization import DecayGeometry
 
@@ -141,7 +141,7 @@ def test_rate_monotone_decreasing_in_L_and_B():
 def test_verdict_smallness_of_initial_data():
     # Smallness is the verdict's test of the datum's weighted energy.
     def small(u0, th):
-        w = weighted_energy(u0)
+        w = trace_row(u0.interior, u0.grid)[1]
         t = np.linspace(0.0, 1.0, 11)
         return w, verdict(make_trace(t, np.full_like(t, w)), th).smallness_ok
 
