@@ -97,11 +97,6 @@ def test_critical_length_golden():
     assert abs(critical_length(1, 2, 0.0).L
                - TWO_PI / math.sqrt(3) * math.sqrt(7)) < 1e-12
     assert abs(critical_length(2, 2, 0.0).L - 4 * math.pi) < 1e-12
-    # At xi = 0 the lengths are the KdV critical set (2 pi / sqrt 3) sqrt(k^2 + kl + l^2).
-    for k in range(1, 6):
-        for l in range(1, 6):
-            want = TWO_PI / math.sqrt(3) * math.sqrt(k * k + k * l + l * l)
-            assert abs(critical_length(k, l, 0.0).L - want) < 1e-11
     L, s1 = critical_length(2, 1, 0.1)
     assert abs(s1 + TWO_PI / (3 * L) * 5) < 1e-14
     with pytest.raises(ValueError):
@@ -178,6 +173,24 @@ def test_minimal_critical_rectangle():
                - TWO_PI * math.sqrt(2)) < 1e-12
     with pytest.raises(ValueError):
         minimal_critical_rectangle(math.pi / 2)
+
+
+def test_kdv_critical_set():
+    # At xi = 0 the critical lengths are the KdV critical set of Rosier.
+    def kdv_set(k_max, l_max):
+        return sorted({round(critical_length(k, l, 0.0).L, 12)
+                       for k in range(1, k_max + 1) for l in range(1, l_max + 1)})
+    assert np.allclose(kdv_set(1, 1), [TWO_PI], atol=1e-12)
+    expected = [TWO_PI, TWO_PI / math.sqrt(3) * math.sqrt(7), 4 * math.pi]
+    assert np.allclose(kdv_set(2, 2), expected, atol=1e-12)
+
+
+def test_kdv_set_matches_critical_length_at_xi0():
+    # (2 pi / sqrt 3) sqrt(k^2 + kl + l^2) for every k, l <= 5.
+    for k in range(1, 6):
+        for l in range(1, 6):
+            want = TWO_PI / math.sqrt(3) * math.sqrt(k * k + k * l + l * l)
+            assert abs(critical_length(k, l, 0.0).L - want) < 1e-11
 
 
 def test_build_profile_counterexample_form():
