@@ -22,6 +22,12 @@ the extrapolated nonlinear term (zero for a linear run).  Physical values
 are built by the inverse DST only where something reads them.  Since the
 unnormalised DST-I gives |u_ij| <= sum_m |m_mi| / (ny + 1), a modal state
 can be cleared of blow-up without the inverse transform.
+
+The scheme keeps y-parity, and the odd modes of a y-even state are zero.
+So a run on odd ny whose datum equals its own y-mirror holds only the
+(ny + 1)/2 even modes, transformed by a half-length DST-III of the lower
+half of the columns (Boyd 2001, ch. 8; Martucci 1994): each step solves
+and transforms half the modes.  Any other datum steps every mode.
 """
 
 from __future__ import annotations
@@ -284,6 +290,13 @@ class LinearPart:
     """alpha*Dx + Dxxx + Dxyy + eps*(Dx4 + Dy4) with the IBVP closures.
 
     ``bands[:, m]`` is A_m in band storage, (6, ny, nx).
+
+    A mode stack is either full, (ny, nx) from an (nx, ny) interior, or,
+    for odd ny and an interior even in y, its even half: the rows
+    m = 0, 2, 4, ... of the full stack, on the same DST-I scale, from the
+    lower (ny+1)/2 columns of the interior, centre column included.  For
+    such an interior the odd modes vanish.  The transforms and
+    ``apply_modes`` tell the two apart by the length of the y axis.
     """
 
     def __init__(self, grid: Grid, alpha: int, epsilon: float = 0.0):
@@ -297,20 +310,45 @@ class LinearPart:
             self.bands += epsilon * _x_bands(4, nx, hx)[:, None, :]
             self.bands[_KU] += epsilon * xi ** 2
 
+    def _is_half(self, n: int) -> bool:
+        """Whether n y-columns or modes are the even half rather than all ny."""
+        if n == self.grid.ny:
+            return False
+        if 2 * n - 1 != self.grid.ny:
+            raise ValueError(f"{n} columns or modes fit neither ny={self.grid.ny} "
+                             f"nor its even half")
+        return True
+
     def to_modes(self, interior: np.ndarray) -> np.ndarray:
-        """(nx, ny) physical interior -> C-contiguous (ny, nx) transverse-mode stack."""
-        return dst(interior.T, type=1, axis=0)
+        """(nx, ny) physical interior -> C-contiguous (ny, nx) transverse-mode stack.
+
+        The even half of the DST-I of a y-even column is twice the DST-III
+        of its lower half (Martucci 1994).
+        """
+        if not self._is_half(interior.shape[1]):
+            return dst(interior.T, type=1, axis=0)
+        modes = dst(interior.T, type=3, axis=0)
+        modes *= 2.0
+        return modes
 
     def from_modes(self, modes: np.ndarray) -> np.ndarray:
-        """(ny, nx) mode stack -> (nx, ny) physical interior (a transposed view)."""
-        return idst(modes, type=1, axis=0).T
+        """(ny, nx) mode stack -> (nx, ny) physical interior (a transposed view).
+
+        An even-half stack gives the lower half of the interior.
+        """
+        if not self._is_half(modes.shape[0]):
+            return idst(modes, type=1, axis=0).T
+        half = idst(modes, type=3, axis=0)
+        half *= 0.5
+        return half.T
 
     def apply_modes(self, modes: np.ndarray) -> np.ndarray:
-        """A_m applied to each row of an (ny, nx) mode stack: the banded stencil."""
+        """A_m applied to each row of a mode stack: the banded stencil."""
+        bands = self.bands[:, 0::2] if self._is_half(modes.shape[0]) else self.bands
         out = np.zeros_like(modes)
         for k in range(-_KL, _KU + 1):
             lo, hi = max(0, -k), self.grid.nx - max(0, k)
-            out[:, lo:hi] += self.bands[_KU - k, :, lo + k:hi + k] * modes[:, lo + k:hi + k]
+            out[:, lo:hi] += bands[_KU - k, :, lo + k:hi + k] * modes[:, lo + k:hi + k]
         return out
 
     def apply(self, fld: Field) -> Field:
@@ -374,80 +412,95 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # stepping
 
-class Stepper:
-    """Holds the factorized Crank-Nicolson system, the modal state and the
-    nonlinear history.
+def _factor(bands: np.ndarray, dt: float):
+    """LU factors of I + dt/2 A for a (6, k, nx) stack of mode bands.
 
-    The implicit system I + dt/2 A is time-independent: its mode blocks are
-    stacked into one band matrix of order ny*nx and factored once by LAPACK
-    ``dgbtrf``.  The entries coupling neighbouring blocks are zero, so partial
-    pivoting never crosses a block and the factors are those of a per-mode LU.
+    Returns ``(lu, piv, head, solve)``.  The k mode blocks are stacked into
+    one band matrix of order k*nx and factored once by LAPACK ``dgbtrf``.
+    The entries coupling neighbouring blocks are zero, so partial pivoting
+    never crosses a block and the factors are those of a per-mode LU.
 
     Which modes pivot depends on the mode, dt, the grid and eps: at
     dt = 1e-3, modes 104-126 of a 127x127 grid on (0, 2) x (-1, 1) pivot.
     The ``head`` modes before the first row interchange are solved by two
-    triangular band sweeps and the rest by ``dgbtrs``; the result is that of
-    one ``dgbtrs`` call on the whole system.
-
-    The state lives between steps as its (ny, nx) transverse-mode stack:
-    ``start`` begins a run from a physical interior (one forward DST),
-    ``advance`` steps the modes in place and ``interior`` returns the
-    physical state, built by at most one inverse DST per step.  A nonlinear
-    step builds it at once, because the next step's nonlinear term reads it;
-    a linear step builds it only when asked, so a linear run pays one
-    inverse DST per trace row or snapshot and none in between.
+    triangular band sweeps and the rest by ``dgbtrs``; ``solve(b)`` gives
+    the result of one ``dgbtrs`` call on the whole system.
     """
+    # Imported here: scipy.linalg adds ~6 MiB to a process that never steps.
+    from scipy.linalg import blas, lapack
+    nx = bands.shape[2]
+    ldab = 2 * _KL + _KU + 1  # dgbtrf wants _KL extra rows for pivoting fill-in
+    # The spare last column keeps the lower-band view below inside buf.
+    buf = np.zeros((ldab, bands[0].size + 1), order="F")
+    ab = buf[:, :-1]
+    np.multiply(bands.reshape(_KL + _KU + 1, -1), 0.5 * dt, out=ab[_KL:])
+    ab[_KL + _KU] += 1.0
+    lu, piv, info = lapack.dgbtrf(ab, _KL, _KU, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgbtrf failed on I + dt/2 A: info={info}")
+    # The modes before the first row interchange form the head.
+    swaps = np.flatnonzero(piv != np.arange(piv.size, dtype=piv.dtype))
+    head = bands.shape[1] if swaps.size == 0 else int(swaps[0]) // nx
+    h = head * nx
+    # The factors are column-major in buf.  Read _KL + _KU rows down, they
+    # are an (ldab, h) array whose first _KL + 1 rows hold the unit
+    # diagonal and the multipliers: the unit-lower band storage dtbsv reads
+    # (it reads no other row), without a copy.
+    flat = buf.reshape(-1, order="F")
+    head_lower = flat[_KL + _KU:_KL + _KU + ldab * h].reshape((ldab, h), order="F")
+    head_upper, tail_lu, tail_piv = lu[:, :h], lu[:, h:], piv[h:] - h
+    tbsv, gbtrs = blas.dtbsv, lapack.dgbtrs
 
-    def __init__(self, config: SimConfig, grid: Grid | None = None):
-        # Imported here: scipy.linalg adds ~6 MiB to a process that never steps.
-        from scipy.linalg import blas, lapack
-        self.config = config
-        grid = grid if grid is not None else config.grid()
-        self.linear_part = LinearPart(grid, config.alpha, config.epsilon)
-        nx, ny = grid.nx, grid.ny
-        ldab = 2 * _KL + _KU + 1  # dgbtrf wants _KL extra rows for pivoting fill-in
-        # The spare last column keeps the lower-band view below inside buf.
-        buf = np.zeros((ldab, nx * ny + 1), order="F")
-        ab = buf[:, :-1]
-        np.multiply(self.linear_part.bands.reshape(_KL + _KU + 1, -1), 0.5 * config.dt,
-                    out=ab[_KL:])
-        ab[_KL + _KU] += 1.0
-        self.lu, self.piv, info = lapack.dgbtrf(ab, _KL, _KU, overwrite_ab=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgbtrf failed on I + dt/2 A: info={info}")
-        # The modes before the first row interchange form the head.
-        swaps = np.flatnonzero(self.piv != np.arange(self.piv.size, dtype=self.piv.dtype))
-        self.head = ny if swaps.size == 0 else int(swaps[0]) // nx
-        h = self.head * nx
-        # The factors are column-major in buf.  Read _KL + _KU rows down, they
-        # are an (ldab, h) array whose first _KL + 1 rows hold the unit
-        # diagonal and the multipliers: the unit-lower band storage dtbsv reads
-        # (it reads no other row), without a copy.
-        flat = buf.reshape(-1, order="F")
-        self._head_lower = flat[_KL + _KU:_KL + _KU + ldab * h].reshape((ldab, h), order="F")
-        self._head_upper = self.lu[:, :h]
-        self._tail_lu = self.lu[:, h:]
-        self._tail_piv = self.piv[h:] - h
-        self._tbsv = blas.dtbsv
-        self._gbtrs = lapack.dgbtrs
-        self._nonlin_prev: np.ndarray | None = None
-        self._modes: np.ndarray | None = None
-        self._interior: np.ndarray | None = None
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(b: np.ndarray) -> np.ndarray:
         """(I + dt/2 A)^-1 b in place on a contiguous flat mode vector.
 
         Head modes never pivot, so their LU solve is two triangular band
         sweeps; ``dgbtrs`` would make one ``dger`` call per column for the
         same arithmetic.  Both wrappers write into a contiguous float64 view.
         """
-        h = self._head_upper.shape[1]
         if h:
-            self._tbsv(_KL, self._head_lower, b[:h], lower=1, diag=1, overwrite_x=1)
-            self._tbsv(_KL + _KU, self._head_upper, b[:h], overwrite_x=1)
+            tbsv(_KL, head_lower, b[:h], lower=1, diag=1, overwrite_x=1)
+            tbsv(_KL + _KU, head_upper, b[:h], overwrite_x=1)
         if h < b.size:
-            self._gbtrs(self._tail_lu, _KL, _KU, b[h:], self._tail_piv, overwrite_b=1)
+            gbtrs(tail_lu, _KL, _KU, b[h:], tail_piv, overwrite_b=1)
         return b
+
+    return lu, piv, head, solve
+
+
+class Stepper:
+    """Holds the factorized Crank-Nicolson system, the modal state and the
+    nonlinear history.
+
+    The implicit system I + dt/2 A is time-independent and factored once,
+    at construction (``_factor``); ``lu``, ``piv`` and ``head`` are its
+    factors and ``_solve`` applies them.
+
+    The state lives between steps as its transverse-mode stack: ``start``
+    begins a run from a physical interior (one forward DST), ``advance``
+    steps the modes in place and ``interior`` returns the physical state,
+    built by at most one inverse DST per step.  A nonlinear step builds it
+    at once, because the next step's nonlinear term reads it; a linear step
+    builds it only when asked, so a linear run pays one inverse DST per
+    trace row or snapshot and none in between.
+
+    D_yy and the x-wise nonlinear term commute with the mirror y -> -y, so
+    a datum on odd ny that equals its own y-mirror stays even: the stepper
+    then holds only its even modes and lower columns (see ``LinearPart``),
+    factors the even blocks on the first such run, and ``interior``
+    mirrors the held half.
+    """
+
+    def __init__(self, config: SimConfig, grid: Grid | None = None):
+        self.config = config
+        grid = grid if grid is not None else config.grid()
+        self.linear_part = LinearPart(grid, config.alpha, config.epsilon)
+        self.lu, self.piv, self.head, self._solve = _factor(self.linear_part.bands, config.dt)
+        self._even_solve = None
+        self._even = False
+        self._nonlin_prev: np.ndarray | None = None
+        self._modes: np.ndarray | None = None
+        self._interior: np.ndarray | None = None  # the held columns, all or the lower half
 
     def _nonlin(self, interior: np.ndarray) -> np.ndarray:
         """(u^2/2)_x in conservative form; walls carry u = 0."""
@@ -463,8 +516,15 @@ class Stepper:
         """Begin a fresh run from an (nx, ny) physical interior: one forward DST.
 
         The nonlinear history is reset, so the first ``advance`` takes the
-        Euler predictor step.
+        Euler predictor step.  An interior equal to its y-mirror on odd ny
+        is stepped on its even modes only.
         """
+        ny = interior.shape[1]
+        self._even = ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1])
+        if self._even:
+            interior = interior[:, :(ny + 1) // 2]
+            if self._even_solve is None:
+                self._even_solve = _factor(self.linear_part.bands[:, 0::2], self.config.dt)[3]
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)
@@ -498,7 +558,8 @@ class Stepper:
             rhs = lp.to_modes(n_half)
             rhs *= -0.5 * dt
             rhs += m
-        x = self._solve(rhs.reshape(-1)).reshape(m.shape)
+        solve = self._even_solve if self._even else self._solve
+        x = solve(rhs.reshape(-1)).reshape(m.shape)
         x *= 2.0
         x -= m
         self._modes = x
@@ -509,29 +570,39 @@ class Stepper:
         u.flags.writeable = False
         return u
 
-    def interior(self) -> np.ndarray:
-        """The (nx, ny) physical state, read-only; one inverse DST per step at most."""
+    def _held(self) -> np.ndarray:
+        """The held physical columns, built by one inverse DST if need be."""
         if self._interior is None:
             if self._modes is None:
                 raise RuntimeError("interior before start")
             self._interior = self._physical()
         return self._interior
 
+    def interior(self) -> np.ndarray:
+        """The (nx, ny) physical state, read-only; one inverse DST per step at most."""
+        u = self._held()
+        if self._even:
+            u = np.concatenate((u, u[:, -2::-1]), axis=1)
+            u.flags.writeable = False
+        return u
+
     def blown_up(self) -> bool:
         """True when max |u| exceeds the threshold or a value is NaN/inf.
 
-        Scipy's unnormalised DST-I gives |u_ij| <= sum_m |m_mi| / (ny + 1).
+        Scipy's unnormalised DST-I gives |u_ij| <= sum_m |m_mi| / (ny + 1),
+        and an even-half stack holds the nonzero modes on that scale.
         When the physical state is not built and that bound stays below the
         threshold by a relative margin of 1e-9 (which covers the rounding of
         the sum and of the inverse DST), blow-up is ruled out without an
-        inverse DST; otherwise the exact test runs on ``interior()``.
+        inverse DST; otherwise the exact test runs on the held columns,
+        which hold every value of the state.
         """
         if self._interior is None:
             col = np.abs(self._modes).sum(axis=0)
             if np.max(col) <= BLOWUP_THRESHOLD * (1.0 - 1e-9) * (self.linear_part.grid.ny + 1):
                 return False
         # NaN fails <=, so a non-finite value anywhere counts as blow-up.
-        return not np.max(np.abs(self.interior())) <= BLOWUP_THRESHOLD
+        return not np.max(np.abs(self._held())) <= BLOWUP_THRESHOLD
 
 
 class BlowupError(RuntimeError):

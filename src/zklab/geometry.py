@@ -46,7 +46,9 @@ class Grid:
     """Uniform grid on (0, L) x (-B, B) with nx x ny interior nodes.
 
     Node (i, j), 0 <= i <= nx+1, 0 <= j <= ny+1, sits at
-    (i*hx, -B + j*hy); i in {0, nx+1} and j in {0, ny+1} are wall nodes.
+    (i*hx, (j - (ny+1)/2)*hy); i in {0, nx+1} and j in {0, ny+1} are wall
+    nodes.  The y-coordinates are exactly antisymmetric, ys()[ny+1-j] ==
+    -ys()[j], so a datum even in y samples to an exact mirror image.
     A Grid is geometry only: whether B is a physical half-width or the
     truncation of a strip is a fact about the run, held by its SimConfig.
     Construction validates every field, so every Grid that exists is valid.
@@ -76,7 +78,8 @@ class Grid:
         return self.hx * np.arange(self.nx + 2)
 
     def ys(self) -> np.ndarray:
-        return -self.B + self.hy * np.arange(self.ny + 2)
+        """All node y-coordinates, computed per node from the centre line."""
+        return self.hy * (np.arange(self.ny + 2) - 0.5 * (self.ny + 1))
 
     def xs_interior(self) -> np.ndarray:
         return self.hx * np.arange(1, self.nx + 1)

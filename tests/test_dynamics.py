@@ -6,7 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,31 @@ def small_config(**over):
                 alpha=1, linear=False, initial="cos-product:0.4")
     base.update(over)
     return SimConfig(**base)
+
+
+# The stepper runs a datum equal to its own y-mirror on odd ny on the even
+# modes only, and any other datum on every mode.  Tests of the stepper run
+# on both paths: "even" runs the config as given (its tagged datum is even
+# in y), "general" runs it from that datum nudged off y-parity by one ulp.
+PATHS = ("even", "general")
+
+
+def nudged(u: np.ndarray) -> np.ndarray:
+    """u with one off-centre node moved by one ulp: no longer even in y."""
+    v = u.copy()
+    v[u.shape[0] // 2, 1] = np.nextafter(v[u.shape[0] // 2, 1], np.inf)
+    return v
+
+
+def on_path(cfg: SimConfig, path: str, tmp_path) -> SimConfig:
+    """cfg on the even path, or cfg from its nudged datum on the general path."""
+    u0 = initial_field(cfg)
+    assert cfg.ny % 2 == 1 and np.array_equal(u0.interior, u0.interior[:, ::-1])
+    if path == "even":
+        return cfg
+    snap = tmp_path / "nudged.zks"
+    write_snapshot(snap, 0.0, u0.with_interior(nudged(u0.interior)))
+    return replace(cfg, initial={"file": str(snap)})
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +481,74 @@ def test_start_begins_a_fresh_run():
     assert np.array_equal(used.interior(), fresh.interior())
 
 
+def test_even_half_transforms_are_the_even_dst_modes():
+    g = build_grid(2.0, 1.0, 12, 31)
+    lp = LinearPart(g, alpha=1)
+    half = np.random.default_rng(4).standard_normal((g.nx, 16))
+    full = np.concatenate((half, half[:, -2::-1]), axis=1)
+    modes = lp.to_modes(full)
+    assert np.array_equal(modes[1::2], np.zeros((15, g.nx)))
+    even = lp.to_modes(half)
+    assert np.max(np.abs(even - modes[0::2])) <= 1e-14 * np.max(np.abs(modes))
+    assert np.max(np.abs(lp.from_modes(even) - half)) <= 1e-14
+    assert np.max(np.abs(lp.apply_modes(even) - lp.apply_modes(modes)[0::2])) <= (
+        1e-14 * np.max(np.abs(lp.apply_modes(modes))))
+    with pytest.raises(ValueError, match="fit neither ny=31 nor its even half"):
+        lp.to_modes(full[:, :15])
+
+
+def test_start_picks_the_path_by_y_parity():
+    cfg = small_config()
+    u0 = initial_field(cfg).interior
+    stepper = Stepper(cfg)
+    stepper.start(u0)
+    assert stepper._modes.shape == (16, cfg.nx)
+    assert np.array_equal(stepper.interior(), u0)
+    stepper.advance()
+    u1 = stepper.interior()
+    assert u1.shape == (cfg.nx, cfg.ny) and np.array_equal(u1, u1[:, ::-1])
+    stepper.start(nudged(u0))
+    assert stepper._modes.shape == (cfg.ny, cfg.nx)
+    # An even datum on even ny has no centre row and steps every mode.
+    even_ny = small_config(ny=32)
+    stepper = Stepper(even_ny)
+    stepper.start(initial_field(even_ny).interior)
+    assert stepper._modes.shape == (32, cfg.nx)
+
+
+def test_even_path_superposes_with_the_general_path():
+    # Linearity: the even part on the even path plus the odd part on the
+    # general path is their sum on the general path.
+    cfg = small_config(linear=True, epsilon=1e-2, t_end=0.02)
+    g = cfg.grid()
+    rng = np.random.default_rng(5)
+    half = rng.standard_normal((g.nx, (g.ny + 1) // 2))
+    even = np.concatenate((half, half[:, -2::-1]), axis=1)
+    odd = rng.standard_normal((g.nx, g.ny))
+    odd -= odd[:, ::-1]
+
+    def run(u):
+        stepper = Stepper(cfg, g)
+        stepper.start(u)
+        for _ in range(cfg.n_steps):
+            stepper.advance()
+        return stepper._modes.shape[0], stepper.interior()
+
+    (n_even, ue), (n_odd, uo), (n_sum, us) = run(even), run(odd), run(even + odd)
+    assert (n_even, n_odd, n_sum) == (16, g.ny, g.ny)
+    assert np.max(np.abs(ue + uo - us)) <= 1e-13 * np.max(np.abs(us))
+
+
+def test_even_path_matches_the_general_path_nonlinear(tmp_path):
+    cfg = small_config(nx=63, ny=63, t_end=0.2, initial="cos-product:3.0", trace_stride=5)
+    even, general = (simulate(on_path(cfg, path, tmp_path)) for path in PATHS)
+    assert np.max(np.abs(even.final.values - general.final.values)) <= (
+        1e-12 * np.max(np.abs(general.final.values)))
+    for name in ("l2_sq", "weighted", "flux0", "grad_x_sq", "grad_y_sq", "cubic"):
+        a, b = even.trace.column(name), general.trace.column(name)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
 def test_single_step_consistency_on_stationary_mode():
     cfg = SimConfig(L=CRIT_L, B=math.pi, nx=63, ny=63, dt=1e-3, t_end=1e-3,
                     alpha=1, linear=True, initial="mode:1,1,1")
@@ -470,16 +563,15 @@ def test_single_step_consistency_on_stationary_mode():
     assert num / den <= g.hx ** 2 + cfg.dt ** 2
 
 
-def test_dt_halving_second_order():
-    finals = {}
-    for dt in (4e-3, 2e-3, 1e-3):
-        cfg = SimConfig(L=2 * math.pi, B=math.pi, nx=63, ny=63, dt=dt,
-                        t_end=1.0, alpha=1, linear=False,
-                        initial="cos-product:0.4", trace_stride=10 ** 9)
-        finals[dt] = simulate(cfg).final.values
-    e1 = np.max(np.abs(finals[4e-3] - finals[2e-3]))
-    e2 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
-    assert 3.0 < e1 / e2 < 5.0
+def test_dt_halving_second_order(tmp_path):
+    base = SimConfig(L=2 * math.pi, B=math.pi, nx=63, ny=63, dt=4e-3, t_end=1.0,
+                     alpha=1, linear=False, initial="cos-product:0.4", trace_stride=10 ** 9)
+    for path in PATHS:
+        cfg = on_path(base, path, tmp_path)
+        finals = {dt: simulate(replace(cfg, dt=dt)).final.values for dt in (4e-3, 2e-3, 1e-3)}
+        e1 = np.max(np.abs(finals[4e-3] - finals[2e-3]))
+        e2 = np.max(np.abs(finals[2e-3] - finals[1e-3]))
+        assert 3.0 < e1 / e2 < 5.0, path
 
 
 def test_space_self_convergence_second_order():
@@ -519,7 +611,7 @@ def energy_identity_defects(cfg, n_steps):
         if cfg.linear:
             f = np.zeros_like(m)
         else:
-            u = stepper.interior()
+            u = stepper._held()
             n_now = stepper._nonlin(u)
             if n_prev is None:
                 predicted = u - 0.5 * dt * (lp.from_modes(lp.apply_modes(m)) + n_now)
@@ -538,9 +630,10 @@ def energy_identity_defects(cfg, n_steps):
 
 
 @pytest.mark.parametrize("linear", [True, False], ids=["linear", "nonlinear"])
-def test_step_energy_identity(linear):
+def test_step_energy_identity(linear, tmp_path):
     cfg = small_config(nx=63, ny=47, linear=linear, t_end=0.1, initial="cos-product:1.0")
-    assert max(energy_identity_defects(cfg, cfg.n_steps)) <= 1e-13
+    for path in PATHS:
+        assert max(energy_identity_defects(on_path(cfg, path, tmp_path), cfg.n_steps)) <= 1e-13
 
 
 # The rise measured on this construction: +17.7% at dt = 1e-4, +1.7% at
@@ -570,12 +663,13 @@ def test_no_linear_step_raises_l2(dt):
 # ---------------------------------------------------------------------------
 # trajectories
 
-def test_simulate_deterministic_bitwise():
-    cfg = small_config(t_end=0.02)
-    a = simulate(cfg)
-    b = simulate(cfg)
-    assert np.array_equal(a.final.values, b.final.values)
-    assert np.array_equal(a.trace.weighted, b.trace.weighted)
+def test_simulate_deterministic_bitwise(tmp_path):
+    for path in PATHS:
+        cfg = on_path(small_config(t_end=0.02), path, tmp_path)
+        a = simulate(cfg)
+        b = simulate(cfg)
+        assert np.array_equal(a.final.values, b.final.values)
+        assert np.array_equal(a.trace.weighted, b.trace.weighted)
 
 
 def test_linear_l2_monotone():
@@ -618,42 +712,49 @@ def test_continuous_dependence():
 
 
 def test_blowup_aborts_with_partial_trace(tmp_path):
-    cfg = small_config(initial="cos-product:100000.0", t_end=0.5, dt=1e-2,
-                       trace_stride=1)
-    traj = simulate(cfg)
-    assert traj.aborted_at is not None
-    assert traj.aborted_at <= 0.5
-    assert len(traj.trace) >= 1
-    assert np.all(np.isfinite(traj.trace.l2_sq))
-    err = traj.blowup
-    assert isinstance(err, BlowupError)
-    assert err.t == traj.aborted_at and err.t == err.n * cfg.dt
-    assert len(traj.trace) == err.n  # rows at t = 0 .. (n - 1) dt
-    assert 1 <= err.node[0] <= cfg.nx and 1 <= err.node[1] <= cfg.ny
-    assert err.magnitude > 1e6
-    emit_artifacts(traj, out_dir=tmp_path)
-    stored = json.loads((tmp_path / "manifest.json").read_text())
-    assert stored["aborted_at"] == traj.aborted_at
-    assert stored["blowup"] == {"n": err.n, "t": err.t, "node": list(err.node),
-                                "magnitude": err.magnitude}
+    for path in PATHS:
+        cfg = on_path(small_config(initial="cos-product:100000.0", t_end=0.5, dt=1e-2,
+                                   trace_stride=1), path, tmp_path)
+        traj = simulate(cfg)
+        assert traj.aborted_at is not None
+        assert traj.aborted_at <= 0.5
+        assert len(traj.trace) >= 1
+        assert np.all(np.isfinite(traj.trace.l2_sq))
+        err = traj.blowup
+        assert isinstance(err, BlowupError)
+        assert err.t == traj.aborted_at and err.t == err.n * cfg.dt
+        assert len(traj.trace) == err.n  # rows at t = 0 .. (n - 1) dt
+        assert 1 <= err.node[0] <= cfg.nx and 1 <= err.node[1] <= cfg.ny
+        assert err.magnitude > 1e6
+        emit_artifacts(traj, out_dir=tmp_path / path)
+        stored = json.loads((tmp_path / path / "manifest.json").read_text())
+        assert stored["aborted_at"] == traj.aborted_at
+        assert stored["blowup"] == {"n": err.n, "t": err.t, "node": list(err.node),
+                                    "magnitude": err.magnitude}
 
 
-def test_blowup_reports_step_and_time():
-    cfg = small_config(nx=16, ny=16, dt=1e-2, t_end=0.05, initial="cos-product:300")
-    traj = simulate(cfg)
-    err = traj.blowup
-    assert isinstance(err, BlowupError)
-    assert err.n == 2 and err.t == 0.02
-    replay = Stepper(cfg)
-    replay.start(initial_field(cfg).interior)
-    replay.advance()
-    replay.advance()
-    blown = replay.interior()
-    i, j = np.unravel_index(np.argmax(np.abs(blown)), blown.shape)
-    assert err.node == (i + 1, j + 1)
-    assert err.magnitude == pytest.approx(abs(blown[i, j]), rel=1e-12)
-    assert f"node {err.node}" in str(err)
-    assert traj.aborted_at == 0.02
+def test_blowup_reports_step_and_time(tmp_path):
+    # Even ny steps every mode; at odd ny the datum takes either path, and
+    # the even path reports the node of the full (nx, ny) interior.
+    cfgs = [small_config(nx=16, ny=16, dt=1e-2, t_end=0.05, initial="cos-product:300")]
+    odd_ny = small_config(nx=16, ny=17, dt=1e-2, t_end=0.05, initial="cos-product:300")
+    cfgs += [on_path(odd_ny, path, tmp_path) for path in PATHS]
+    for cfg in cfgs:
+        traj = simulate(cfg)
+        err = traj.blowup
+        assert isinstance(err, BlowupError)
+        assert err.n == 2 and err.t == 0.02
+        replay = Stepper(cfg)
+        replay.start(initial_field(cfg).interior)
+        replay.advance()
+        replay.advance()
+        blown = replay.interior()
+        assert blown.shape == (cfg.nx, cfg.ny)
+        i, j = np.unravel_index(np.argmax(np.abs(blown)), blown.shape)
+        assert err.node == (i + 1, j + 1)
+        assert err.magnitude == pytest.approx(abs(blown[i, j]), rel=1e-12)
+        assert f"node {err.node}" in str(err)
+        assert traj.aborted_at == 0.02
     # A non-finite state names its first non-finite node (row-major order).
     state = np.ones((5, 4))
     state[1, 1] = 9.0
@@ -681,24 +782,26 @@ def test_simulate_builds_no_field_per_trace_row(monkeypatch):
     assert len(built) <= len(traj.snapshots) + 3
 
 
-def test_linear_simulate_transforms_once_per_trace_row(monkeypatch):
+def test_linear_simulate_transforms_once_per_trace_row(monkeypatch, tmp_path):
     # The state stays modal between steps: one forward DST at the start and
-    # one inverse DST per trace row.  The final state is the last trace row's.
-    cfg = small_config(linear=True, t_end=0.023, trace_stride=5)
-    calls = {"to_modes": 0, "from_modes": 0}
-    for name in calls:
-        real = getattr(LinearPart, name)
+    # one inverse DST per trace row, on either path.  The final state is the
+    # last trace row's.
+    for path in PATHS:
+        cfg = on_path(small_config(linear=True, t_end=0.023, trace_stride=5), path, tmp_path)
+        calls = {"to_modes": 0, "from_modes": 0}
+        for name in calls:
+            real = getattr(LinearPart, name)
 
-        def counting(self, arr, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(self, arr)
+            def counting(self, arr, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, arr)
 
-        monkeypatch.setattr(LinearPart, name, counting)
-    traj = simulate(cfg)
-    monkeypatch.undo()
-    assert traj.aborted_at is None
-    assert traj.trace.t[1:].tolist() == pytest.approx([0.005, 0.01, 0.015, 0.02, 0.023])
-    assert calls == {"to_modes": 1, "from_modes": len(traj.trace) - 1}
+            monkeypatch.setattr(LinearPart, name, counting)
+        traj = simulate(cfg)
+        monkeypatch.undo()
+        assert traj.aborted_at is None
+        assert traj.trace.t[1:].tolist() == pytest.approx([0.005, 0.01, 0.015, 0.02, 0.023])
+        assert calls == {"to_modes": 1, "from_modes": len(traj.trace) - 1}, path
 
 
 def linear_stepper_after_one_step(interior_fn):
@@ -713,25 +816,34 @@ def linear_stepper_after_one_step(interior_fn):
 
 def test_blown_up_sup_bound_is_not_the_verdict():
     # A spike next to the y = -B wall: its modes sum to ~4/pi of the peak,
-    # so the sup bound exceeds the threshold while max |u| does not.
+    # so the sup bound exceeds the threshold while max |u| does not.  The
+    # same spike at both walls is even in y and takes the even path, whose
+    # half stack bounds |u| on the same scale.
     def spike(g):
         u = np.zeros((g.nx, g.ny))
         u[:, 0] = 0.9e6 * np.sin(np.pi * g.xs()[1:-1] / g.L)
         return u
 
-    stepper, g = linear_stepper_after_one_step(spike)
-    modes = stepper._modes
-    bound = np.max(np.abs(modes).sum(axis=0)) / (g.ny + 1)
-    true_max = np.max(np.abs(stepper.linear_part.from_modes(modes)))
-    assert bound > 1e6 > true_max > 0.85e6
-    assert not stepper.blown_up()
-    # Past the threshold, the same spike does abort.
-    stepper, _ = linear_stepper_after_one_step(lambda g: spike(g) * (1.2 / 0.9))
-    assert stepper.blown_up()
-    # A small state is cleared by the bound alone, with no inverse DST.
-    stepper, _ = linear_stepper_after_one_step(lambda g: spike(g) * 1e-3)
-    assert not stepper.blown_up()
-    assert stepper._interior is None
+    def both_walls(g):
+        u = spike(g)
+        u[:, -1] = u[:, 0]
+        return u
+
+    for datum, held_modes in ((spike, 31), (both_walls, 16)):
+        stepper, g = linear_stepper_after_one_step(datum)
+        modes = stepper._modes
+        assert modes.shape[0] == held_modes
+        bound = np.max(np.abs(modes).sum(axis=0)) / (g.ny + 1)
+        true_max = np.max(np.abs(stepper.linear_part.from_modes(modes)))
+        assert bound > 1e6 > true_max > 0.85e6
+        assert not stepper.blown_up()
+        # Past the threshold, the same spike does abort.
+        stepper, _ = linear_stepper_after_one_step(lambda g: datum(g) * (1.2 / 0.9))
+        assert stepper.blown_up()
+        # A small state is cleared by the bound alone, with no inverse DST.
+        stepper, _ = linear_stepper_after_one_step(lambda g: datum(g) * 1e-3)
+        assert not stepper.blown_up()
+        assert stepper._interior is None
 
 
 def test_blown_up_names_first_non_finite_node():

@@ -55,9 +55,13 @@ def test_node_coordinates_no_drift():
     xs = g.xs()
     for i in (0, 1, 37, 123, 201):
         assert xs[i] == i * g.hx
-    ys = g.ys()
-    for j in (0, 5, 51):
-        assert ys[j] == -g.B + j * g.hy
+    # y is measured from the centre line, so the nodes are exactly
+    # antisymmetric for odd and even ny alike, B = pi at ny = 127 included.
+    for g in (g, build_grid(3.7, 1.3, 200, 51), build_grid(1.0, np.pi, 8, 127)):
+        ys = g.ys()
+        for j in (0, 5, 25, g.ny + 1):
+            assert ys[j] == (j - (g.ny + 1) / 2) * g.hy
+        assert np.array_equal(ys, -ys[::-1])
 
 
 def test_sample_zero_field():
