@@ -119,7 +119,12 @@ class Field:
             raise ValueError("field contains non-finite values")
         vals = vals.copy()
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        # A view of the read-only copy: numpy refuses to make it writeable again.
+        object.__setattr__(self, "values", vals.view())
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through the constructor, so the copy is checked and frozen.
+        return Field, (self.grid, self.values)
 
     @property
     def interior(self) -> np.ndarray:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,20 @@ def test_field_shape_and_immutability():
     f = Field(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
+
+
+def test_field_values_cannot_be_made_writeable_again():
+    g = build_grid(1.0, 1.0, 8, 8)
+    f = Field(g, np.zeros(g.shape))
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        f.values.flags.writeable = True
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[3, 3] = 5.0
+    assert not f.values.any()
+    for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert np.array_equal(clone.values, f.values)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            clone.values.flags.writeable = True
 
 
 def test_field_compares_and_hashes_by_identity():
