@@ -11,7 +11,7 @@ from .geometry import Field, Grid, build_grid, enforce_dirichlet, sample_field
 from .calculus import (check_gn, check_poincare, check_sup_bound,
                        initial_regularity, integrate, trace_row)
 from .spectral import (ResonantTriple, build_profile, critical_length,
-                       critical_residual, cubic_roots, minimal_critical_rectangle,
+                       critical_residual, minimal_critical_rectangle,
                        mode_xi, resonant_family, stationary_mode)
 from .dynamics import (RECTANGLE, TRUNCATED_STRIP, BlowupError, EnergyTrace,
                        LinearPart, SimConfig, Stepper, Trajectory, initial_field,

@@ -1,9 +1,9 @@
 """Time integration of the ZK initial-boundary value problem.
 
 Semi-discrete form: u_t = -(alpha u_x + u_xxx + u_xyy + eps(u_xxxx+u_yyyy))
-- u u_x on the interior unknowns, with walls u = 0, outflow u_x(L,.) = 0,
+- (u^2)_x on the interior unknowns, with walls u = 0, outflow u_x(L,.) = 0,
 and for eps > 0 the extra regularization conditions u_yy(x,+-B) = 0 and
-u_xx(0,.) = 0.
+u_xx(0,.) = 0.  That (u^2)_x = 2 u u_x is twice ZK's u u_x (ROADMAP item 1).
 
 The y-direction second derivative is the Dirichlet tridiagonal, so the
 whole linear part block-diagonalizes under the type-I discrete sine
@@ -13,9 +13,9 @@ transform in y: each transverse mode m evolves by an nx-by-nx matrix
 
 Time stepping is Crank-Nicolson on the linear part (one banded LU of
 I + dt/2 A without row interchanges, factored on first use and reused
-across steps) with the conservative nonlinearity (u^2/2)_x
-treated explicitly by second-order Adams-Bashforth extrapolation to the
-half step; the first step uses a single explicit Euler predictor.
+across steps) with the conservative nonlinearity (u^2)_x treated
+explicitly by second-order Adams-Bashforth extrapolation to the half step;
+the first step uses a single explicit Euler predictor.
 
 The stepper keeps the state as its (ny, nx) transverse-mode stack m, and
 one step is m <- 2 (I + dt/2 A)^-1 (m - dt/2 F) - m, where F is the DST of
@@ -114,6 +114,14 @@ class SimConfig:
         return Grid(self.L, self.B, self.nx, self.ny)
 
 
+def _run_grid(config: SimConfig, grid: Grid | None) -> Grid:
+    """``config.grid()``, which a given ``grid`` must equal."""
+    g = config.grid()
+    if grid not in (None, g):
+        raise ValueError(f"{grid} is not the config's grid {g}")
+    return g
+
+
 def config_from_dict(raw: dict) -> SimConfig:
     """Build a SimConfig from a flat mapping; unknown keys are rejected."""
     unknown = set(raw) - {f.name for f in fields(SimConfig)}
@@ -208,16 +216,15 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
     or weighted energy overflow the float range raises a ValueError naming
     the tag, and no numpy warning.
     """
-    g = config.grid()
-    if grid not in (None, g):
-        raise ValueError(f"initial: {grid} is not the config's grid {g}")
+    g = _run_grid(config, grid)
     with _overflow_names(config.initial):
         if config._sampler is not None:
             fld = sample_field(g, config._sampler)
         else:
             fld = read_snapshot(config.initial["file"])[1]
             if fld.grid.shape != g.shape:
-                raise ValueError("initial: snapshot grid does not match config grid")
+                raise ValueError(f"initial: snapshot nx={fld.grid.nx}, ny={fld.grid.ny} does "
+                                 f"not match config nx={g.nx}, ny={g.ny}")
             if (fld.grid.L, fld.grid.B) != (g.L, g.B):
                 raise ValueError(f"initial: snapshot L={fld.grid.L!r}, B={fld.grid.B!r} "
                                  f"does not match config L={g.L!r}, B={g.B!r}")
@@ -520,8 +527,7 @@ class Stepper:
 
     def __init__(self, config: SimConfig, grid: Grid | None = None):
         self.config = config
-        grid = grid if grid is not None else config.grid()
-        self.linear_part = LinearPart(grid, config.alpha, config.epsilon)
+        self.linear_part = LinearPart(_run_grid(config, grid), config.alpha, config.epsilon)
         self._solves = {}  # the factored solve of each y-parity run so far
         self._even = False
         self._nonlin_prev: np.ndarray | None = None
@@ -529,7 +535,7 @@ class Stepper:
         self._interior: np.ndarray | None = None  # the held columns, all or the lower half
 
     def _nonlin(self, interior: np.ndarray) -> np.ndarray:
-        """(u^2/2)_x in conservative form; walls carry u = 0."""
+        """(u^2)_x = 2 u u_x, conservative, walls u = 0: twice ZK's u u_x (ROADMAP item 1)."""
         h = self.linear_part.grid.hx
         u2 = interior * interior
         out = np.empty_like(interior)

@@ -122,6 +122,19 @@ class RunManifest:
     outputs: list
 
 
+def _write_json(obj, path: Path | None = None) -> None:
+    """obj as JSON, indented by 2 with a trailing newline, to path or stdout.
+
+    JSON has no NaN or Infinity: the round trip writes each as null.
+    """
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+
+
 def _file_entry(path: Path) -> dict:
     data = path.read_bytes()
     return {"name": path.name, "bytes": len(data),
@@ -139,8 +152,7 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
     outputs.append(_file_entry(trace_path))
     if verdict_obj is not None:
         vpath = out / "verdict.json"
-        vpath.write_text(json.dumps(verdict_obj.to_dict(), indent=2) + "\n",
-                         encoding="utf-8")
+        _write_json(verdict_obj.to_dict(), vpath)
         outputs.append(_file_entry(vpath))
     for idx, (t, fld) in enumerate(trajectory.snapshots):
         spath = out / f"snapshot_{idx:04d}.zks"
@@ -156,8 +168,7 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
         i0_initial=trajectory.trace.i0_initial,
         outputs=outputs,
     )
-    (out / "manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
+    _write_json(asdict(manifest), out / "manifest.json")
     return manifest
 
 
@@ -368,7 +379,7 @@ def _cmd_decay_report(args) -> int:
     trace = read_trace_csv(args.trace)
     theory = decay_theory(args.alpha, DecayGeometry(args.L, args.B))
     v = decay_verdict(trace, theory)
-    print(json.dumps(v.to_dict(), indent=2))
+    _write_json(v.to_dict())
     return 0
 
 

@@ -33,58 +33,6 @@ def mode_xi(n: int, B: float) -> float:
     return (math.pi * n / (2.0 * B)) ** 2
 
 
-def cubic_roots(xi: float, beta: float) -> np.ndarray:
-    """All roots of s^3 - (1 - xi) s + beta = 0, closed form.
-
-    Real roots come back with exactly zero imaginary part (trigonometric
-    method for three real roots, Cardano otherwise).
-    """
-    if not (math.isfinite(xi) and math.isfinite(beta)):
-        raise ValueError("cubic coefficients must be finite")
-    p = -(1.0 - xi)   # depressed cubic t^3 + p t + q
-    q = beta
-    if q == 0.0:
-        if p <= 0.0:
-            r = math.sqrt(-p)
-            return np.array([-r, 0.0, r], dtype=complex)
-        r = 1j * math.sqrt(p)
-        return np.array([-r, 0.0 + 0.0j, r])
-    disc = -4.0 * p ** 3 - 27.0 * q ** 2
-    if disc >= 0.0 and p < 0.0:
-        # three real roots
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg) / 3.0
-        roots = np.array(sorted(m * math.cos(phi - TWO_PI * k / 3.0)
-                                for k in range(3)), dtype=complex)
-        return _polish(roots, p, q)
-    # one real root, complex pair.  Near the double-root curve disc rounds
-    # below zero and the radicand, rounded on its own, can too: clamp it at
-    # 0, which leaves every non-negative radicand as it was.
-    half_q = q / 2.0
-    inner = math.sqrt(max(0.0, half_q ** 2 + (p / 3.0) ** 3))
-    u = np.cbrt(-half_q + inner)
-    v = np.cbrt(-half_q - inner)
-    t1 = u + v
-    re = -t1 / 2.0
-    im = (u - v) * math.sqrt(3.0) / 2.0
-    roots = np.array([t1 + 0.0j, re + 1j * im, re - 1j * im])
-    polished = _polish(roots, p, q)
-    polished[0] = polished[0].real  # the Newton step keeps real roots real
-    return polished
-
-
-def _polish(roots: np.ndarray, p: float, q: float) -> np.ndarray:
-    """One Newton step on t^3 + p t + q, skipped near double roots."""
-    deriv = 3.0 * roots ** 2 + p
-    scale = np.abs(roots).max() + 1.0
-    safe = np.abs(deriv) > 1e-8 * scale ** 2
-    out = roots.copy()
-    out[safe] -= (roots[safe] ** 3 + p * roots[safe] + q) / deriv[safe]
-    return out
-
-
 class CriticalLength(NamedTuple):
     """Critical length together with the smallest resonance root."""
 

@@ -94,6 +94,8 @@ def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(ValueError, match=r"t_end=0\.0505 is not a whole number of steps "
                                          r"of dt=0\.001"):
         small_config(t_end=0.0505)
+    with pytest.raises(ValueError, match="^t_end must cover at least one step$"):
+        small_config(t_end=4e-4)  # below half of dt = 1e-3: the step count rounds to 0
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"L": 2.0, "B": 1.0, "nx": 16, "ny": 16,
                           "dt": 1e-3, "t_end": 0.1, "gamma": 3})
@@ -239,6 +241,23 @@ def test_initial_field_takes_only_the_configs_grid():
         initial_field(cfg, Grid(4.0, 1.0, 31, 31))
 
 
+def test_stepper_takes_only_the_configs_grid():
+    # Another grid of the same shape would step with its own hx and hy.
+    cfg = SimConfig(L=2, B=1, nx=31, ny=31, t_end=0.01)
+    with pytest.raises(ValueError, match=r"^Grid\(L=3\.0, B=1\.0, nx=31, ny=31\) is not the "
+                                         r"config's grid Grid\(L=2, B=1, nx=31, ny=31\)$"):
+        Stepper(cfg, Grid(3.0, 1.0, 31, 31))
+    u0 = initial_field(cfg).interior
+    finals = []
+    for stepper in (Stepper(cfg), Stepper(cfg, cfg.grid())):
+        assert stepper.linear_part.grid == cfg.grid() and stepper.linear_part.grid.hx == 0.0625
+        stepper.start(u0)
+        for _ in range(cfg.n_steps):
+            stepper.advance()
+        finals.append(stepper.interior())
+    assert np.array_equal(*finals)
+
+
 def test_initial_scale_weighted():
     cfg = small_config(initial="cos-product:1.0", scale_weighted=0.25)
     fld = initial_field(cfg)
@@ -339,6 +358,26 @@ def test_dense_reference_rows():
     assert d4[-1, -3:].tolist() == [1.0, -4.0, 7.0]
     d1 = 2.0 * dense_x_operator(1, n, h)
     assert np.array_equal(d1, -d1.T)
+
+
+# The stepper's nonlinear term is (NONLIN_COEFF u^2)_x.  It is 1, so the
+# stepper integrates (u^2)_x = 2 u u_x, twice the u u_x of ZK (ROADMAP
+# item 1 makes it 1/2).
+NONLIN_COEFF = 1.0
+
+
+def test_nonlin_is_the_centered_difference_of_u_squared_on_every_row():
+    # dense_x_operator's D1 closes both walls by u = 0, independently of
+    # _nonlin's wall rows.  The bound is relative to |D1| u^2, the rounding
+    # scale of each entry, so a change to any one row fails it.
+    cfg = small_config(nx=23, ny=9)
+    g = cfg.grid()
+    u = np.random.default_rng(5).standard_normal((g.nx, g.ny))
+    u2 = u * u
+    d1 = dense_x_operator(1, g.nx, g.hx)
+    got = Stepper(cfg)._nonlin(u)
+    assert np.all(np.abs(got - NONLIN_COEFF * (d1 @ u2))
+                  <= 1e-14 * NONLIN_COEFF * (np.abs(d1) @ u2))
 
 
 def test_alpha_difference_is_dx():
@@ -971,6 +1010,8 @@ def test_snapshot_round_trip_is_bitwise(snap):
 
 
 @pytest.mark.parametrize("case, cause", [
+    ("bad_magic", "not a zklab snapshot"),
+    ("short_header", r"header is 20 bytes, expected 40"),
     ("truncated", "payload is"),
     ("trailing", "payload is"),
     ("negative_nx", "nx must be"),
@@ -982,7 +1023,11 @@ def test_read_snapshot_rejects_malformed_file(tmp_path, case, cause):
     path = tmp_path / "state.zks"
     write_snapshot(path, 0.5, Field(g, np.zeros(g.shape)))
     raw = bytearray(path.read_bytes())
-    if case == "truncated":
+    if case == "bad_magic":
+        raw[:8] = b"ZKSNAP2\n"
+    elif case == "short_header":
+        del raw[8 + 20:]
+    elif case == "truncated":
         del raw[-8:]
     elif case == "trailing":
         raw += b"\0" * 8
@@ -1017,3 +1062,8 @@ def test_initial_from_snapshot_rejects_other_geometry(tmp_path):
         with pytest.raises(ValueError, match=rf"snapshot L=2\.0, B=1\.0 does not match "
                                              rf"config L={L}, B={B}"):
             initial_field(cfg)
+    # Same domain, other shape.
+    cfg = small_config(nx=16, ny=14, t_end=0.01, initial={"file": str(path)})
+    with pytest.raises(ValueError, match=r"^initial: snapshot nx=16, ny=12 does not match "
+                                         r"config nx=16, ny=14$"):
+        initial_field(cfg)

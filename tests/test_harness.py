@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zklab import (ConfigError, SimConfig, build_grid, cli_main, emit_artifacts,
-                   load_config, random_clean_field, read_trace_csv, simulate,
-                   write_trace_csv)
+from zklab import (ConfigError, DecayGeometry, SimConfig, build_grid, cli_main, decay_theory,
+                   emit_artifacts, load_config, random_clean_field, read_trace_csv, simulate,
+                   verdict, write_trace_csv)
 from zklab.dynamics import TRACE_COLUMNS, EnergyTrace
 from zklab.harness import _parse_vary, canonical_config_json, config_hash, main
 
@@ -55,6 +57,9 @@ def test_load_config_bad_file(tmp_path):
         load_config(p)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
+    p.write_text(json.dumps([{"L": 2.0}]))
+    with pytest.raises(ConfigError, match="must be a JSON object$"):
+        load_config(p)
 
 
 def test_config_hash_stable_across_reserialization():
@@ -84,6 +89,12 @@ def test_trace_csv_round_trip_exact(tmp_path):
     back = read_trace_csv(path)
     for name in ("t", "l2_sq", "weighted", "flux0", "grad_x_sq", "grad_y_sq", "cubic"):
         assert np.array_equal(tr.column(name), back.column(name))
+    # A blank line is skipped.
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5] + ["\n"] + lines[5:]))
+    again = read_trace_csv(path)
+    for name in TRACE_COLUMNS:
+        assert again.column(name).tobytes() == back.column(name).tobytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -121,6 +132,7 @@ def test_trace_csv_line_count(tmp_path):
 
 
 TRACE_CSV_FAULTS = {
+    "bad_header": r": unexpected trace header 't,l2_sq,weighted,flux,",
     "ragged": r":3: 6 values, expected 7",
     "not_a_number": r":2: could not convert",
     "nan": r":3: non-finite value",
@@ -149,10 +161,13 @@ def test_read_trace_csv_rejects_malformed_file(tmp_path, case):
     elif case == "repeated_t":
         lines[2] = lines[2].replace("0.1", "0.05", 1)
         del lines[0]
-    else:
+    elif case == "no_rows":
         lines = []
+    header = ",".join(TRACE_COLUMNS)
+    if case == "bad_header":
+        header = header.replace("flux0", "flux")
     path = tmp_path / "trace.csv"
-    path.write_text("\n".join([",".join(TRACE_COLUMNS)] + lines) + "\n")
+    path.write_text("\n".join([header] + lines) + "\n")
     with pytest.raises(ValueError, match=TRACE_CSV_FAULTS[case]) as info:
         read_trace_csv(path)
     assert str(path) in str(info.value)
@@ -173,6 +188,52 @@ def test_emit_artifacts_and_manifest(tmp_path):
     assert stored["config_sha256"] == config_hash(cfg)
     assert stored["aborted_at"] is None and stored["blowup"] is None
     assert stored["i0_initial"] > 0
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and the infinities, which RFC 8259 does not define."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# The inadmissible (k, l, n) = (1, 1, 2) critical rectangle: its decay
+# theory has no threshold, rate or margin.
+INADMISSIBLE = ["--alpha", "1", "--L", "7.255197456936871", "--B", "6.283185307179586"]
+
+
+def test_emit_artifacts_writes_and_lists_the_verdict(tmp_path):
+    cfg = SimConfig(L=2.0, B=1.0, nx=16, ny=16, dt=1e-3, t_end=0.01,
+                    initial="cos-product:0.3", trace_stride=1)
+    traj = simulate(cfg)
+    v = verdict(traj.trace, decay_theory(1, DecayGeometry(2.0, 1.0)))
+    man = emit_artifacts(traj, v, out_dir=tmp_path)
+    data = (tmp_path / "verdict.json").read_bytes()
+    assert data.decode() == json.dumps(v.to_dict(), indent=2) + "\n"
+    assert strict_json(data.decode()) == v.to_dict()
+    entry = {"name": "verdict.json", "bytes": len(data),
+             "sha256": hashlib.sha256(data).hexdigest()}
+    assert entry in man.outputs
+    assert strict_json((tmp_path / "manifest.json").read_text())["outputs"] == man.outputs
+
+
+def test_json_outputs_write_non_finite_values_as_null(tmp_path, capsys):
+    cfg = SimConfig(L=2.0, B=1.0, nx=16, ny=16, dt=1e-3, t_end=0.01, initial="cos-product:0.3")
+    traj = simulate(cfg)
+    traj = replace(traj, trace=replace(traj.trace, i0_initial=math.inf))
+    theory = decay_theory(1, DecayGeometry(float(INADMISSIBLE[3]), float(INADMISSIBLE[5])))
+    assert not theory.admissible
+    emit_artifacts(traj, verdict(traj.trace, theory), out_dir=tmp_path)
+    stored = strict_json((tmp_path / "verdict.json").read_text())
+    assert stored["admissible"] is False
+    assert stored["threshold"] is stored["rate"] is stored["margin"] is None
+    assert strict_json((tmp_path / "manifest.json").read_text())["i0_initial"] is None
+    path = tmp_path / "trace.csv"
+    capsys.readouterr()
+    assert cli_main(["decay-report", "--trace", str(path), *INADMISSIBLE]) == 0
+    out = capsys.readouterr().out
+    assert strict_json(out) == stored
+    assert out == json.dumps(stored, indent=2) + "\n"
 
 
 def test_rerun_same_config_identical_trace_bytes(tmp_path):
@@ -366,6 +427,16 @@ def test_cli_simulate_overflowing_datum_is_one_error_line(tmp_path, capsys):
                                   "epsilon=-1e308:1e308:3"])
 def test_parse_vary_rejects_non_finite_bounds(vary):
     with pytest.raises(ConfigError, match="^--vary needs finite lo and hi"):
+        _parse_vary(vary)
+
+
+@pytest.mark.parametrize("vary, match", [
+    ("L2:4:5", r"^--vary expects KEY=lo:hi:steps, got 'L2:4:5'$"),
+    ("L=2:4:0", r"^--vary needs steps >= 1, got 0$"),
+    ("L=2:4:-1", r"^--vary needs steps >= 1, got -1$"),
+])
+def test_parse_vary_rejects_malformed_specs(vary, match):
+    with pytest.raises(ConfigError, match=match):
         _parse_vary(vary)
 
 

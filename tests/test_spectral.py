@@ -3,11 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from zklab import (build_profile, critical_length, critical_residual,
-                   cubic_roots, minimal_critical_rectangle, mode_xi,
-                   resonant_family, stationary_mode)
+                   minimal_critical_rectangle, mode_xi, resonant_family, stationary_mode)
 from zklab.spectral import ResonantTriple, _unit_amplitude
 
 TWO_PI = 2 * math.pi
@@ -38,57 +36,6 @@ def test_mode_xi_values():
 def test_indices_must_be_ints(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         call()
-
-
-def test_cubic_roots_golden():
-    r = cubic_roots(0.0, 0.0)
-    assert np.allclose(sorted(r.real), [-1.0, 0.0, 1.0], atol=1e-14)
-    assert np.all(r.imag == 0.0)
-    r = cubic_roots(0.25, 0.0)
-    assert np.allclose(sorted(r.real), [-math.sqrt(3) / 2, 0.0, math.sqrt(3) / 2],
-                       atol=1e-14)
-
-
-def test_cubic_roots_residuals_random():
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(300):
-        xi = rng.uniform(0.0, 2.0)   # xi > 1 exercises the complex branch
-        beta = rng.normal() * 2.0
-        roots = cubic_roots(xi, beta)
-        res = np.abs(roots ** 3 - (1 - xi) * roots + beta)
-        worst = max(worst, float(res.max()))
-        # elementary symmetric functions match the coefficients
-        assert abs(roots.sum()) < 1e-12
-        e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
-        assert abs(e2 + (1 - xi)) < 1e-12
-        assert abs(roots.prod() + beta) < 1e-12
-    assert worst < 1e-10
-
-
-def test_cubic_roots_near_double_root_does_not_raise():
-    # disc rounds to -7.3e-12 and the separately rounded Cardano radicand to
-    # -1.1e-13; an unclamped sqrt raised "math domain error" here.
-    xi, beta = -23.861801141184486, 47.714128538255174
-    roots = cubic_roots(xi, beta)
-    assert roots.shape == (3,)
-    res = np.abs(roots ** 3 - (1.0 - xi) * roots + beta)
-    assert float(res.max()) / (np.abs(roots).max() + 1.0) ** 3 <= 1e-10
-
-
-@settings(max_examples=300, deadline=None)
-@given(xi=st.floats(-50.0, 0.999),
-       delta=st.one_of(st.just(0.0), st.floats(1e-18, 1e-3)),
-       beta_sign=st.sampled_from([-1.0, 1.0]),
-       delta_sign=st.sampled_from([-1.0, 1.0]))
-def test_cubic_roots_near_double_root_curve(xi, delta, beta_sign, delta_sign):
-    # On beta = +-2((1 - xi)/3)^(3/2) the cubic has a double root; the branch
-    # choice and the Newton polish both sit on a knife edge near it.
-    beta = beta_sign * 2.0 * ((1.0 - xi) / 3.0) ** 1.5 * (1.0 + delta_sign * delta)
-    roots = cubic_roots(xi, beta)
-    assert roots.shape == (3,)
-    res = np.abs(roots ** 3 - (1.0 - xi) * roots + beta)
-    assert float(res.max()) / (np.abs(roots).max() + 1.0) ** 3 <= 1e-10
 
 
 def test_critical_length_golden():
