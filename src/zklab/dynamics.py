@@ -12,10 +12,10 @@ transform in y: each transverse mode m evolves by an nx-by-nx matrix
     A_m = D3 + (alpha - xi_m) D1 + eps (D4x + xi_m^2 I).
 
 Time stepping is Crank-Nicolson on the linear part (one banded LU of
-I + dt/2 A without row interchanges, factored on first use and reused
-across steps) with the conservative nonlinearity (u^2)_x treated
-explicitly by second-order Adams-Bashforth extrapolation to the half step;
-the first step uses a single explicit Euler predictor.
+I + dt/2 A without row interchanges, factored by each ``start``) with the
+conservative nonlinearity (u^2)_x treated explicitly by second-order
+Adams-Bashforth extrapolation to the half step; the first step uses a
+single explicit Euler predictor.
 
 The stepper keeps the state as its (ny, nx) transverse-mode stack m, and
 one step is m <- 2 (I + dt/2 A)^-1 (m - dt/2 F) - m, where F is the DST of
@@ -222,12 +222,8 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
             fld = sample_field(g, config._sampler)
         else:
             fld = read_snapshot(config.initial["file"])[1]
-            if fld.grid.shape != g.shape:
-                raise ValueError(f"initial: snapshot nx={fld.grid.nx}, ny={fld.grid.ny} does "
-                                 f"not match config nx={g.nx}, ny={g.ny}")
-            if (fld.grid.L, fld.grid.B) != (g.L, g.B):
-                raise ValueError(f"initial: snapshot L={fld.grid.L!r}, B={fld.grid.B!r} "
-                                 f"does not match config L={g.L!r}, B={g.B!r}")
+            if fld.grid != g:
+                raise ValueError(f"initial: snapshot {fld.grid} is not the config's grid {g}")
         fld = enforce_dirichlet(fld)
         if config.scale_weighted is not None:
             with np.errstate(over="ignore", invalid="ignore"):  # read the weighted column only
@@ -508,8 +504,7 @@ class Stepper:
     nonlinear history.
 
     The implicit system I + dt/2 A is time-independent.  It is factored
-    (``_factor``) on first use: the first ``start`` of each y-parity
-    factors the mode stack that parity steps, and later runs reuse it.
+    (``_factor``) by each ``start``, for the mode stack that run steps.
 
     The state lives between steps as its transverse-mode stack: ``start``
     begins a run from a physical interior (one forward DST), ``advance``
@@ -528,7 +523,7 @@ class Stepper:
     def __init__(self, config: SimConfig, grid: Grid | None = None):
         self.config = config
         self.linear_part = LinearPart(_run_grid(config, grid), config.alpha, config.epsilon)
-        self._solves = {}  # the factored solve of each y-parity run so far
+        self._solve = None  # the factored solve of the run's mode stack
         self._even = False
         self._nonlin_prev: np.ndarray | None = None
         self._modes: np.ndarray | None = None
@@ -545,20 +540,22 @@ class Stepper:
         return out
 
     def start(self, interior: np.ndarray) -> None:
-        """Begin a fresh run from an (nx, ny) physical interior: one forward DST.
+        """Begin a fresh run from an (nx, ny) interior: one factorization, one forward DST.
 
         The nonlinear history is reset, so the first ``advance`` takes the
         Euler predictor step.  An interior equal to its y-mirror on odd ny
         is stepped on its even modes only.
         """
-        ny = interior.shape[1]
-        self._even = ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1])
+        g = self.linear_part.grid
+        if interior.shape != (g.nx, g.ny):
+            raise ValueError(f"start: interior shape {interior.shape} is not "
+                             f"(nx, ny) = {g.nx, g.ny}")
+        bands = self.linear_part.bands
+        self._even = g.ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1])
         if self._even:
-            interior = interior[:, :(ny + 1) // 2]
-        if self._even not in self._solves:
-            bands = self.linear_part.bands
-            self._solves[self._even] = _factor(bands[:, 0::2] if self._even else bands,
-                                               self.config.dt)
+            interior = interior[:, :(g.ny + 1) // 2]
+            bands = bands[:, 0::2]
+        self._solve = _factor(bands, self.config.dt)
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)
@@ -573,15 +570,13 @@ class Stepper:
         apply.  A nonlinear step takes two DSTs (F in, the state out); a
         linear step takes none.
         """
-        if self._modes is None:
-            raise RuntimeError("advance before start")
+        m = self._state()
         lp = self.linear_part
         dt = self.config.dt
-        m = self._modes
         if self.config.linear:
             rhs = m.copy()
         else:
-            u = self._interior
+            u = self._held()
             n_now = self._nonlin(u)
             if self._nonlin_prev is None:
                 predicted = u - 0.5 * dt * (lp.from_modes(lp.apply_modes(m)) + n_now)
@@ -592,23 +587,25 @@ class Stepper:
             rhs = lp.to_modes(n_half)
             rhs *= -0.5 * dt
             rhs += m
-        x = self._solves[self._even](rhs.reshape(-1)).reshape(m.shape)
+        x = self._solve(rhs.reshape(-1)).reshape(m.shape)
         x *= 2.0
         x -= m
-        self._modes = x
-        self._interior = None if self.config.linear else self._physical()
+        self._modes, self._interior = x, None
+        if not self.config.linear:
+            self._held()
 
-    def _physical(self) -> np.ndarray:
-        u = self.linear_part.from_modes(self._modes)
-        u.flags.writeable = False
-        return u
+    def _state(self) -> np.ndarray:
+        """The held mode stack; a RuntimeError before the first ``start``."""
+        if self._modes is None:
+            raise RuntimeError("the stepper has no state: call start first")
+        return self._modes
 
     def _held(self) -> np.ndarray:
         """The held physical columns, built by one inverse DST if need be."""
         if self._interior is None:
-            if self._modes is None:
-                raise RuntimeError("interior before start")
-            self._interior = self._physical()
+            u = self.linear_part.from_modes(self._state())
+            u.flags.writeable = False
+            self._interior = u
         return self._interior
 
     def interior(self) -> np.ndarray:
@@ -631,7 +628,7 @@ class Stepper:
         which hold every value of the state.
         """
         if self._interior is None:
-            col = np.abs(self._modes).sum(axis=0)
+            col = np.abs(self._state()).sum(axis=0)
             if np.max(col) <= BLOWUP_THRESHOLD * (1.0 - 1e-9) * (self.linear_part.grid.ny + 1):
                 return False
         # NaN fails <=, so a non-finite value anywhere counts as blow-up.
@@ -678,7 +675,8 @@ def simulate(config: SimConfig) -> Trajectory:
     u0 = initial_field(config, grid)
     stepper = Stepper(config, grid)
     snapshots = [(0.0, u0)]
-    i0 = calculus.initial_regularity(u0)
+    with _overflow_names(config.initial):  # initial_field's rule for the datum
+        i0 = calculus.initial_regularity(u0)
     stepper.start(u0.interior)
     rows = [(0.0,) + calculus.trace_row(stepper.interior(), grid)]
     blowup = None

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -146,13 +147,15 @@ def test_initial_tags_reject_unparsable_numbers(tag):
     dict(initial="cos-product:1e200", scale_weighted=0.5),  # the weighted energy overflows
     dict(initial="cos-product:1e308"),                      # the samples overflow
     dict(L=CRIT_L, B=math.pi, initial="mode:" + "9" * 200 + ",1,1"),  # k overflows a float
-], ids=["weighted-energy", "samples", "mode-index"])
+    dict(nx=15, ny=15, initial="cos-product:1e200"),        # the squares in i0 overflow
+], ids=["weighted-energy", "samples", "mode-index", "regularity"])
 def test_initial_overflow_names_the_tag(over):
-    # The mode index overflows while the config parses its tag, the others
-    # while the datum is sampled; both errors name the tag.
+    # The mode index overflows while the config parses its tag, the weighted
+    # energy and the samples while the datum is sampled, and i0 after that;
+    # each error names the tag, and simulate stops before its first step.
     tag = over["initial"]
     with pytest.raises(ValueError, match=f"^initial: '{tag[:16]}.* overflows the float"):
-        initial_field(small_config(**over))
+        simulate(small_config(**over))
 
 
 CONFIG_VALUES = st.one_of(
@@ -482,7 +485,9 @@ def test_factor_names_a_zero_pivot():
         dynamics._factor(bands, dt)
 
 
-def test_stepper_factors_each_parity_once_on_first_use(monkeypatch):
+def test_stepper_factors_the_stack_of_each_start(monkeypatch):
+    # Stepper() factors nothing, each start factors the stack its run steps
+    # (the even half or every mode), and advance factors nothing.
     factored = []
     real = dynamics._factor
 
@@ -494,15 +499,14 @@ def test_stepper_factors_each_parity_once_on_first_use(monkeypatch):
     cfg = small_config()
     stepper = Stepper(cfg)
     assert factored == []
-    u0 = initial_field(cfg).interior
-    stepper.start(u0)
     bands = stepper.linear_part.bands
-    assert len(factored) == 1 and np.array_equal(factored[0], bands[:, 0::2])
-    stepper.start(nudged(u0))
-    stepper.start(u0)
-    assert len(factored) == 2 and np.array_equal(factored[1], bands)
-    stepper.advance()
-    assert len(factored) == 2
+    u0 = initial_field(cfg).interior
+    for u, stack in ((u0, bands[:, 0::2]), (nudged(u0), bands), (u0, bands[:, 0::2])):
+        factored.clear()
+        stepper.start(u)
+        assert len(factored) == 1 and np.array_equal(factored[0], stack)
+        stepper.advance()
+        assert len(factored) == 1
 
 
 def test_import_leaves_scipy_linalg_unloaded():
@@ -544,6 +548,19 @@ def test_transverse_eigenvalues_match_dst_modes():
 
 # ---------------------------------------------------------------------------
 # stepping
+
+@pytest.mark.parametrize("shape", [(16, 9), (14, 9), (15, 9, 1)])
+def test_start_rejects_an_interior_of_another_shape(shape):
+    # The rejected start leaves the stepper as before any start: every read
+    # of its state raises.
+    stepper = Stepper(small_config(nx=15, ny=9))
+    with pytest.raises(ValueError, match=rf"^start: interior shape {re.escape(str(shape))} "
+                                         r"is not \(nx, ny\) = \(15, 9\)$"):
+        stepper.start(np.zeros(shape))
+    for read in (stepper.advance, stepper.interior, stepper.blown_up):
+        with pytest.raises(RuntimeError, match="call start first"):
+            read()
+
 
 def test_step_zero_state_stays_zero():
     cfg = small_config()
@@ -1059,11 +1076,13 @@ def test_initial_from_snapshot_rejects_other_geometry(tmp_path):
     write_snapshot(path, 0.0, initial_field(small_config(nx=16, ny=12, t_end=0.01)))
     for L, B in ((5.0, 3.0), (2.0, 3.0)):
         cfg = small_config(L=L, B=B, nx=16, ny=12, t_end=0.01, initial={"file": str(path)})
-        with pytest.raises(ValueError, match=rf"snapshot L=2\.0, B=1\.0 does not match "
-                                             rf"config L={L}, B={B}"):
+        with pytest.raises(ValueError, match=rf"^initial: snapshot Grid\(L=2\.0, B=1\.0, nx=16, "
+                                             rf"ny=12\) is not the config's grid Grid\(L={L}, "
+                                             rf"B={B}, nx=16, ny=12\)$"):
             initial_field(cfg)
     # Same domain, other shape.
     cfg = small_config(nx=16, ny=14, t_end=0.01, initial={"file": str(path)})
-    with pytest.raises(ValueError, match=r"^initial: snapshot nx=16, ny=12 does not match "
-                                         r"config nx=16, ny=14$"):
+    with pytest.raises(ValueError, match=r"^initial: snapshot Grid\(L=2\.0, B=1\.0, nx=16, "
+                                         r"ny=12\) is not the config's grid Grid\(L=2\.0, "
+                                         r"B=1\.0, nx=16, ny=14\)$"):
         initial_field(cfg)

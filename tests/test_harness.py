@@ -411,16 +411,18 @@ def test_cli_usage_errors_exit_2(capsys):
 
 
 def test_cli_simulate_overflowing_datum_is_one_error_line(tmp_path, capsys):
-    # Unchecked, the overflowing weighted energy scaled this datum to zero
-    # and the run read "ok" with an all-zero trace.
-    cfg = write_config(tmp_path, initial="cos-product:1e200", scale_weighted=0.5)
-    out = tmp_path / "out"
-    assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: initial: 'cos-product:1e200' overflows")
-    assert captured.err.count("\n") == 1
-    assert not out.exists()
+    # Unchecked, the overflowing weighted energy scaled the first datum to
+    # zero and the run read "ok" with an all-zero trace.  The second samples
+    # finitely, but the squares in its i0 overflow before the first step.
+    for over in (dict(scale_weighted=0.5), dict(nx=15, ny=15)):
+        cfg = write_config(tmp_path, initial="cos-product:1e200", **over)
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: initial: 'cos-product:1e200' overflows")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("vary", ["nx=nan:16:2", "L=1:inf:2", "B=-inf:1:2",
