@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.fft import dst, idst
 
 from zklab import (TRUNCATED_STRIP, BlowupError, LinearPart, SimConfig, Stepper, build_grid,
                    dynamics, enforce_dirichlet, initial_field, integrate, read_snapshot,
@@ -603,6 +604,41 @@ def test_even_half_transforms_are_the_even_dst_modes():
         lp.to_modes(full[:, :15])
 
 
+@pytest.mark.parametrize("k", [dynamics._DENSE_HALF_MAX, dynamics._DENSE_HALF_MAX + 1])
+def test_half_transforms_are_the_scaled_dst_iii_on_both_paths(k):
+    # A half stack of at most _DENSE_HALF_MAX rows is transformed by the
+    # cached matrices, a longer one by pocketfft.
+    g = build_grid(2.0, 1.0, 12, 2 * k - 1)
+    lp = LinearPart(g, alpha=1)
+    rng = np.random.default_rng(k)
+    half = rng.standard_normal((g.nx, k))
+    modes = rng.standard_normal((k, g.nx))
+    dense = k <= dynamics._DENSE_HALF_MAX
+    to = lp.to_modes(half)
+    assert ("_half_dst" in vars(lp)) == dense
+    vars(lp).pop("_half_dst", None)
+    back = lp.from_modes(modes)
+    assert ("_half_dst" in vars(lp)) == dense
+    assert to.shape == (k, g.nx) and to.flags.c_contiguous and back.shape == (g.nx, k)
+    to_ref = 2.0 * dst(half.T, type=3, axis=0)
+    back_ref = 0.5 * idst(modes, type=3, axis=0).T
+    assert np.max(np.abs(to - to_ref)) <= 1e-14 * np.max(np.abs(to_ref))
+    assert np.max(np.abs(back - back_ref)) <= 1e-14 * np.max(np.abs(back_ref))
+    assert np.max(np.abs(lp.from_modes(to) - half)) <= 1e-14 * np.max(np.abs(half))
+
+
+def test_half_matrices_are_built_by_the_first_half_transform():
+    cfg = small_config()
+    stepper = Stepper(cfg)
+    assert "_half_dst" not in vars(stepper.linear_part)
+    u0 = initial_field(cfg).interior
+    stepper.start(nudged(u0))
+    stepper.advance()
+    assert "_half_dst" not in vars(stepper.linear_part)
+    stepper.start(u0)
+    assert "_half_dst" in vars(stepper.linear_part)
+
+
 def test_start_picks_the_path_by_y_parity():
     cfg = small_config()
     u0 = initial_field(cfg).interior
@@ -960,6 +996,46 @@ def test_blown_up_names_first_non_finite_node():
     # A NaN in mode 4 of x column 6 spoils that whole column in physical space.
     assert err.node == (7, 1)
     assert np.isfinite(err.magnitude) and err.magnitude > 0
+
+
+def test_blown_up_whole_stack_sum_is_not_the_verdict():
+    # A spike next to the y = -B wall at half the threshold: each x column's
+    # modes sum below (ny + 1) times the threshold, but the whole stack's
+    # sum, and the sum of |u|, exceed their bounds, so the exact test clears
+    # the state.
+    def spike(g):
+        u = np.zeros((g.nx, g.ny))
+        u[:, 0] = 0.5e6 * np.sin(np.pi * g.xs()[1:-1] / g.L)
+        return u
+
+    stepper, g = linear_stepper_after_one_step(spike)
+    modes = np.abs(stepper._modes)
+    assert np.max(modes.sum(axis=0)) < 1e6 * (g.ny + 1) < modes.sum()
+    assert not stepper.blown_up()
+    u = stepper._interior
+    assert np.abs(u).sum() > 1e6 > np.max(np.abs(u))
+
+
+def test_blown_up_catches_one_nan_mode_on_the_even_path():
+    # test_blown_up_names_first_non_finite_node runs the general path.
+    stepper, g = linear_stepper_after_one_step(lambda g: np.ones((g.nx, g.ny)))
+    assert stepper._modes.shape[0] == 16
+    assert not stepper.blown_up() and stepper._interior is None
+    stepper._modes[4, 6] = np.nan
+    assert stepper.blown_up()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_blown_up_catches_one_non_finite_held_value(bad):
+    cfg = small_config()
+    stepper = Stepper(cfg)
+    stepper.start(initial_field(cfg).interior)
+    stepper.advance()
+    assert not stepper.blown_up()
+    u = stepper._interior.copy()
+    u[3, 5] = bad
+    stepper._interior = u
+    assert stepper.blown_up()
 
 
 def test_sweep_zero_datum_all_distances_zero():
