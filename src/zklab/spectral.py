@@ -76,20 +76,20 @@ class ResonantTriple:
 
     def identity_residuals(self) -> dict:
         """Absolute residuals of the five defining identities."""
-        s = self.roots
-        e2 = s[0] * s[1] + s[0] * s[2] + s[1] * s[2]
+        s1, s2, s3 = self.s1, self.s2, self.s3
         spacing = TWO_PI / self.L
         return {
-            "sum": abs(s.sum()),
-            "pair_sum": abs(e2 + (1.0 - self.xi)),
-            "product": abs(s.prod() + self.beta),
-            "spacing_k": abs((self.s2 - self.s1) - spacing * self.k),
-            "spacing_l": abs((self.s3 - self.s2) - spacing * self.l),
+            "sum": abs(s1 + s2 + s3),
+            "pair_sum": abs(s1 * s2 + s1 * s3 + s2 * s3 + (1.0 - self.xi)),
+            "product": abs(s1 * s2 * s3 + self.beta),
+            "spacing_k": abs((s2 - s1) - spacing * self.k),
+            "spacing_l": abs((s3 - s2) - spacing * self.l),
         }
 
     def cubic_residuals(self) -> np.ndarray:
-        s = self.roots
-        return np.abs(s ** 3 - (1.0 - self.xi) * s + self.beta)
+        c = 1.0 - self.xi
+        return np.array([abs(s * s * s - c * s + self.beta)
+                         for s in (self.s1, self.s2, self.s3)])
 
 
 def resonant_family(k: int, l: int, n: int, B: float) -> ResonantTriple:
@@ -148,10 +148,7 @@ class ModeProfile:
     is_real: bool
 
     def _series(self, x, weights) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        p = np.zeros(x.shape, dtype=complex)
-        for sj, wj in zip(self.s, weights):
-            p += wj * np.exp(1j * sj * x)
+        p = np.exp(np.multiply.outer(np.asarray(x, dtype=float), 1j * np.array(self.s))) @ weights
         return p.real if self.is_real else p
 
     def __call__(self, x) -> np.ndarray:
@@ -212,19 +209,19 @@ def build_profile(triple: ResonantTriple) -> ModeProfile:
     """
     check_int("k", triple.k, 1)
     check_int("l", triple.l, 1)
-    s = triple.roots
-    scale = max(1.0, float(np.max(np.abs(s))))
-    if min(s[1] - s[0], s[2] - s[1]) <= 1e-12 * scale:
+    s1, s2, s3 = triple.s1, triple.s2, triple.s3
+    scale = max(1.0, abs(s1), abs(s2), abs(s3))
+    if min(s2 - s1, s3 - s2) <= 1e-12 * scale:
         raise ValueError("repeated roots give only the zero profile")
     spacing = TWO_PI / triple.L
-    for name, gap, index in (("s2 - s1", s[1] - s[0], triple.k),
-                             ("s3 - s2", s[2] - s[1], triple.l)):
+    for name, gap, index in (("s2 - s1", s2 - s1, triple.k),
+                             ("s3 - s2", s3 - s2, triple.l)):
         if abs(gap - spacing * index) > 1e-12 * scale:
             raise ValueError(f"spacing {name} = {gap!r} does not match "
                              f"2 pi * {index} / L = {spacing * index!r}")
-    raw = np.array([s[1] - s[2], s[2] - s[0], s[0] - s[1]])
-    coeffs = tuple(raw / (spacing * _unit_amplitude(triple.k, triple.l)))
-    return ModeProfile(s=tuple(s), coeffs=coeffs, is_real=triple.beta == 0.0)
+    norm = spacing * _unit_amplitude(triple.k, triple.l)
+    coeffs = ((s2 - s3) / norm, (s3 - s1) / norm, (s1 - s2) / norm)
+    return ModeProfile(s=(s1, s2, s3), coeffs=coeffs, is_real=triple.beta == 0.0)
 
 
 @dataclass(frozen=True)

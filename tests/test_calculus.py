@@ -5,8 +5,8 @@ import pytest
 
 from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
                    check_sup_bound, enforce_dirichlet, initial_field,
-                   initial_regularity, integrate, sample_field, simulate,
-                   stationary_mode, trace_row)
+                   initial_regularity, integrate, resonant_family, sample_field,
+                   simulate, stationary_mode, trace_row)
 from zklab.calculus import _d1_full, _d1_wall, gradient_full, trapezoid_weights
 from zklab.dynamics import _CENTERED, _D3_LEFT
 from zklab.harness import random_clean_field
@@ -181,7 +181,28 @@ def _certificates(fld):
 
 
 def _inline_certificates(fld):
-    """The five certificates from a fresh gradient, each in its own arithmetic form."""
+    """The five certificates from a fresh gradient, in the library's arithmetic."""
+    g, v = fld.grid, fld.values
+    ux, uy = gradient_full(fld)
+    uxy = _d1_full(ux.T, g.hy).T
+    v2 = v * v
+    l2_sq = integrate(v2, g)
+    grad_sq = integrate(ux * ux + uy * uy, g)
+    l2, gn = np.sqrt(l2_sq), np.sqrt(grad_sq)
+    out = []
+    for q, vq in ((3, v2 * np.abs(v)), (4, v2 * v2)):
+        theta = 2.0 * (0.5 - 1.0 / q)
+        lq = integrate(vq, g) ** (1.0 / q)
+        out.append(float(lq / (2.0 ** theta * gn ** theta * l2 ** (1.0 - theta))))
+    out.append(float(np.max(v2)) / (l2_sq + grad_sq + integrate(uxy * uxy, g)))
+    out.append(float(l2_sq / (g.L ** 2 / 8.0 * integrate(ux * ux, g))))
+    out.append(float(l2_sq / (g.B ** 2 / 2.0 * integrate(uy * uy, g))))
+    return out
+
+
+def _defining_certificates(fld):
+    """The five certificates in their defining forms: |v|**q, and the H1 norm
+    of the sup bound as one integral of v*v + ux*ux + uy*uy."""
     g, v = fld.grid, fld.values
     ux, uy = gradient_full(fld)
     uxy = _d1_full(ux.T, g.hy).T
@@ -197,6 +218,23 @@ def _inline_certificates(fld):
     out.append(float(integrate(v * v, g) / (g.L ** 2 / 8.0 * integrate(ux * ux, g))))
     out.append(float(integrate(v * v, g) / (g.B ** 2 / 2.0 * integrate(uy * uy, g))))
     return out
+
+
+def test_certificates_match_their_defining_forms():
+    # The library builds |v|^3 as v2*|v| and v^4 as v2*v2 from the shared
+    # v*v, and sums the sup bound's H1 norm from the shared integrals; those
+    # reorder round-off only.  The fields of the inline test, plus a mode.
+    rng = np.random.default_rng(11)
+    fields = [random_clean_field(g, rng)
+              for g in (build_grid(2.0, 1.0, 63, 63), build_grid(3.0, 0.7, 63, 31))
+              for _ in range(12)]
+    crit_L = resonant_family(1, 1, 1, math.pi).L
+    fields.append(initial_field(SimConfig(L=crit_L, B=math.pi, nx=63, ny=63, t_end=0.01,
+                                          initial="mode:1,1,1")))
+    for fld in fields:
+        got, want = np.array(_certificates(fld)), np.array(_defining_certificates(fld))
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_certificates_equal_inline_recomputation():

@@ -781,7 +781,7 @@ def test_step_energy_identity(linear, tmp_path):
 # The rise measured on this construction: +17.7% at dt = 1e-4, +1.7% at
 # 1e-3 and +0.17% at 1e-2.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: sym(D3) is indefinite at the u(0) = 0 "
+                   reason="ROADMAP item 2: sym(D3) is indefinite at the u(0) = 0 "
                           "wall closure, so a linear step can raise ||u||^2")
 @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
 def test_no_linear_step_raises_l2(dt):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zklab import (ConfigError, DecayGeometry, SimConfig, build_grid, cli_main, decay_theory,
-                   emit_artifacts, load_config, random_clean_field, read_trace_csv, simulate,
-                   verdict, write_trace_csv)
+from zklab import (ConfigError, DecayGeometry, Field, SimConfig, build_grid, cli_main,
+                   decay_theory, emit_artifacts, enforce_dirichlet, load_config,
+                   random_clean_field, read_trace_csv, simulate, verdict, write_trace_csv)
 from zklab.dynamics import TRACE_COLUMNS, EnergyTrace
 from zklab.harness import _parse_vary, canonical_config_json, config_hash, main
 
@@ -267,6 +267,33 @@ def test_random_clean_field_is_clean_and_smoothish():
     f = random_clean_field(g, rng)
     assert not f.values[[0, -1], :].any() and not f.values[:, [0, -1]].any()
     assert 0 < np.max(np.abs(f.values)) < 10.0
+
+
+def test_random_clean_field_builds_one_field(monkeypatch):
+    # Every Field passes through __post_init__.
+    g = build_grid(2.0, 1.0, 63, 31)
+    built = []
+    real = Field.__post_init__
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counting)
+    rng = np.random.default_rng(5)
+    fld = random_clean_field(g, rng)
+    monkeypatch.undo()
+    assert len(built) == 1 and built[0] is fld
+    # Bitwise the modal sum with its boundary layer zeroed by enforce_dirichlet,
+    # drawn from the same rng state.
+    ref_rng = np.random.default_rng(5)
+    i = np.arange(1, 7)
+    coeffs = ref_rng.normal(size=(6, 6)) / np.add.outer(i ** 2, i ** 2)
+    sx = np.sin(np.pi * np.multiply.outer(i, g.xs()) / g.L)
+    sy = np.sin(np.pi * np.multiply.outer(i, g.ys() + g.B) / (2.0 * g.B))
+    want = enforce_dirichlet(Field(g, sx.T @ coeffs @ sy))
+    assert fld.values.tobytes() == want.values.tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zklab import (build_profile, critical_length, critical_residual,
+from zklab import (build_grid, build_profile, critical_length, critical_residual,
                    minimal_critical_rectangle, mode_xi, resonant_family, stationary_mode)
 from zklab.spectral import ResonantTriple, _unit_amplitude
 
@@ -215,6 +215,32 @@ def _direct_coeffs(triple):
         if denom < 0.0:
             amp = float(y0 - (yp - ym) ** 2 / (8.0 * denom))
     return raw / amp
+
+
+def _per_root_series(profile, x, weights):
+    """Oracle: sum_j w_j exp(i s_j x), accumulated one root at a time."""
+    x = np.asarray(x, dtype=float)
+    p = np.zeros(x.shape, dtype=complex)
+    for sj, wj in zip(profile.s, weights):
+        p += wj * np.exp(1j * sj * x)
+    return p.real if profile.is_real else p
+
+
+def test_profile_evaluation_matches_the_per_root_sum():
+    for k, l in ((2, 2), (1, 3)):   # beta = 0 gives a real profile, k != l a complex one
+        t = resonant_family(k, l, 1, math.pi)
+        prof = build_profile(t)
+        assert prof.is_real == (k == l)
+        line = np.linspace(0.0, t.L, 257)
+        X = build_grid(t.L, math.pi, 63, 31).meshgrid()[0]  # as StationaryMode samples it
+        slopes = [1j * sj * cj for sj, cj in zip(prof.s, prof.coeffs)]
+        for evaluate, weights in ((prof, prof.coeffs), (prof.derivative, slopes)):
+            scale = np.max(np.abs(_per_root_series(prof, line, weights)))
+            for x in (0.3 * t.L, line, X):
+                got, want = evaluate(x), _per_root_series(prof, x, weights)
+                assert np.shape(got) == np.shape(x)
+                assert np.isrealobj(got) == prof.is_real
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 def test_profile_amplitude_matches_direct_sampling():
