@@ -143,25 +143,26 @@ class _Terms(NamedTuple):
     v2: np.ndarray      # v * v
     l2_sq: float        # integrate(v * v)
     ux: np.ndarray      # gradient_full(fld)[0]
-    ux2: np.ndarray     # ux * ux
-    uy2: np.ndarray     # uy * uy
+    ux_sq: float        # integrate(ux * ux)
+    uy_sq: float        # integrate(uy * uy)
     grad_sq: float      # integrate(ux * ux + uy * uy)
 
 
 # One-entry memo keyed on the Field, so the five certificates of one field
 # take one gradient.  A Field hashes by identity and freezes a private copy
-# of its values, so identity stands for the values; the entry holds the
-# most recent field alive.
+# of its values, so identity stands for the values.  The entry holds the
+# latest field and two grid arrays, and the squares are summed in place: a
+# run of fields then reuses its heap, which glibc would trim and re-fault.
 @functools.lru_cache(maxsize=1)
 def _shared_terms(fld: Field) -> _Terms:
     g = fld.grid
-    v = fld.values
     ux, uy = gradient_full(fld)
-    v2, ux2, uy2 = v * v, ux * ux, uy * uy
-    for a in (v2, ux, ux2, uy2):
-        a.flags.writeable = False
-    return _Terms(v2=v2, l2_sq=integrate(v2, g), ux=ux, ux2=ux2, uy2=uy2,
-                  grad_sq=integrate(ux2 + uy2, g))
+    v2, ux2, uy2 = fld.values * fld.values, ux * ux, np.square(uy, out=uy)
+    v2.flags.writeable = ux.flags.writeable = False
+    ux_sq, uy_sq = integrate(ux2, g), integrate(uy2, g)
+    ux2 += uy2
+    return _Terms(v2=v2, l2_sq=integrate(v2, g), ux=ux, ux_sq=ux_sq, uy_sq=uy_sq,
+                  grad_sq=integrate(ux2, g))
 
 
 def check_gn(fld: Field, q: int) -> float:
@@ -207,7 +208,7 @@ def check_poincare(fld: Field, axis: str) -> float:
 
     axis 'y': ||w||^2 <= (B^2/2) ||w_y||^2;  axis 'x': ||w||^2 <= (L^2/8) ||w_x||^2.
     Returns the ratio ||w||^2 / (C * ||w_axis||^2); 0 for the zero field.
-    Reads the gradient shared by the certificates of this field.
+    Reads the gradient integrals shared by the certificates of this field.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
@@ -217,8 +218,8 @@ def check_poincare(fld: Field, axis: str) -> float:
         return 0.0
     if axis == "y":
         c = g.B ** 2 / 2.0
-        gsq = integrate(t.uy2, g)
+        gsq = t.uy_sq
     else:
         c = g.L ** 2 / 8.0
-        gsq = integrate(t.ux2, g)
+        gsq = t.ux_sq
     return float(t.l2_sq / (c * gsq))

@@ -7,7 +7,8 @@ from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
                    check_sup_bound, enforce_dirichlet, initial_field,
                    initial_regularity, integrate, resonant_family, sample_field,
                    simulate, stationary_mode, trace_row)
-from zklab.calculus import _d1_full, _d1_wall, gradient_full, trapezoid_weights
+from zklab.calculus import (_d1_full, _d1_wall, _shared_terms, gradient_full,
+                            trapezoid_weights)
 from zklab.dynamics import _CENTERED, _D3_LEFT
 from zklab.harness import random_clean_field
 
@@ -269,6 +270,17 @@ def test_dead_field_terms_are_not_reused():
     values = [random_clean_field(g, rng).values for _ in range(8)]
     want = [_inline_certificates(Field(g, v)) for v in values]
     assert [_certificates(Field(g, v)) for v in values] == want
+
+
+def test_shared_terms_hold_two_grid_arrays():
+    # The memo's arrays are freed when the next field replaces them.  Keeping
+    # v*v and u_x only, with the squared gradient as integrals, keeps that
+    # churn small: with u_x^2 and u_y^2 held too, glibc trimmed the heap and
+    # re-faulted ~32 MB per verify-inequalities run in some processes.
+    fld = random_clean_field(build_grid(2.0, 1.0, 63, 63), np.random.default_rng(15))
+    arrays = [a for a in _shared_terms(fld) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 2
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_certificates_of_equal_fields():
