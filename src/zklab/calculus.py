@@ -145,24 +145,23 @@ class _Terms(NamedTuple):
     ux: np.ndarray      # gradient_full(fld)[0]
     ux_sq: float        # integrate(ux * ux)
     uy_sq: float        # integrate(uy * uy)
-    grad_sq: float      # integrate(ux * ux + uy * uy)
+    grad_sq: float      # ux_sq + uy_sq
 
 
 # One-entry memo keyed on the Field, so the five certificates of one field
 # take one gradient.  A Field hashes by identity and freezes a private copy
 # of its values, so identity stands for the values.  The entry holds the
-# latest field and two grid arrays, and the squares are summed in place: a
-# run of fields then reuses its heap, which glibc would trim and re-fault.
+# latest field and two grid arrays, and u_y is squared in place: a run of
+# fields then reuses its heap, which glibc would trim and re-fault.
 @functools.lru_cache(maxsize=1)
 def _shared_terms(fld: Field) -> _Terms:
     g = fld.grid
     ux, uy = gradient_full(fld)
-    v2, ux2, uy2 = fld.values * fld.values, ux * ux, np.square(uy, out=uy)
+    v2 = fld.values * fld.values
     v2.flags.writeable = ux.flags.writeable = False
-    ux_sq, uy_sq = integrate(ux2, g), integrate(uy2, g)
-    ux2 += uy2
+    ux_sq, uy_sq = integrate(ux * ux, g), integrate(np.square(uy, out=uy), g)
     return _Terms(v2=v2, l2_sq=integrate(v2, g), ux=ux, ux_sq=ux_sq, uy_sq=uy_sq,
-                  grad_sq=integrate(ux2, g))
+                  grad_sq=ux_sq + uy_sq)
 
 
 def check_gn(fld: Field, q: int) -> float:

@@ -539,28 +539,29 @@ class Stepper:
     The implicit system I + dt/2 A is time-independent.  It is factored
     (``_factor``) by each ``start``, for the mode stack that run steps.
 
-    The state lives between steps as its transverse-mode stack: ``start``
-    begins a run from a physical interior (one forward DST), ``advance``
-    steps the modes in place and ``interior`` returns the physical state,
-    built by at most one inverse DST per step.  A nonlinear step builds it
-    at once, because the next step's nonlinear term reads it; a linear step
-    builds it only when asked, so a linear run pays one inverse DST per
-    trace row or snapshot and none in between.
+    The state is its transverse-mode stack alone: ``start`` begins a run
+    from a physical interior (one forward DST) and ``advance`` steps the
+    modes.  The physical columns are a cache: ``start`` keeps the datum's,
+    every ``advance`` drops them, and they are built again by one inverse
+    DST only when something reads them: the next step's nonlinear term,
+    ``interior`` (a trace row, a snapshot, the final state), or a
+    ``blown_up`` test that the modal bound cannot settle.  A linear run
+    thus pays one inverse DST per trace row or snapshot and none in
+    between.
 
     D_yy and the x-wise nonlinear term commute with the mirror y -> -y, so
     a datum on odd ny that equals its own y-mirror stays even: the stepper
-    then holds only its even modes and lower columns (see ``LinearPart``)
-    and ``interior`` mirrors the held half.
+    then holds only its even modes (see ``LinearPart``), the length of the
+    held stack says so, and ``interior`` mirrors the lower columns.
     """
 
     def __init__(self, config: SimConfig, grid: Grid | None = None):
         self.config = config
         self.linear_part = LinearPart(_run_grid(config, grid), config.alpha, config.epsilon)
         self._solve = None  # the factored solve of the run's mode stack
-        self._even = False
         self._nonlin_prev: np.ndarray | None = None
         self._modes: np.ndarray | None = None
-        self._interior: np.ndarray | None = None  # the held columns, all or the lower half
+        self._interior: np.ndarray | None = None  # cached columns, all or the lower half
 
     def _nonlin(self, interior: np.ndarray) -> np.ndarray:
         """(u^2)_x = 2 u u_x, conservative, walls u = 0: twice ZK's u u_x (ROADMAP item 1)."""
@@ -584,8 +585,7 @@ class Stepper:
             raise ValueError(f"start: interior shape {interior.shape} is not "
                              f"(nx, ny) = {g.nx, g.ny}")
         bands = self.linear_part.bands
-        self._even = g.ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1])
-        if self._even:
+        if g.ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1]):
             interior = interior[:, :(g.ny + 1) // 2]
             bands = bands[:, 0::2]
         self._solve = _factor(bands, self.config.dt)
@@ -600,8 +600,10 @@ class Stepper:
         Uses (I + hA)^-1 [(I - hA) m - dt F] = 2 (I + hA)^-1 (m - h F) - m
         with h = dt/2 and F the DST of the extrapolated nonlinear term (zero
         for a linear run), so a step is one banded solve and no operator
-        apply.  A nonlinear step takes two DSTs (F in, the state out); a
-        linear step takes none.
+        apply.  The step drops the cached physical columns.  A nonlinear
+        step reads them, built by one inverse DST unless a reader since the
+        last step built them, and transforms F in by one forward DST; a
+        linear step takes no DST.
         """
         m = self._state()
         lp = self.linear_part
@@ -624,8 +626,6 @@ class Stepper:
         x *= 2.0
         x -= m
         self._modes, self._interior = x, None
-        if not self.config.linear:
-            self._held()
 
     def _state(self) -> np.ndarray:
         """The held mode stack; a RuntimeError before the first ``start``."""
@@ -634,7 +634,7 @@ class Stepper:
         return self._modes
 
     def _held(self) -> np.ndarray:
-        """The held physical columns, built by one inverse DST if need be."""
+        """The physical columns of the held stack, built by one inverse DST if not cached."""
         if self._interior is None:
             u = self.linear_part.from_modes(self._state())
             u.flags.writeable = False
@@ -644,7 +644,7 @@ class Stepper:
     def interior(self) -> np.ndarray:
         """The (nx, ny) physical state, read-only; one inverse DST per step at most."""
         u = self._held()
-        if self._even:
+        if self.linear_part._is_half(u.shape[1]):
             u = np.concatenate((u, u[:, -2::-1]), axis=1)
             u.flags.writeable = False
         return u
@@ -652,29 +652,21 @@ class Stepper:
     def blown_up(self) -> bool:
         """True when max |u| exceeds the threshold or a value is NaN/inf.
 
-        Two upper bounds on max |u|, each one BLAS dasum, clear a state
-        before the exact test on the held columns; each must stay below the
-        threshold by a relative margin of 1e-9, which covers the rounding
-        of the sum and of the inverse DST:
-        - while the physical state is not built, the sum of |m_mi| over the
-          whole mode stack, over ny + 1: scipy's unnormalised DST-I gives
-          |u_ij| <= sum_m |m_mi| / (ny + 1), and an even-half stack holds
-          the nonzero modes on that scale.  It spares the inverse DST;
-        - the sum of |u| over the held columns, which hold every value of
-          the state.
-        A NaN or inf makes a sum NaN or inf, which fails the <=, so it
-        reaches the exact test.
+        One upper bound on max |u| clears a state before the exact test:
+        the sum of |m_mi| over the whole mode stack (one BLAS dasum), over
+        ny + 1.  scipy's unnormalised DST-I gives |u_ij| <= sum_m |m_mi| /
+        (ny + 1), and an even-half stack holds the nonzero modes on that
+        scale.  The bound must stay below the threshold by a relative
+        margin of 1e-9, which covers the rounding of the sum and of the
+        inverse DST.  Only a state that it cannot clear pays the inverse
+        DST and the exact max |u|.  A NaN or inf makes the sum NaN or inf,
+        which fails the <=, so it reaches the exact test.
         """
-        asum = _blas().dasum
-        bound = BLOWUP_THRESHOLD * (1.0 - 1e-9)
-        if self._interior is None:
-            if asum(np.ravel(self._state(), order="K")) <= bound * (self.linear_part.grid.ny + 1):
-                return False
-        u = self._held()
-        if asum(np.ravel(u, order="K")) <= bound:
+        bound = BLOWUP_THRESHOLD * (1.0 - 1e-9) * (self.linear_part.grid.ny + 1)
+        if _blas().dasum(np.ravel(self._state(), order="K")) <= bound:
             return False
         # NaN fails <=, so a non-finite value anywhere counts as blow-up.
-        return not np.max(np.abs(u)) <= BLOWUP_THRESHOLD
+        return not np.max(np.abs(self._held())) <= BLOWUP_THRESHOLD
 
 
 class BlowupError(RuntimeError):

@@ -70,10 +70,6 @@ class ResonantTriple:
     l: int
     L: float
 
-    @property
-    def roots(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3])
-
     def identity_residuals(self) -> dict:
         """Absolute residuals of the five defining identities."""
         s1, s2, s3 = self.s1, self.s2, self.s3

@@ -188,7 +188,8 @@ def _inline_certificates(fld):
     uxy = _d1_full(ux.T, g.hy).T
     v2 = v * v
     l2_sq = integrate(v2, g)
-    grad_sq = integrate(ux * ux + uy * uy, g)
+    ux_sq, uy_sq = integrate(ux * ux, g), integrate(uy * uy, g)
+    grad_sq = ux_sq + uy_sq
     l2, gn = np.sqrt(l2_sq), np.sqrt(grad_sq)
     out = []
     for q, vq in ((3, v2 * np.abs(v)), (4, v2 * v2)):
@@ -196,8 +197,8 @@ def _inline_certificates(fld):
         lq = integrate(vq, g) ** (1.0 / q)
         out.append(float(lq / (2.0 ** theta * gn ** theta * l2 ** (1.0 - theta))))
     out.append(float(np.max(v2)) / (l2_sq + grad_sq + integrate(uxy * uxy, g)))
-    out.append(float(l2_sq / (g.L ** 2 / 8.0 * integrate(ux * ux, g))))
-    out.append(float(l2_sq / (g.B ** 2 / 2.0 * integrate(uy * uy, g))))
+    out.append(float(l2_sq / (g.L ** 2 / 8.0 * ux_sq)))
+    out.append(float(l2_sq / (g.B ** 2 / 2.0 * uy_sq)))
     return out
 
 

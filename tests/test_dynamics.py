@@ -20,7 +20,7 @@ from zklab import (TRUNCATED_STRIP, BlowupError, LinearPart, SimConfig, Stepper,
                    dynamics, enforce_dirichlet, initial_field, integrate, read_snapshot,
                    sample_field, simulate, simulate_regularized_sweep,
                    stationary_mode, trace_row, write_snapshot)
-from zklab.dynamics import config_from_dict, transverse_eigenvalues
+from zklab.dynamics import TRACE_COLUMNS, EnergyTrace, config_from_dict, transverse_eigenvalues
 from zklab.geometry import Field, Grid
 from zklab.harness import (ConfigError, canonical_config_json, emit_artifacts, load_config,
                            random_clean_field)
@@ -946,6 +946,41 @@ def test_linear_simulate_transforms_once_per_trace_row(monkeypatch, tmp_path):
         assert calls == {"to_modes": 1, "from_modes": len(traj.trace) - 1}, path
 
 
+def test_nonlinear_simulate_transforms_twice_per_step(monkeypatch, tmp_path):
+    # One forward DST per step for the nonlinear term and one inverse DST
+    # per step for the state it reads, which the trace rows share; the
+    # start adds the datum's forward DST, the end the final state's inverse.
+    for path in PATHS:
+        cfg = on_path(small_config(t_end=0.023, trace_stride=5), path, tmp_path)
+        calls = {"to_modes": 0, "from_modes": 0}
+        for name in calls:
+            real = getattr(LinearPart, name)
+
+            def counting(self, arr, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, arr)
+
+            monkeypatch.setattr(LinearPart, name, counting)
+        traj = simulate(cfg)
+        monkeypatch.undo()
+        assert traj.aborted_at is None and len(traj.trace) == 6
+        assert calls == {"to_modes": cfg.n_steps + 1, "from_modes": cfg.n_steps + 1}, path
+
+
+def test_linear_part_apply_takes_only_its_grid():
+    lp = LinearPart(build_grid(2.0, 1.0, 16, 12), alpha=1)
+    other = build_grid(2.0, 1.0, 16, 13)
+    with pytest.raises(ValueError, match="^field grid does not match operator grid$"):
+        lp.apply(Field(other, np.zeros(other.shape)))
+
+
+def test_trace_column_names_only_trace_columns():
+    trace = EnergyTrace(*(np.arange(3.0) + k for k in range(len(TRACE_COLUMNS))))
+    assert [trace.column(name)[0] for name in TRACE_COLUMNS] == list(range(len(TRACE_COLUMNS)))
+    with pytest.raises(KeyError, match="nope"):
+        trace.column("nope")
+
+
 def linear_stepper_after_one_step(interior_fn):
     """A linear stepper one tiny step past the interior that interior_fn(grid) gives."""
     cfg = small_config(linear=True, dt=1e-8, t_end=1e-8)
@@ -1025,17 +1060,37 @@ def test_blown_up_catches_one_nan_mode_on_the_even_path():
     assert stepper.blown_up()
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_blown_up_catches_one_non_finite_held_value(bad):
+def test_blown_up_catches_one_non_finite_mode_of_a_nonlinear_stepper(bad, path):
+    # The NaN-mode tests above step linear runs; a nonlinear run is cleared
+    # by the same modal bound and caught by the same exact test.
     cfg = small_config()
+    u0 = initial_field(cfg).interior
     stepper = Stepper(cfg)
-    stepper.start(initial_field(cfg).interior)
+    stepper.start(u0 if path == "even" else nudged(u0))
     stepper.advance()
-    assert not stepper.blown_up()
-    u = stepper._interior.copy()
-    u[3, 5] = bad
-    stepper._interior = u
+    assert stepper._modes.shape[0] == (16 if path == "even" else cfg.ny)
+    assert not stepper.blown_up() and stepper._interior is None
+    stepper._modes[3, 5] = bad
     assert stepper.blown_up()
+
+
+def test_nonlinear_advance_holds_no_physical_columns():
+    # The mode stack is the state; its columns are built by the first reader.
+    cfg = small_config()
+    u0 = initial_field(cfg).interior
+    for u, held_modes in ((u0, 16), (nudged(u0), cfg.ny)):
+        stepper = Stepper(cfg)
+        stepper.start(u)
+        for _ in range(2):
+            stepper.advance()
+            assert stepper._interior is None
+        u1 = stepper.interior()
+        held = stepper._interior
+        assert held.shape == (cfg.nx, held_modes)
+        assert np.array_equal(held, stepper.linear_part.from_modes(stepper._modes))
+        assert np.array_equal(u1[:, :held_modes], held)
 
 
 def test_sweep_zero_datum_all_distances_zero():

@@ -6,7 +6,7 @@ import pytest
 
 from zklab import (build_grid, build_profile, critical_length, critical_residual,
                    minimal_critical_rectangle, mode_xi, resonant_family, stationary_mode)
-from zklab.spectral import ResonantTriple, _unit_amplitude
+from zklab.spectral import ResonantTriple, _parabolic_peak, _unit_amplitude
 
 TWO_PI = 2 * math.pi
 
@@ -200,7 +200,7 @@ def test_stationary_mode_walls_vanish():
 def _direct_coeffs(triple):
     """Reference normaliser: max |p| of the complex profile on 8193 samples of
     [0, L], refined by a parabola through the grid maximum and its neighbours."""
-    s = triple.roots
+    s = np.array([triple.s1, triple.s2, triple.s3])
     raw = np.array([s[1] - s[2], s[2] - s[0], s[0] - s[1]])
     xs = np.linspace(0.0, triple.L, 8193)
     p = np.zeros(xs.shape, dtype=complex)
@@ -277,3 +277,10 @@ def test_profile_amplitude_cache_is_order_free():
     order = np.random.default_rng(7).permutation(len(triples))
     again = {int(i): build_profile(triples[i]).coeffs for i in order}
     assert all(again[i] == first[i] for i in range(len(triples)))
+
+
+# Flat or convex samples have no interior vertex above the grid maximum.
+@pytest.mark.parametrize("samples", [(1.0, 1.0, 1.0), (2.0, 1.0, 3.0), (0.5, 1.0, 1.5)])
+def test_parabolic_peak_keeps_the_sample_unless_strictly_concave(samples):
+    peak = _parabolic_peak(*samples)
+    assert type(peak) is float and peak == samples[1]

@@ -212,6 +212,14 @@ def test_monitor_needs_three_samples():
         lyapunov_monitor(make_trace([0.0, 1.0], [1.0, 0.5]), th)
 
 
+def test_monitor_rejects_an_inadmissible_theory():
+    th = decay_theory(1, rect(10.0, 10.0))
+    assert not th.admissible
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="^monitor is undefined for an inadmissible theory$"):
+        lyapunov_monitor(make_trace(t, np.ones_like(t)), th)
+
+
 def test_monitor_compliant_synthetic_decay():
     # trace mimicking the guaranteed inequality with slack
     th = decay_theory(1, rect(2.0, 1.0))
@@ -253,6 +261,12 @@ def test_verdict_inadmissible_theory():
     assert not v.envelope_ok
     assert not v.smallness_ok
     assert math.isnan(v.margin)
+
+
+def test_verdict_needs_two_samples():
+    th = decay_theory(1, rect(2.0, 1.0))
+    with pytest.raises(ValueError, match="^trace too short for a verdict$"):
+        verdict(make_trace([0.0], [1.0]), th)
 
 
 def test_verdict_window_slides_above_floor():
