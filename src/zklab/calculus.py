@@ -89,6 +89,13 @@ def _weighted_column(grid) -> np.ndarray:
     return w
 
 
+def _squares(u: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, float]:
+    """u*u, its sums along y, and the one definition of the weighted energy ((1+x), u^2)."""
+    u2 = u * u
+    rows = u2.sum(axis=1)
+    return u2, rows, float(_weighted_column(grid) @ rows)
+
+
 def trace_row(interior: np.ndarray, grid) -> tuple:
     """(l2_sq, weighted, flux0, grad_x_sq, grad_y_sq, cubic) of a clean state.
 
@@ -104,10 +111,8 @@ def trace_row(interior: np.ndarray, grid) -> tuple:
     u = interior
     hx, hy = grid.hx, grid.hy
     # One full-size buffer: u^2, then u^3, then each derivative in turn.
-    buf = u * u
-    rows = buf.sum(axis=1)
+    buf, rows, weighted = _squares(u, grid)
     l2_sq = hx * hy * float(rows.sum())
-    weighted = float(_weighted_column(grid) @ rows)
     buf *= u
     cubic = hx * hy * float(buf.sum())
     inner, lo, hi = _d1_sq_sums(u, buf)

@@ -11,6 +11,9 @@ transform in y: each transverse mode m evolves by an nx-by-nx matrix
 
     A_m = D3 + (alpha - xi_m) D1 + eps (D4x + xi_m^2 I).
 
+The operator is held as D1, D3, D4x in band storage and the xi_m; the
+band stack of the A_m that a run steps is formed where it is read.
+
 Time stepping is Crank-Nicolson on the linear part (one banded LU of
 I + dt/2 A without row interchanges, factored by each ``start``) with the
 conservative nonlinearity (u^2)_x treated explicitly by second-order
@@ -238,8 +241,8 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
                 raise ValueError(f"initial: snapshot {fld.grid} is not the config's grid {g}")
         fld = enforce_dirichlet(fld)
         if config.scale_weighted is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # read the weighted column only
-                w = calculus.trace_row(fld.interior, g)[1]
+            with np.errstate(over="ignore"):  # an overflow is named below
+                w = calculus._squares(fld.interior, g)[2]
             if w == math.inf:
                 raise OverflowError("the weighted energy overflows")
             if w == 0.0:
@@ -315,7 +318,10 @@ def _band_apply(bands: np.ndarray, modes: np.ndarray) -> np.ndarray:
 class LinearPart:
     """alpha*Dx + Dxxx + Dxyy + eps*(Dx4 + Dy4) with the IBVP closures.
 
-    ``bands[:, m]`` is A_m in band storage, (6, ny, nx).
+    Held as its x-operators in band storage (``_x_bands`` of order 1 and 3,
+    and 4 when eps > 0) and the transverse eigenvalues ``xi``; each
+    A_m = D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2 I) is formed only where
+    it is read, by ``bands`` for the modes of one stack.
 
     A mode stack is either full, (ny, nx) from an (nx, ny) interior, or,
     for odd ny and an interior even in y, its even half: the rows
@@ -334,13 +340,21 @@ class LinearPart:
     def __init__(self, grid: Grid, alpha: int, epsilon: float = 0.0):
         _check_coefficients(alpha, epsilon)
         self.grid = grid
+        self.alpha, self.epsilon = alpha, epsilon
+        self.xi = transverse_eigenvalues(grid.ny, grid.hy)
         nx, hx = grid.nx, grid.hx
-        xi = transverse_eigenvalues(grid.ny, grid.hy)[:, None]
-        self.bands = (alpha - xi) * _x_bands(1, nx, hx)[:, None, :]
-        self.bands += _x_bands(3, nx, hx)[:, None, :]
-        if epsilon > 0:
-            self.bands += epsilon * _x_bands(4, nx, hx)[:, None, :]
-            self.bands[_KU] += epsilon * xi ** 2
+        self._d1, self._d3 = _x_bands(1, nx, hx), _x_bands(3, nx, hx)
+        self._d4 = _x_bands(4, nx, hx) if epsilon > 0 else None
+
+    def bands(self, k: int) -> np.ndarray:
+        """(6, k, nx): A_m in band storage for a stack of all k = ny modes or the even half."""
+        xi = (self.xi[0::2] if self._is_half(k) else self.xi)[:, None]
+        b = (self.alpha - xi) * self._d1[:, None, :]
+        b += self._d3[:, None, :]
+        if self._d4 is not None:
+            b += self.epsilon * self._d4[:, None, :]
+            b[_KU] += self.epsilon * xi ** 2
+        return b
 
     def _is_half(self, n: int) -> bool:
         """Whether n y-columns or modes are the even half rather than all ny."""
@@ -386,12 +400,11 @@ class LinearPart:
 
     def apply_modes(self, modes: np.ndarray) -> np.ndarray:
         """A_m applied to each row of a mode stack: the banded stencil."""
-        return _band_apply(self.bands[:, 0::2] if self._is_half(modes.shape[0]) else self.bands,
-                           modes)
+        return _band_apply(self.bands(modes.shape[0]), modes)
 
     def apply(self, fld: Field) -> Field:
-        """A u as a Field (boundary layer zeroed)."""
-        if fld.grid.shape != self.grid.shape:
+        """A u as a Field on the operator's grid (boundary layer zeroed)."""
+        if fld.grid != self.grid:
             raise ValueError("field grid does not match operator grid")
         return fld.with_interior(self.from_modes(self.apply_modes(self.to_modes(fld.interior))))
 
@@ -537,7 +550,9 @@ class Stepper:
     nonlinear history.
 
     The implicit system I + dt/2 A is time-independent.  It is factored
-    (``_factor``) by each ``start``, for the mode stack that run steps.
+    (``_factor``) by each ``start``, for the mode stack that run steps,
+    from the bands that ``LinearPart.bands`` forms for it; ``Stepper()``
+    builds no stack.
 
     The state is its transverse-mode stack alone: ``start`` begins a run
     from a physical interior (one forward DST) and ``advance`` steps the
@@ -584,11 +599,9 @@ class Stepper:
         if interior.shape != (g.nx, g.ny):
             raise ValueError(f"start: interior shape {interior.shape} is not "
                              f"(nx, ny) = {g.nx, g.ny}")
-        bands = self.linear_part.bands
         if g.ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1]):
             interior = interior[:, :(g.ny + 1) // 2]
-            bands = bands[:, 0::2]
-        self._solve = _factor(bands, self.config.dt)
+        self._solve = _factor(self.linear_part.bands(interior.shape[1]), self.config.dt)
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)

@@ -84,10 +84,6 @@ class Grid:
     def xs_interior(self) -> np.ndarray:
         return self.hx * np.arange(1, self.nx + 1)
 
-    def meshgrid(self):
-        """Full-grid coordinate arrays of shape (nx+2, ny+2)."""
-        return np.meshgrid(self.xs(), self.ys(), indexing="ij")
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx + 2, self.ny + 2)
@@ -142,10 +138,14 @@ class Field:
 
 
 def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Field:
-    """Pointwise samples of f(x, y) at every node, boundary layer included."""
-    X, Y = grid.meshgrid()
-    # scalar-valued callables broadcast
-    return Field(grid, np.broadcast_to(np.asarray(f(X, Y), dtype=float), grid.shape))
+    """Pointwise samples of f(x, y) at every node, boundary layer included.
+
+    f is called once, on the x column ``xs()[:, None]`` and the y row
+    ``ys()[None, :]``, so it must broadcast; its result, a scalar included,
+    is broadcast to the grid's shape.
+    """
+    vals = f(grid.xs()[:, None], grid.ys()[None, :])
+    return Field(grid, np.broadcast_to(np.asarray(vals, dtype=float), grid.shape))
 
 
 def enforce_dirichlet(fld: Field) -> Field:

@@ -315,8 +315,7 @@ def test_gradient_full_matches_interior():
     v = f.values
     centered = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * g.hx)
     assert np.allclose(ux[1:-1, 1:-1], centered, atol=1e-14)
-    X, Y = g.meshgrid()
-    assert np.max(np.abs(ux - np.cos(X) * np.cos(Y))) < 5e-3
+    assert np.max(np.abs(ux - np.cos(g.xs()[:, None]) * np.cos(g.ys()))) < 5e-3
 
 
 def test_integrate_full_trapezoid():
@@ -328,7 +327,7 @@ def test_integrate_full_trapezoid():
 def _general_row(fld):
     g, v = fld.grid, fld.values
     ux, uy = gradient_full(fld)
-    x = g.meshgrid()[0]
+    x = g.xs()[:, None]
     return (integrate(v * v, g), integrate((1.0 + x) * v * v, g), trace_flux(fld),
             integrate(ux * ux, g), integrate(uy * uy, g), integrate(v ** 3, g))
 

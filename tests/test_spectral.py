@@ -232,7 +232,7 @@ def test_profile_evaluation_matches_the_per_root_sum():
         prof = build_profile(t)
         assert prof.is_real == (k == l)
         line = np.linspace(0.0, t.L, 257)
-        X = build_grid(t.L, math.pi, 63, 31).meshgrid()[0]  # as StationaryMode samples it
+        X = build_grid(t.L, math.pi, 63, 31).xs()[:, None]  # the column sample_field passes
         slopes = [1j * sj * cj for sj, cj in zip(prof.s, prof.coeffs)]
         for evaluate, weights in ((prof, prof.coeffs), (prof.derivative, slopes)):
             scale = np.max(np.abs(_per_root_series(prof, line, weights)))
