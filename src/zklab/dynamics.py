@@ -49,7 +49,6 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from . import calculus, spectral
 from .geometry import (Field, Grid, _is_real, check_alpha, check_int, check_positive_finite,
@@ -69,6 +68,26 @@ RECTANGLE = "rectangle"
 TRUNCATED_STRIP = "truncated_strip"
 
 _DOMAIN_KINDS = (RECTANGLE, TRUNCATED_STRIP)
+
+
+# scipy is imported where a run first transforms or solves, so a process
+# that never steps (the spectra, the certificates) loads no scipy module.
+# Measured on x86-64 Linux, Python 3.11, scipy 1.17: ``import zklab`` peaks
+# at 33 MiB RSS; scipy.fft adds 85 modules and 21 MiB, scipy.linalg.blas
+# alone 85 modules and 23 MiB, and the two together 128 modules and 28 MiB.
+
+@functools.cache
+def _fft():
+    """scipy.fft, imported on the first transform."""
+    import scipy.fft
+    return scipy.fft
+
+
+@functools.cache
+def _blas():
+    """scipy.linalg.blas, imported on the first solve or blow-up test."""
+    from scipy.linalg import blas
+    return blas
 
 
 def _check_coefficients(alpha, epsilon) -> None:
@@ -305,13 +324,21 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     return b / (div * h ** order)
 
 
-def _band_apply(bands: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Each row of a (k, nx) mode stack times its band matrix from a (6, k, nx) stack."""
-    out = np.zeros_like(modes)
+def _band_apply(bands: np.ndarray, modes: np.ndarray, offsets=range(-_KL, _KU + 1),
+                out: np.ndarray | None = None, magnitudes: bool = False) -> np.ndarray:
+    """Each row of a (k, nx) mode stack times its band matrix from a (6, k, nx) stack.
+
+    Adds to ``out`` (zeros by default) the product of each diagonal in
+    ``offsets`` (0 the main one, positive above it), in that order, one
+    (k, nx) slice at a time; with ``magnitudes`` each band entry enters as
+    its absolute value.
+    """
+    out = np.zeros_like(modes) if out is None else out
     nx = modes.shape[1]
-    for k in range(-_KL, _KU + 1):
+    for k in offsets:
         lo, hi = max(0, -k), nx - max(0, k)
-        out[:, lo:hi] += bands[_KU - k, :, lo + k:hi + k] * modes[:, lo + k:hi + k]
+        diagonal = bands[_KU - k, :, lo + k:hi + k]
+        out[:, lo:hi] += (np.abs(diagonal) if magnitudes else diagonal) * modes[:, lo + k:hi + k]
     return out
 
 
@@ -369,7 +396,8 @@ class LinearPart:
     def _half_dst(self) -> tuple[np.ndarray, np.ndarray]:
         """The half-stack transforms as k x k matrices: (to_modes, from_modes)."""
         eye = np.eye((self.grid.ny + 1) // 2)
-        return 2.0 * dst(eye, type=3, axis=0), 0.5 * idst(eye, type=3, axis=0)
+        fft = _fft()
+        return 2.0 * fft.dst(eye, type=3, axis=0), 0.5 * fft.idst(eye, type=3, axis=0)
 
     def to_modes(self, interior: np.ndarray) -> np.ndarray:
         """(nx, ny) physical interior -> C-contiguous (ny, nx) transverse-mode stack.
@@ -378,10 +406,10 @@ class LinearPart:
         of its lower half (Martucci 1994).
         """
         if not self._is_half(interior.shape[1]):
-            return dst(interior.T, type=1, axis=0)
+            return _fft().dst(interior.T, type=1, axis=0)
         if interior.shape[1] <= _DENSE_HALF_MAX:
             return self._half_dst[0] @ interior.T
-        modes = dst(interior.T, type=3, axis=0)
+        modes = _fft().dst(interior.T, type=3, axis=0)
         modes *= 2.0
         return modes
 
@@ -391,10 +419,10 @@ class LinearPart:
         An even-half stack gives the lower half of the interior.
         """
         if not self._is_half(modes.shape[0]):
-            return idst(modes, type=1, axis=0).T
+            return _fft().idst(modes, type=1, axis=0).T
         if modes.shape[0] <= _DENSE_HALF_MAX:
             return (self._half_dst[1] @ modes).T
-        half = idst(modes, type=3, axis=0)
+        half = _fft().idst(modes, type=3, axis=0)
         half *= 0.5
         return half.T
 
@@ -466,13 +494,6 @@ class Trajectory:
 _REFINE_GROWTH = 4.0  # see _factor; the benchmark and acceptance grids read at most 3.12
 
 
-@functools.cache
-def _blas():
-    """scipy.linalg.blas, imported on first use: it adds ~6 MiB to a process that never steps."""
-    from scipy.linalg import blas
-    return blas
-
-
 def _factor(bands: np.ndarray, dt: float):
     """The solve of I + dt/2 A for a (6, k, nx) stack of mode bands.
 
@@ -483,7 +504,7 @@ def _factor(bands: np.ndarray, dt: float):
     vector b and returns (I + dt/2 A)^-1 b: two unit triangular band
     sweeps (BLAS ``dtbsv``) with the scaling by 1/D between them.  A zero
     or non-finite pivot raises LinAlgError naming the column and the mode
-    by its index in the stack.
+    by its index in the stack.  ``bands`` is not modified.
 
     Without interchanges the factors can grow: at eps = 0, the pivots of a
     mode whose D1 term dominates (xi_m dt / hx large) alternate between
@@ -491,40 +512,16 @@ def _factor(bands: np.ndarray, dt: float):
     (|I + dt/2 A| 1) of some row passes ``_REFINE_GROWTH``, every solve
     adds one step of iterative refinement (Skeel 1980), which brings the
     componentwise backward error back to round-off.
+
+    Working set beyond ``bands``, in stacks of 6 k nx floats: the
+    elimination buffer, a few (k, nx) rows for the growth, and the kept
+    factors (4 rows of U, 3 of L and 1/D), 2.5 stacks at the peak (measured
+    under tracemalloc at k = 192 and 383, nx = 127).  The solve keeps the
+    factors, 4/3 of a stack, and a refined one also I + dt/2 A, formed
+    once the elimination buffer is released.
     """
     k, nx = bands.shape[1:]
-    with np.errstate(all="ignore"):  # a bad pivot is named below
-        system = bands * (0.5 * dt)
-        system[_KU] += 1.0
-        # Entry (i, j) of mode m at ab[_KU + i - j, j, m]; the modes are contiguous.
-        ab = system.transpose(0, 2, 1).copy()
-        inv_pivot = ab[_KU]
-        for j in range(nx):
-            np.divide(1.0, inv_pivot[j], out=inv_pivot[j])
-            ab[_KU + 1:, j] *= inv_pivot[j]  # column j of L
-            for e in range(1, min(_KU, nx - 1 - j) + 1):
-                ab[_KU + 1 - e:_KU + _KL + 1 - e, j + e] -= ab[_KU + 1:, j] * ab[_KU - e, j + e]
-        for e in range(1, _KU + 1):
-            ab[_KU - e, e:] *= inv_pivot[:-e]  # each row of U over its pivot
-    # BLAS band storage of every mode, row _KU holding 1/D: (6, k, nx).
-    lu = ab.transpose(0, 2, 1).copy()
-    bad = ~np.isfinite(lu).all(axis=0) | (lu[_KU] == 0.0)
-    if bad.any():
-        m, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise np.linalg.LinAlgError(f"I + dt/2 A has a zero or non-finite pivot without row "
-                                    f"interchanges: mode {m}, column {j}")
-    ones = np.ones((k, nx))
-    abs_u = np.abs(lu)
-    abs_u[_KU] = 1.0
-    abs_l = abs_u.copy()
-    abs_u[_KU + 1:] = abs_l[:_KU] = 0.0
-    scaled_rows = _band_apply(abs_u, ones) / np.abs(lu[_KU])  # |D| |U| 1
-    growth = _band_apply(abs_l, scaled_rows) / _band_apply(np.abs(system), ones)
-    # dtbsv reads column-major (rows, k*nx) storage, the modes one after
-    # another; the unit diagonal, row _KU, is not read.
-    flat = lu.reshape(_KL + _KU + 1, k * nx)
-    lower, upper = np.asfortranarray(flat[_KU:]), np.asfortranarray(flat[:_KU + 1])
-    rdiag = flat[_KU].copy()
+    lower, upper, rdiag, refine = _band_lu(bands, dt)
     tbsv = _blas().dtbsv
 
     def sweeps(b: np.ndarray) -> np.ndarray:
@@ -533,8 +530,9 @@ def _factor(bands: np.ndarray, dt: float):
         tbsv(_KU, upper, b, diag=1, overwrite_x=1)
         return b
 
-    if not growth.max() > _REFINE_GROWTH:
+    if not refine:
         return sweeps
+    system = _implicit(bands, dt)
 
     def refined(b: np.ndarray) -> np.ndarray:
         x = sweeps(b.copy())
@@ -543,6 +541,61 @@ def _factor(bands: np.ndarray, dt: float):
         return x
 
     return refined
+
+
+def _band_lu(bands: np.ndarray, dt: float):
+    """``_factor``'s L, U and 1/D in dtbsv's storage, and whether the growth asks for refinement."""
+    k, nx = bands.shape[1:]
+    with np.errstate(all="ignore"):  # a bad pivot is named below
+        # Entry (i, j) of mode m at ab[_KU + i - j, j, m]; the modes are contiguous.
+        ab = _implicit(bands.transpose(0, 2, 1), dt)
+        lu = ab.transpose(0, 2, 1)  # the (6, k, nx) stack, a view of ab
+        system_rows = _band_apply(lu, np.ones((k, nx)), magnitudes=True)  # |I + dt/2 A| 1
+        inv_pivot = ab[_KU]
+        for j in range(nx):
+            np.divide(1.0, inv_pivot[j], out=inv_pivot[j])
+            ab[_KU + 1:, j] *= inv_pivot[j]  # column j of L
+            for e in range(1, min(_KU, nx - 1 - j) + 1):
+                ab[_KU + 1 - e:_KU + _KL + 1 - e, j + e] -= ab[_KU + 1:, j] * ab[_KU - e, j + e]
+        for e in range(1, _KU + 1):
+            ab[_KU - e, e:] *= inv_pivot[:-e]  # each row of U over its pivot
+    # lu is now BLAS band storage of every mode, row _KU holding 1/D.
+    bad = ~np.isfinite(lu).all(axis=0) | (lu[_KU] == 0.0)
+    if bad.any():
+        m, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise np.linalg.LinAlgError(f"I + dt/2 A has a zero or non-finite pivot without row "
+                                    f"interchanges: mode {m}, column {j}")
+    refine = _growth(lu, system_rows) > _REFINE_GROWTH
+    # dtbsv reads column-major (rows, k*nx) storage, the modes one after
+    # another; the unit diagonal, row _KU, is not read.
+    return _column_major(ab[_KU:]), _column_major(ab[:_KU + 1]), lu[_KU].copy().reshape(-1), refine
+
+
+def _growth(lu: np.ndarray, system_rows: np.ndarray) -> float:
+    """The largest row growth (|L| |D| |U| 1) / (|I + dt/2 A| 1) of factors in band storage.
+
+    Each sum runs diagonal by diagonal on (k, nx) slices in ``_band_apply``'s
+    order; the unit diagonals of U and L enter as the first and the last term.
+    """
+    ones = np.ones(system_rows.shape)
+    scaled_rows = _band_apply(lu, ones, range(1, _KU + 1), ones.copy(), magnitudes=True)
+    scaled_rows /= np.abs(lu[_KU])  # |D| |U| 1
+    growth = _band_apply(lu, scaled_rows, range(-_KL, 0), magnitudes=True)
+    growth += scaled_rows
+    growth /= system_rows
+    return growth.max()
+
+
+def _implicit(bands: np.ndarray, dt: float) -> np.ndarray:
+    """I + dt/2 A from a band stack or a transposed view of one, C-ordered in its axes."""
+    system = np.multiply(bands, 0.5 * dt, order="C")
+    system[_KU] += 1.0
+    return system
+
+
+def _column_major(rows: np.ndarray) -> np.ndarray:
+    """(r, nx, k) rows of the elimination buffer -> (r, k*nx) column-major, mode after mode."""
+    return rows.transpose(2, 1, 0).copy().reshape(-1, len(rows)).T
 
 
 class Stepper:

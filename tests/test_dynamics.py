@@ -514,6 +514,27 @@ def test_factor_names_a_zero_pivot():
         dynamics._factor(bands, dt)
 
 
+@pytest.mark.parametrize("half", [True, False], ids=["even_half", "every_mode"])
+def test_factor_working_set(half):
+    # The factorization keeps its elimination buffer and the factors, and
+    # sums the growth's rows on (k, nx) slices: with its input it holds
+    # under 4 band stacks at its peak.  The input bands are left as given.
+    cfg = small_config(B=12.0, nx=127, ny=383)
+    k = (cfg.ny + 1) // 2 if half else cfg.ny
+    bands = LinearPart(cfg.grid(), cfg.alpha, cfg.epsilon).bands(k)
+    stack_bytes = 6 * k * cfg.nx * 8
+    before = bands.copy()
+    dynamics._blas()  # import scipy.linalg.blas outside the traced span
+    tracemalloc.start()
+    try:
+        dynamics._factor(bands, cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bands.nbytes + peak < 4 * stack_bytes
+    assert np.array_equal(bands, before)
+
+
 def every_mode_bands(g, alpha, eps):
     """Oracle: the (6, ny, nx) stack of every A_m, one expression per term."""
     xi = transverse_eigenvalues(g.ny, g.hy)[:, None]
@@ -570,12 +591,33 @@ def test_stepper_builds_no_mode_stack():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
+    # scipy is imported by the first transform or solve, so importing zklab,
+    # the critical spectra and the inequality certificates load none of it;
+    # one transform then loads scipy.fft.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import zklab; "
-            "print('scipy.linalg' in sys.modules)")
+    code = """if True:
+        import io, sys
+        sys.path.insert(0, sys.argv[1])
+        import zklab
+        from zklab.harness import cli_main, run_verify
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+        print("scipy.linalg" in sys.modules)
+        stdout, sys.stdout = sys.stdout, io.StringIO()
+        codes = [cli_main(["critical", "--L", "7.2552", "--B", "3.1416", "--kmax", "2",
+                           "--lmax", "2", "--nmax", "2", "--alpha", "1"]),
+                 run_verify("inequalities", 2, 0)]
+        sys.stdout = stdout
+        print(codes, scipy_modules())
+        import numpy as np
+        zklab.LinearPart(zklab.build_grid(2.0, 1.0, 15, 15), 1).to_modes(np.ones((15, 15)))
+        print("scipy.fft" in scipy_modules())
+    """
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False", "[0, 0] []", "True"]
 
 
 def test_regularization_quadratic_form_nonnegative():
