@@ -1,12 +1,15 @@
-"""Quadrature, trace functionals, and functional-inequality checks.
+"""Quadrature, trace functionals, functional-inequality checks, and the
+lab's one table of finite-difference rows.
 
-Everything here reads a field through three second-order difference rows:
-the centered first and second differences at interior nodes and the
-one-sided u_x row at a wall (``_d1_wall``), which ``gradient_full`` reads
-and ``trace_row`` applies to a zero wall as (4 u_1 - u_2) / 2h.
-Quadrature is the tensor trapezoidal rule on the closed rectangle.  The
-stepper's x-operators, closed by the boundary conditions, live in
-``dynamics``.
+Every difference in the lab is a row of ``_ROWS``: the centered D1 to D4,
+the one-sided u_x row at a wall, and the closures of the stepper's
+x-operators at x = h and x = L - h, which ``dynamics._x_bands`` writes into
+band storage.  ``_apply`` applies a row along one axis; ``gradient_full``
+reads D1 and the wall row through it, and ``initial_regularity`` D2.  The
+two hot paths, D1 on a field with zero walls (``_d1_zero_walls``, for
+``trace_row`` and the stepper's nonlinear term) and ``trace_row``'s wall
+row, are written out as slices that a test pins to the table bit for bit.
+Quadrature is the tensor trapezoidal rule on the closed rectangle.
 """
 
 from __future__ import annotations
@@ -19,22 +22,56 @@ import numpy as np
 from .geometry import Field
 
 
-def _d2_interior(v: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative along axis 0 at the interior nodes, centered."""
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+class _Row(NamedTuple):
+    """A difference row: the derivative at node i is sum(w * u[i + k]) / (divisor * h**order)."""
+
+    order: int
+    weights: dict       # {offset k: weight w}, in the order the terms are summed
+    divisor: float
 
 
-def _d1_wall(v: np.ndarray, h: float) -> np.ndarray:
-    """u_x on the wall line v[0], one-sided second order from v[0:3]."""
-    return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+# Every row is second order.  "d1_wall" sits on a wall node and reaches
+# inward.  The "left" and "right" rows sit at x = h and x = L - h: "d3_left"
+# is one-sided; "d4_left" folds the u_xx(0) = 0 ghost u(-h) = -u(h) into
+# its diagonal, "d3_right" and "d4_right" the u_x(L) = 0 ghost
+# u(L+h) = u(L-h).  A weight on a wall node, where u = 0, drops wherever a
+# row is applied.  The outputs depend to the last bit on the order of the
+# terms, which is that of the weights.
+_ROWS = {
+    "d1": _Row(1, {1: 1.0, -1: -1.0}, 2.0),
+    "d2": _Row(2, {1: 1.0, 0: -2.0, -1: 1.0}, 1.0),
+    "d3": _Row(3, {-2: -1.0, -1: 2.0, 1: -2.0, 2: 1.0}, 2.0),
+    "d4": _Row(4, {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}, 1.0),
+    "d1_wall": _Row(1, {0: -3.0, 1: 4.0, 2: -1.0}, 2.0),
+    "d3_left": _Row(3, {-1: -3.0, 0: 10.0, 1: -12.0, 2: 6.0, 3: -1.0}, 2.0),
+    "d4_left": _Row(4, {-1: -4.0, 0: 5.0, 1: -4.0, 2: 1.0}, 1.0),
+    "d3_right": _Row(3, {-2: -1.0, -1: 2.0, 0: 1.0, 1: -2.0}, 2.0),
+    "d4_right": _Row(4, {-2: 1.0, -1: -4.0, 0: 7.0, 1: -4.0}, 1.0),
+}
+
+
+def _apply(row: _Row, v: np.ndarray, start: int, stop: int | None = None, h: float | None = None):
+    """The row's sums along axis 0 of v at the nodes start <= i < stop, or at node start alone.
+
+    Every term must stay inside v.  The terms add in the row's order, a
+    weight of +-1 without a multiply; with h the sums are then divided by
+    divisor * h**order.  At one node the sums have one axis less than v:
+    numpy works on a row of v faster than on a one-node slice.
+    """
+    acc = None
+    for k, w in row.weights.items():
+        s = v[start + k] if stop is None else v[start + k:stop + k]
+        s = s if abs(w) == 1.0 else abs(w) * s
+        acc = (s if w > 0 else -s) if acc is None else (acc + s if w > 0 else acc - s)
+    return acc if h is None else acc / (row.divisor * h ** row.order)
 
 
 def _d1_full(v: np.ndarray, h: float) -> np.ndarray:
     """First derivative at every node, one-sided at the two walls."""
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = _d1_wall(v, h)
-    out[-1] = -_d1_wall(v[::-1], h)
+    out[1:-1] = _apply(_ROWS["d1"], v, 1, len(v) - 1, h)
+    out[0] = _apply(_ROWS["d1_wall"], v, 0, h=h)
+    out[-1] = _apply(_ROWS["d1_wall"], v[::-1], 0, h=-h)  # reversed, the spacing is -h
     return out
 
 
@@ -64,20 +101,31 @@ def gradient_full(fld: Field) -> tuple[np.ndarray, np.ndarray]:
     return ux, uy
 
 
+def _d1_zero_walls(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of the d1 row at every node of v, which is zero beyond its ends, into ``out``.
+
+    The hot path of ``trace_row`` and of the stepper's nonlinear term, so
+    the row is written out as slices: applied by ``_apply``, node by node
+    at the ends, it made trace_row's gradient sums take about 1.6 times as
+    long.  A test pins the two bit for bit.
+    """
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[0] = v[1]
+    np.negative(v[-2], out=out[-1])
+    return out
+
+
 def _d1_sq_sums(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
-    """Squared sums of 2h u' along axis 0 of an interior with zero walls.
+    """Squared sums of divisor * h * u' along axis 0 of an interior with zero walls.
 
     Returns (sum over the interior nodes, over the first wall line, over
-    the last wall line); the centered stencil reads the zero walls, the
-    wall nodes take the one-sided 4 u_1 - u_2.  ``d`` (shaped like ``u``)
-    is overwritten.
+    the last wall line): the d1 row at the interior nodes, where it reads
+    the zero walls, and the d1_wall row on the walls, whose weight on the
+    wall drops.  ``d`` (shaped like ``u``) is overwritten.
     """
-    np.subtract(u[2:], u[:-2], out=d[1:-1])
-    d[0] = u[1]
-    d[-1] = u[-2]       # the sign of -u[-2] drops out of the square
-    np.square(d, out=d)
-    lo = 4.0 * u[0] - u[1]
-    hi = 4.0 * u[-1] - u[-2]
+    np.square(_d1_zero_walls(u, d), out=d)
+    # d1_wall past the zero wall, as slices: its weights there are w[1] and -1.
+    lo, hi = (_ROWS["d1_wall"].weights[1] * e[0] - e[1] for e in (u, u[::-1]))
     return float(d.sum()), float(lo @ lo), float(hi @ hi)
 
 
@@ -116,10 +164,11 @@ def trace_row(interior: np.ndarray, grid) -> tuple:
     buf *= u
     cubic = hx * hy * float(buf.sum())
     inner, lo, hi = _d1_sq_sums(u, buf)
-    flux0 = hy * lo / (4.0 * hx * hx)
-    grad_x_sq = hy * (inner + 0.5 * (lo + hi)) / (4.0 * hx)
+    sq = _ROWS["d1"].divisor ** 2   # the sums are of (divisor * h * u')^2; d1_wall shares it
+    flux0 = hy * lo / (sq * hx * hx)
+    grad_x_sq = hy * (inner + 0.5 * (lo + hi)) / (sq * hx)
     inner, lo, hi = _d1_sq_sums(u.T, buf.T)
-    grad_y_sq = hx * (inner + 0.5 * (lo + hi)) / (4.0 * hy)
+    grad_y_sq = hx * (inner + 0.5 * (lo + hi)) / (sq * hy)
     return l2_sq, weighted, flux0, grad_x_sq, grad_y_sq, cubic
 
 
@@ -132,12 +181,10 @@ def initial_regularity(fld: Field) -> float:
     g = fld.grid
     v = fld.values
     ux, uy = gradient_full(fld)
-    uyy = np.zeros(g.shape)
-    uyy[1:-1, 1:-1] = _d2_interior(v[1:-1, :].T, g.hy).T
-    lap_ux = (_d2_interior(ux[:, 1:-1], g.hx)
-              + _d2_interior(ux[1:-1, :].T, g.hy).T)
-    nl_full = np.zeros(g.shape)
-    nl_full[1:-1, 1:-1] = v[1:-1, 1:-1] * ux[1:-1, 1:-1] + lap_ux
+    uyy = np.pad(_apply(_ROWS["d2"], v[1:-1, :].T, 1, g.ny + 1, g.hy).T, 1)  # zero walls
+    lap_ux = (_apply(_ROWS["d2"], ux[:, 1:-1], 1, g.nx + 1, g.hx)
+              + _apply(_ROWS["d2"], ux[1:-1, :].T, 1, g.ny + 1, g.hy).T)
+    nl_full = np.pad(v[1:-1, 1:-1] * ux[1:-1, 1:-1] + lap_ux, 1)
     return (integrate(v * v, g) + integrate(ux * ux + uy * uy, g)
             + integrate(uyy ** 2, g) + integrate(nl_full * nl_full, g))
 

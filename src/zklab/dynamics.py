@@ -11,8 +11,11 @@ transform in y: each transverse mode m evolves by an nx-by-nx matrix
 
     A_m = D3 + (alpha - xi_m) D1 + eps (D4x + xi_m^2 I).
 
-The operator is held as D1, D3, D4x in band storage and the xi_m; the
-band stack of the A_m that a run steps is formed where it is read.
+The operator is held as D1, D3, D4x in band storage, written from the
+rows of ``calculus._ROWS`` (the lab's one table of difference rows, the
+IBVP's closures included), and the xi_m; the band stack of the A_m that a
+run steps is formed where it is read.  The nonlinear term is that table's
+centered D1 row applied to u^2 with zero walls.
 
 Time stepping is Crank-Nicolson on the linear part (one banded LU of
 I + dt/2 A without row interchanges, factored by each ``start``) with the
@@ -281,19 +284,6 @@ def transverse_eigenvalues(ny: int, hy: float) -> np.ndarray:
     return 4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2
 
 
-# The stencil table of the stepper.  Centered second-order rows on offsets
-# -2..2 by order, as (weights, divisor): the derivative is
-# weights @ u / (divisor * h**order).
-_CENTERED = {
-    1: (np.array([0.0, -1.0, 0.0, 1.0, 0.0]), 2.0),
-    3: (np.array([-1.0, 2.0, 0.0, -2.0, 1.0]), 2.0),
-    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 1.0),
-}
-# The second-order D3 row at the node next to the left wall, on offsets
-# -1..3, /(2h^3): the weights that one-sided extrapolation of the ghost
-# u(-h) collapses to.
-_D3_LEFT = np.array([-3.0, 10.0, -12.0, 6.0, -1.0])
-
 # Bandwidths of every A_m: the D3 row at the u(0) = 0 wall reaches three
 # columns right, every other row two columns either side.
 _KL, _KU = 2, 3
@@ -302,26 +292,20 @@ _KL, _KU = 2, 3
 def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     """The order-th x-derivative on the n interior nodes, closed by the IBVP.
 
-    BLAS band storage, d[i, j] at [_KU + i - j, j].  Each row is the
-    centered row of ``_CENTERED``; a weight on a wall node drops, as u = 0
-    there.  Three wall rows use the boundary conditions:
-    - at x = h, D3 takes ``_D3_LEFT[1:]``: u(0) = 0 drops its first weight;
-    - at x = h, D4 folds the u_xx(0) = 0 reflection u(-h) = -u(h) into the
-      diagonal;
-    - at x = L - h, D3 and D4 fold the u_x(L) = 0 mirror u(L+h) = u(L-h)
-      into the diagonal.
+    BLAS band storage, d[i, j] at [_KU + i - j, j].  Every row is the
+    centered row of ``calculus._ROWS``, except at x = h and x = L - h where
+    the table holds a closure of this order ("d3_left", "d4_left",
+    "d3_right", "d4_right"); a weight on a wall node drops, as u = 0 there.
     """
-    w, div = _CENTERED[order]
     b = np.zeros((_KL + _KU + 1, n))
-    for k, c in zip(range(-2, 3), w):
-        b[_KU - k, max(k, 0):n + min(k, 0)] = c
-    if order == 3:
-        b[_KU - np.arange(4), np.arange(4)] = _D3_LEFT[1:]
-    if order == 4:
-        b[_KU, 0] -= w[0]
-    if order >= 3:
-        b[_KU, n - 1] += w[4]
-    return b / (div * h ** order)
+    # The centered row at every node, then the closures at the two ends.
+    for name, lo, hi in ((f"d{order}", 0, n), (f"d{order}_left", 0, 1),
+                         (f"d{order}_right", n - 1, n)):
+        row = calculus._ROWS.get(name)
+        for k, w in (row.weights.items() if row else ()):
+            # the columns j = i + k of the nodes lo <= i < hi, walls excluded
+            b[_KU - k, max(lo + k, 0):max(hi + k, 0)] = w / (row.divisor * h ** order)
+    return b
 
 
 def _band_apply(bands: np.ndarray, modes: np.ndarray, offsets=range(-_KL, _KU + 1),
@@ -632,14 +616,13 @@ class Stepper:
         self._interior: np.ndarray | None = None  # cached columns, all or the lower half
 
     def _nonlin(self, interior: np.ndarray) -> np.ndarray:
-        """(u^2)_x = 2 u u_x, conservative, walls u = 0: twice ZK's u u_x (ROADMAP item 1)."""
-        h = self.linear_part.grid.hx
+        """(u^2)_x = 2 u u_x, conservative, walls u = 0: twice ZK's u u_x (ROADMAP item 1).
+
+        The table's centered d1 row applied to u^2, which reads the zero walls.
+        """
         u2 = interior * interior
-        out = np.empty_like(interior)
-        out[0, :] = u2[1, :] / (2.0 * h)
-        out[-1, :] = -u2[-2, :] / (2.0 * h)
-        out[1:-1, :] = (u2[2:, :] - u2[:-2, :]) / (2.0 * h)
-        return out
+        out = calculus._d1_zero_walls(u2, np.empty_like(u2))
+        return np.divide(out, calculus._ROWS["d1"].divisor * self.linear_part.grid.hx, out=out)
 
     def start(self, interior: np.ndarray) -> None:
         """Begin a fresh run from an (nx, ny) interior: one factorization, one forward DST.

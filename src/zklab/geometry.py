@@ -150,9 +150,4 @@ def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) 
 
 def enforce_dirichlet(fld: Field) -> Field:
     """Zero the boundary layer; interior untouched. Idempotent."""
-    vals = fld.values.copy()
-    vals[0, :] = 0.0
-    vals[-1, :] = 0.0
-    vals[:, 0] = 0.0
-    vals[:, -1] = 0.0
-    return Field(fld.grid, vals)
+    return fld.with_interior(fld.interior)

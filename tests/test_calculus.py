@@ -7,9 +7,9 @@ from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
                    check_sup_bound, enforce_dirichlet, initial_field,
                    initial_regularity, integrate, resonant_family, sample_field,
                    simulate, stationary_mode, trace_row)
-from zklab.calculus import (_d1_full, _d1_wall, _shared_terms, gradient_full,
-                            trapezoid_weights)
-from zklab.dynamics import _CENTERED, _D3_LEFT
+from zklab import dynamics
+from zklab.calculus import (_ROWS, _apply, _d1_full, _d1_sq_sums, _d1_zero_walls, _shared_terms,
+                            gradient_full, trapezoid_weights)
 from zklab.harness import random_clean_field
 
 
@@ -26,17 +26,138 @@ def fd_weights(offsets, order: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+# The ghost each folding closure eliminates from the centered row of its
+# order: (ghost offset, image offset, sign) for u(ghost) = sign * u(image).
+GHOST_RULES = {
+    "d4_left": (-2, 0, -1.0),    # u_xx(0) = 0: u(-h) = -u(h)
+    "d3_right": (2, 0, 1.0),     # u_x(L) = 0: u(L+h) = u(L-h)
+    "d4_right": (2, 0, 1.0),
+}
+
+
 def test_fd_weights_reproduce_closures():
-    centered = fd_weights([-2, -1, 0, 1, 2], 3)
-    assert np.allclose(centered, [-0.5, 1.0, 0.0, -1.0, 0.5], atol=1e-12)
-    biased = fd_weights([-1, 0, 1, 2, 3], 3)
-    assert np.allclose(2.0 * biased, _D3_LEFT, atol=1e-11)
-    # The centered rows are the narrowest: three points for order 1, five else.
-    for order, (weights, divisor) in _CENTERED.items():
-        r = 1 if order == 1 else 2
-        assert not weights[:2 - r].any() and not weights[3 + r:].any()
-        assert np.allclose(divisor * fd_weights(range(-r, r + 1), order),
-                           weights[2 - r:3 + r], atol=1e-11)
+    # Every row of the table: a row that folds a ghost is the centered row
+    # folded by its ghost rule; any other row is divisor * fd_weights on
+    # its span of offsets, the centered rows on the narrowest span.
+    assert set(GHOST_RULES) < set(_ROWS)
+    for name, row in _ROWS.items():
+        if name in GHOST_RULES:
+            centered = _ROWS[f"d{row.order}"]
+            ghost, image, sign = GHOST_RULES[name]
+            folded = dict(centered.weights)
+            folded[image] = folded.get(image, 0.0) + sign * folded.pop(ghost)
+            assert (row.divisor, sorted(row.weights.items())) == (
+                centered.divisor, sorted(folded.items())), name
+            continue
+        span = range(min(row.weights), max(row.weights) + 1)
+        weights = [row.weights.get(k, 0.0) for k in span]
+        assert np.allclose(row.divisor * fd_weights(span, row.order), weights,
+                           atol=1e-11), name
+        if name == f"d{row.order}":
+            r = (row.order + 1) // 2
+            assert list(span) == list(range(-r, r + 1)), name
+    # trace_row scales the sums of both D1 rows by one divisor.
+    assert _ROWS["d1"].divisor == _ROWS["d1_wall"].divisor
+
+
+def test_table_rows_equal_the_sliced_expressions():
+    # The sliced expressions the table replaced, written out: every path
+    # that reads the table must reproduce them bit for bit.  The order in
+    # which a row's terms are summed is part of that: D2 summed from the
+    # lowest offset moves initial_regularity by an ulp on the smooth datum
+    # below (on noise with nonzero walls, its sums hide such an ulp).
+    rng = np.random.default_rng(21)
+    fields = [Field(g, rng.normal(size=g.shape))
+              for g in (build_grid(2.0, 1.5, 40, 23), build_grid(3.0, 0.7, 63, 31))]
+    fields.append(initial_field(SimConfig(L=2.0, B=1.0, nx=31, ny=31, t_end=0.01,
+                                          initial="cos-product:0.4")))
+    for fld in fields:
+        g, v = fld.grid, fld.values
+        hx, hy = g.hx, g.hy
+
+        def wall(v, h):
+            return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+
+        def d1_full(v, h):
+            out = np.empty_like(v)
+            out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+            out[0] = wall(v, h)
+            out[-1] = -wall(v[::-1], h)
+            return out
+
+        def d2(v, h):
+            return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
+
+        ux, uy = gradient_full(fld)
+        assert np.array_equal(ux, d1_full(v, hx)) and np.array_equal(uy, d1_full(v.T, hy).T)
+        for e, h in ((v, hx), (v.T, hy), (ux, hx)):
+            assert np.array_equal(_apply(_ROWS["d2"], e, 1, len(e) - 1, h), d2(e, h))
+        uyy = np.zeros(g.shape)
+        uyy[1:-1, 1:-1] = d2(v[1:-1, :].T, hy).T
+        nl = np.zeros(g.shape)
+        nl[1:-1, 1:-1] = v[1:-1, 1:-1] * ux[1:-1, 1:-1] + (d2(ux[:, 1:-1], hx)
+                                                           + d2(ux[1:-1, :].T, hy).T)
+        assert initial_regularity(fld) == (integrate(v * v, g) + integrate(ux * ux + uy * uy, g)
+                                           + integrate(uyy ** 2, g) + integrate(nl * nl, g))
+        # trace_row's gradient sums, of (2h u')^2 on the zero walls.
+
+        def sq_sums(e):
+            d = np.empty_like(e)
+            d[1:-1] = e[2:] - e[:-2]
+            d[0], d[-1] = e[1], e[-2]
+            lo, hi = 4.0 * e[0] - e[1], 4.0 * e[-1] - e[-2]
+            return float((d * d).sum()), float(lo @ lo), float(hi @ hi)
+
+        for u in (fld.interior.copy(), np.asfortranarray(fld.interior)):
+            (ix, lx, rx), (iy, ly, ry) = sq_sums(u), sq_sums(u.T)
+            assert trace_row(u, g)[2:5] == (hy * lx / (4.0 * hx * hx),
+                                            hy * (ix + 0.5 * (lx + rx)) / (4.0 * hx),
+                                            hx * (iy + 0.5 * (ly + ry)) / (4.0 * hy))
+        # The stepper's nonlinear term and x-operators.
+        cfg = SimConfig(L=g.L, B=g.B, nx=g.nx, ny=g.ny, t_end=0.01)
+        for u in (fld.interior.copy(), np.asfortranarray(fld.interior)):
+            u2 = u * u
+            want = np.empty_like(u)
+            want[0], want[-1] = u2[1] / (2.0 * hx), -u2[-2] / (2.0 * hx)
+            want[1:-1] = (u2[2:] - u2[:-2]) / (2.0 * hx)
+            assert np.array_equal(dynamics.Stepper(cfg)._nonlin(u), want)
+        centered = {1: ([0.0, -1.0, 0.0, 1.0, 0.0], 2.0), 3: ([-1.0, 2.0, 0.0, -2.0, 1.0], 2.0),
+                    4: ([1.0, -4.0, 6.0, -4.0, 1.0], 1.0)}
+        n = g.nx
+        for order, (w, div) in centered.items():
+            b = np.zeros((6, n))
+            for k, c in zip(range(-2, 3), w):
+                b[3 - k, max(k, 0):n + min(k, 0)] = c
+            if order == 3:
+                b[3 - np.arange(4), np.arange(4)] = [10.0, -12.0, 6.0, -1.0]
+            if order == 4:
+                b[3, 0] -= w[0]
+            if order >= 3:
+                b[3, n - 1] += w[4]
+            assert np.array_equal(dynamics._x_bands(order, n, hx), b / (div * hx ** order))
+
+
+def test_hot_paths_equal_the_table_rows():
+    # The zero-wall D1 of trace_row and of the stepper's nonlinear term is
+    # written out as slices; applied by _apply to the field with its zero
+    # walls, the table's d1 and d1_wall rows must give the same bits.
+    rng = np.random.default_rng(22)
+    g = build_grid(2.0, 1.5, 40, 23)
+    cfg = SimConfig(L=g.L, B=g.B, nx=g.nx, ny=g.ny, t_end=0.01)
+    for u in (rng.normal(size=(g.nx, g.ny)), np.asfortranarray(rng.normal(size=(g.nx, g.ny)))):
+        for e in (u, u.T):
+            n = len(e)
+            walled = np.pad(e, ((1, 1), (0, 0)))
+            d1 = _apply(_ROWS["d1"], walled, 1, n + 1)
+            assert np.array_equal(_d1_zero_walls(e, np.empty_like(e)), d1)
+            d = np.empty_like(e)
+            d[...] = d1
+            lo, hi = (_apply(_ROWS["d1_wall"], w, 0) for w in (walled, walled[::-1]))
+            assert _d1_sq_sums(e, np.empty_like(e)) == (float((d * d).sum()), float(lo @ lo),
+                                                       float(hi @ hi))
+        walled = np.pad(u * u, ((1, 1), (0, 0)))
+        assert np.array_equal(dynamics.Stepper(cfg)._nonlin(u),
+                              _apply(_ROWS["d1"], walled, 1, g.nx + 1, g.hx))
 
 
 def l2(fld):
@@ -45,7 +166,7 @@ def l2(fld):
 
 def trace_flux(fld):
     """Oracle of trace_row's flux0: int u_x(0,y)^2 dy on the full field's wall row."""
-    ux0 = _d1_wall(fld.values, fld.grid.hx)
+    ux0 = gradient_full(fld)[0][0]
     return float(trapezoid_weights(fld.grid)[1] @ (ux0 * ux0))
 
 
