@@ -7,7 +7,7 @@ the exponential-decay statements (thresholds, rates, Lyapunov monitor).
 
 __version__ = "0.1.0"
 
-from .geometry import Field, Grid, build_grid, enforce_dirichlet, sample_field
+from .geometry import Field, Grid, build_grid, sample_field
 from .calculus import (check_gn, check_poincare, check_sup_bound,
                        initial_regularity, integrate, trace_row)
 from .spectral import (ResonantTriple, build_profile, critical_length,

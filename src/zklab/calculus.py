@@ -132,7 +132,7 @@ def _d1_sq_sums(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
 @functools.lru_cache(maxsize=16)
 def _weighted_column(grid) -> np.ndarray:
     """Read-only (1 + x_i) hx hy at the interior x nodes: the weight of ((1+x), u^2)."""
-    w = (1.0 + grid.xs_interior()) * (grid.hx * grid.hy)
+    w = (1.0 + grid.xs()[1:-1]) * (grid.hx * grid.hy)
     w.flags.writeable = False
     return w
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import calculus, spectral
 from .geometry import (Field, Grid, _is_real, check_alpha, check_int, check_positive_finite,
-                       enforce_dirichlet, sample_field)
+                       sample_field)
 
 BLOWUP_THRESHOLD = 1.0e6
 
@@ -261,18 +261,18 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
             fld = read_snapshot(config.initial["file"])[1]
             if fld.grid != g:
                 raise ValueError(f"initial: snapshot {fld.grid} is not the config's grid {g}")
-        fld = enforce_dirichlet(fld)
+        u = fld.interior  # the walls are zeroed by with_interior below
         if config.scale_weighted is not None:
             with np.errstate(over="ignore"):  # an overflow is named below
-                w = calculus._squares(fld.interior, g)[2]
+                w = calculus._squares(u, g)[2]
             if w == math.inf:
                 raise OverflowError("the weighted energy overflows")
             if w == 0.0:
-                cause = ("is identically zero" if not fld.values.any()
+                cause = ("is identically zero" if not u.any()
                          else "is nonzero, but its weighted energy underflows to 0")
                 raise ValueError(f"scale_weighted: initial datum {cause}")
-            fld = Field(fld.grid, fld.values * math.sqrt(config.scale_weighted / w))
-        return fld
+            u = u * math.sqrt(config.scale_weighted / w)
+        return fld.with_interior(u)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +284,19 @@ def transverse_eigenvalues(ny: int, hy: float) -> np.ndarray:
     return 4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2
 
 
-# Bandwidths of every A_m: the D3 row at the u(0) = 0 wall reaches three
-# columns right, every other row two columns either side.
-_KL, _KU = 2, 3
+def _x_rows(order: int) -> tuple:
+    """The rows of ``calculus._ROWS`` that the order-th x-operator is written from.
+
+    (centered, closure at x = h, closure at x = L - h), None where the
+    table holds no closure of this order.
+    """
+    return tuple(calculus._ROWS.get(f"d{order}{end}") for end in ("", "_left", "_right"))
+
+
+# The band widths of every A_m: the farthest reach below and above the
+# diagonal of any row that _x_bands writes.
+_KL, _KU = (max(sign * k for order in (1, 3, 4) for row in _x_rows(order) if row
+                for k in row.weights) for sign in (-1, 1))
 
 
 def _x_bands(order: int, n: int, h: float) -> np.ndarray:
@@ -294,14 +304,12 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
 
     BLAS band storage, d[i, j] at [_KU + i - j, j].  Every row is the
     centered row of ``calculus._ROWS``, except at x = h and x = L - h where
-    the table holds a closure of this order ("d3_left", "d4_left",
-    "d3_right", "d4_right"); a weight on a wall node drops, as u = 0 there.
+    the table holds a closure of this order (``_x_rows``); a weight on a
+    wall node drops, as u = 0 there.
     """
     b = np.zeros((_KL + _KU + 1, n))
     # The centered row at every node, then the closures at the two ends.
-    for name, lo, hi in ((f"d{order}", 0, n), (f"d{order}_left", 0, 1),
-                         (f"d{order}_right", n - 1, n)):
-        row = calculus._ROWS.get(name)
+    for row, lo, hi in zip(_x_rows(order), (0, 0, n - 1), (n, 1, n)):
         for k, w in (row.weights.items() if row else ()):
             # the columns j = i + k of the nodes lo <= i < hi, walls excluded
             b[_KU - k, max(lo + k, 0):max(hi + k, 0)] = w / (row.divisor * h ** order)
@@ -310,7 +318,7 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
 
 def _band_apply(bands: np.ndarray, modes: np.ndarray, offsets=range(-_KL, _KU + 1),
                 out: np.ndarray | None = None, magnitudes: bool = False) -> np.ndarray:
-    """Each row of a (k, nx) mode stack times its band matrix from a (6, k, nx) stack.
+    """Each row of a (k, nx) mode stack times its band matrix from a band stack.
 
     Adds to ``out`` (zeros by default) the product of each diagonal in
     ``offsets`` (0 the main one, positive above it), in that order, one
@@ -358,7 +366,7 @@ class LinearPart:
         self._d4 = _x_bands(4, nx, hx) if epsilon > 0 else None
 
     def bands(self, k: int) -> np.ndarray:
-        """(6, k, nx): A_m in band storage for a stack of all k = ny modes or the even half."""
+        """The band stack of A_m for all k = ny modes or the even half: (_KL + _KU + 1, k, nx)."""
         xi = (self.xi[0::2] if self._is_half(k) else self.xi)[:, None]
         b = (self.alpha - xi) * self._d1[:, None, :]
         b += self._d3[:, None, :]
@@ -479,7 +487,7 @@ _REFINE_GROWTH = 4.0  # see _factor; the benchmark and acceptance grids read at 
 
 
 def _factor(bands: np.ndarray, dt: float):
-    """The solve of I + dt/2 A for a (6, k, nx) stack of mode bands.
+    """The solve of I + dt/2 A for a (_KL + _KU + 1, k, nx) stack of mode bands.
 
     Doolittle elimination without row interchanges, on every mode at once
     (a loop over the columns), gives I + dt/2 A_m = L D U, L unit lower
@@ -497,12 +505,13 @@ def _factor(bands: np.ndarray, dt: float):
     adds one step of iterative refinement (Skeel 1980), which brings the
     componentwise backward error back to round-off.
 
-    Working set beyond ``bands``, in stacks of 6 k nx floats: the
-    elimination buffer, a few (k, nx) rows for the growth, and the kept
-    factors (4 rows of U, 3 of L and 1/D), 2.5 stacks at the peak (measured
-    under tracemalloc at k = 192 and 383, nx = 127).  The solve keeps the
-    factors, 4/3 of a stack, and a refined one also I + dt/2 A, formed
-    once the elimination buffer is released.
+    Working set beyond ``bands``, in stacks of its size: the elimination
+    buffer, a few (k, nx) rows for the growth, and the kept factors
+    (_KU + 1 rows of U, _KL + 1 of L and 1/D), 2.5 stacks at the peak
+    (measured under tracemalloc at k = 192 and 383, nx = 127, _KL = 2,
+    _KU = 3).  The solve keeps the factors, 4/3 of a stack at those widths,
+    and a refined one also I + dt/2 A, formed once the elimination buffer
+    is released.
     """
     k, nx = bands.shape[1:]
     lower, upper, rdiag, refine = _band_lu(bands, dt)
@@ -533,7 +542,7 @@ def _band_lu(bands: np.ndarray, dt: float):
     with np.errstate(all="ignore"):  # a bad pivot is named below
         # Entry (i, j) of mode m at ab[_KU + i - j, j, m]; the modes are contiguous.
         ab = _implicit(bands.transpose(0, 2, 1), dt)
-        lu = ab.transpose(0, 2, 1)  # the (6, k, nx) stack, a view of ab
+        lu = ab.transpose(0, 2, 1)  # the band stack of ``bands``, a view of ab
         system_rows = _band_apply(lu, np.ones((k, nx)), magnitudes=True)  # |I + dt/2 A| 1
         inv_pivot = ab[_KU]
         for j in range(nx):

@@ -81,9 +81,6 @@ class Grid:
         """All node y-coordinates, computed per node from the centre line."""
         return self.hy * (np.arange(self.ny + 2) - 0.5 * (self.ny + 1))
 
-    def xs_interior(self) -> np.ndarray:
-        return self.hx * np.arange(1, self.nx + 1)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx + 2, self.ny + 2)
@@ -146,8 +143,3 @@ def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) 
     """
     vals = f(grid.xs()[:, None], grid.ys()[None, :])
     return Field(grid, np.broadcast_to(np.asarray(vals, dtype=float), grid.shape))
-
-
-def enforce_dirichlet(fld: Field) -> Field:
-    """Zero the boundary layer; interior untouched. Idempotent."""
-    return fld.with_interior(fld.interior)

@@ -10,7 +10,7 @@ import numpy as np
 
 from zklab import (LinearPart, SimConfig, build_grid, critical_length,
                    critical_residual, decay_theory, energy_balance,
-                   enforce_dirichlet, fit_decay_rate, lyapunov_monitor, resonant_family,
+                   fit_decay_rate, lyapunov_monitor, resonant_family,
                    sample_field, simulate, simulate_regularized_sweep,
                    stationary_mode, verdict)
 from zklab.harness import _verify_inequalities
@@ -52,7 +52,7 @@ def test_c03_stationary_mode_residual_refinement():
     for nx in (63, 127, 255):
         g = build_grid(CRIT_L, math.pi, nx, nx)
         lp = LinearPart(g, alpha=1, epsilon=0.0)
-        f = enforce_dirichlet(sample_field(g, mode))
+        f = sample_field(g, mode)
         errs.append(np.max(np.abs(lp.apply(f).values)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0

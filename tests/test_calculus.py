@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
-                   check_sup_bound, enforce_dirichlet, initial_field,
+                   check_sup_bound, initial_field,
                    initial_regularity, integrate, resonant_family, sample_field,
                    simulate, stationary_mode, trace_row)
 from zklab import dynamics
@@ -189,7 +189,7 @@ def test_l2_of_sine_exact_quadrature():
     f = sample_field(g, lambda x, y: np.sin(np.pi * x / L) + 0.0 * y)
     assert abs(l2(f) ** 2 - L * B) < 1e-6
     # cleaning the y-walls cuts one trapezoid row: O(1/ny) deficit, not 1e-6
-    assert abs(l2(enforce_dirichlet(f)) ** 2 - L * B) / (L * B) < 1e-2
+    assert abs(l2(f.with_interior(f.interior)) ** 2 - L * B) / (L * B) < 1e-2
 
 
 def test_weighted_energy_analytic():
@@ -281,13 +281,13 @@ def test_check_sup_bound_examples():
 def test_check_poincare_analytic_values():
     L, B = 2.0, 1.0
     g = build_grid(L, B, 255, 255)
-    fy = enforce_dirichlet(sample_field(
-        g, lambda x, y: np.sin(np.pi * (y + B) / (2 * B)) + 0.0 * x))
+    fy = sample_field(g, lambda x, y: np.sin(np.pi * (y + B) / (2 * B)) + 0.0 * x)
+    fy = fy.with_interior(fy.interior)
     ry = check_poincare(fy, "y")
     assert abs(ry - (4 * B ** 2 / np.pi ** 2) / (B ** 2 / 2)) < 0.02
     assert ry <= 1.0
-    fx = enforce_dirichlet(sample_field(
-        g, lambda x, y: np.sin(np.pi * x / L) + 0.0 * y))
+    fx = sample_field(g, lambda x, y: np.sin(np.pi * x / L) + 0.0 * y)
+    fx = fx.with_interior(fx.interior)
     rx = check_poincare(fx, "x")
     assert abs(rx - (L ** 2 / np.pi ** 2) / (L ** 2 / 8)) < 0.02
     assert rx <= 1.0

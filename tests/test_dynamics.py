@@ -18,9 +18,10 @@ from hypothesis.extra import numpy as hnp
 from scipy.fft import dst, idst
 
 from zklab import (TRUNCATED_STRIP, BlowupError, LinearPart, SimConfig, Stepper, build_grid,
-                   dynamics, enforce_dirichlet, initial_field, integrate, read_snapshot,
+                   dynamics, initial_field, integrate, read_snapshot,
                    sample_field, simulate, simulate_regularized_sweep,
                    stationary_mode, trace_row, write_snapshot)
+from zklab.calculus import _ROWS
 from zklab.dynamics import TRACE_COLUMNS, EnergyTrace, config_from_dict, transverse_eigenvalues
 from zklab.geometry import Field, Grid
 from zklab.harness import (ConfigError, canonical_config_json, emit_artifacts, load_config,
@@ -282,6 +283,39 @@ def test_scale_weighted_names_a_zero_datum_and_an_underflow():
                                    scale_weighted=0.5))
 
 
+def test_initial_field_builds_two_fields_and_zeroes_the_walls_once(tmp_path, monkeypatch):
+    # A tag datum is sampled, a file datum read: one Field.  Its walls are
+    # zeroed and its interior scaled into one more.  The values equal an
+    # inline sample (or the file's values) -> zero walls -> scale, bit for bit.
+    g = Grid(2.0, 1.0, 31, 33)
+    x, y = g.xs()[:, None], g.ys()[None, :]
+    sampled = 0.7 * (1.0 - np.cos(2.0 * np.pi * x / g.L)) * np.cos(np.pi * y / (2.0 * g.B))
+    stored = np.random.default_rng(8).normal(size=g.shape)  # nonzero walls
+    path = tmp_path / "u0.zks"
+    write_snapshot(path, 0.0, Field(g, stored))
+    built = []
+    real = Field.__post_init__
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    for initial, vals in (("cos-product:0.7", sampled), ({"file": str(path)}, stored)):
+        cfg = small_config(nx=g.nx, ny=g.ny, initial=initial, scale_weighted=0.3)
+        want = np.broadcast_to(vals, g.shape).copy()
+        want[[0, -1], :] = 0.0
+        want[:, [0, -1]] = 0.0
+        u = want[1:-1, 1:-1]
+        w = float(((1.0 + g.xs()[1:-1]) * (g.hx * g.hy)) @ (u * u).sum(axis=1))
+        want *= math.sqrt(0.3 / w)
+        built.clear()
+        monkeypatch.setattr(Field, "__post_init__", counting)
+        fld = initial_field(cfg)
+        monkeypatch.undo()
+        assert len(built) == 2 and built[-1] is fld
+        assert fld.values.tobytes() == want.tobytes()
+
+
 def test_initial_bump_support():
     cfg = small_config(B=8.0, ny=63, domain_kind=TRUNCATED_STRIP,
                        initial="cos-bump:1.0,2.0")
@@ -331,19 +365,51 @@ def test_operator_residual_on_mode_refines():
     for nx in (63, 127):
         g = build_grid(CRIT_L, math.pi, nx, nx)
         lp = LinearPart(g, alpha=1, epsilon=0.0)
-        f = enforce_dirichlet(sample_field(g, mode))
+        f = sample_field(g, mode)
         errs[nx] = np.max(np.abs(lp.apply(f).values))
     assert 3.0 < errs[63] / errs[127] < 5.0
 
 
 def dense_from_bands(bands: np.ndarray) -> np.ndarray:
-    """(6, nx) band rows, A[i, j] at [3 + i - j, j] -> dense (nx, nx)."""
+    """(_KL + _KU + 1, nx) band rows, A[i, j] at [_KU + i - j, j] -> dense (nx, nx)."""
+    kl, ku = dynamics._KL, dynamics._KU
     n = bands.shape[1]
     a = np.zeros((n, n))
     for i in range(n):
-        for j in range(max(0, i - 2), min(n, i + 4)):
-            a[i, j] = bands[3 + i - j, j]
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            a[i, j] = bands[ku + i - j, j]
     return a
+
+
+def dense_from_table(order, n, h):
+    """The order-th x-operator on n interior nodes, assembled densely from ``_ROWS``.
+
+    The centered row at every node, and the table's closure of this order,
+    where it holds one, at the first and the last node; a weight on a wall
+    (column -1 or n) drops.
+    """
+    a = np.zeros((n, n))
+    for i in range(n):
+        end = "_left" if i == 0 else "_right" if i == n - 1 else ""
+        row = _ROWS.get(f"d{order}{end}", _ROWS[f"d{order}"])
+        for k, w in row.weights.items():
+            if 0 <= i + k < n:
+                a[i, i + k] = w / (row.divisor * h ** order)
+    return a
+
+
+def test_x_bands_place_every_table_weight():
+    # Each x-operator's band storage holds every weight of its table rows at
+    # its place, and nothing else; the band widths are the rows' reach, so a
+    # wider closure widens the band rather than wrapping into another row.
+    offsets = [k for name, row in _ROWS.items() if re.fullmatch(r"d[134](_left|_right)?", name)
+               for k in row.weights]
+    assert (dynamics._KL, dynamics._KU) == (-min(offsets), max(offsets)) == (2, 3)
+    for order in (1, 3, 4):
+        for n, h in ((9, 1.0), (16, 0.3)):
+            bands = dynamics._x_bands(order, n, h)
+            assert bands.shape == (dynamics._KL + dynamics._KU + 1, n)
+            assert np.array_equal(dense_from_bands(bands), dense_from_table(order, n, h))
 
 
 # Centered second-order rows on offsets -2..2, per h**order.
@@ -1225,7 +1291,8 @@ def test_sweep_validates_epsilons():
 def test_snapshot_round_trip(tmp_path):
     g = build_grid(2.0, 1.0, 16, 12)
     rng = np.random.default_rng(9)
-    fld = enforce_dirichlet(sample_field(g, lambda x, y: np.sin(x + y)))
+    fld = sample_field(g, lambda x, y: np.sin(x + y))
+    fld = fld.with_interior(fld.interior)
     path = tmp_path / "state.zks"
     write_snapshot(path, 1.25, fld)
     t, back = read_snapshot(path)

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from zklab import build_grid, enforce_dirichlet, sample_field, stationary_mode
+from zklab import build_grid, sample_field, stationary_mode
 from zklab.geometry import Field, Grid, check_int
 
 
@@ -76,8 +76,9 @@ def test_sample_zero_field():
 def test_sample_counterexample_mode_boundary():
     g = build_grid(4 * np.pi / np.sqrt(3), np.pi, 63, 63)
     f = sample_field(g, stationary_mode(1, 1, 1, np.pi))
-    # the closed form vanishes on the walls up to rounding
-    assert np.max(np.abs(f.values - enforce_dirichlet(f).values)) < 1e-14
+    # the closed form vanishes on the walls up to rounding, so zeroing them
+    # changes only that rounding
+    assert np.max(np.abs(f.values - f.with_interior(f.interior).values)) < 1e-14
 
 
 def test_sample_constant_not_clean():
@@ -93,27 +94,21 @@ def test_sample_rejects_non_finite():
         sample_field(g, lambda x, y: np.where(x > 0.5, np.inf, 0.0))
 
 
-def test_enforce_dirichlet_zeroes_boundary():
+def test_with_interior_zeroes_sampled_boundary():
     g = build_grid(1.0, 1.0, 8, 8)
-    f = enforce_dirichlet(sample_field(g, lambda x, y: np.ones_like(x)))
+    f = sample_field(g, lambda x, y: np.ones_like(x))
+    f = f.with_interior(f.interior)
     assert not f.values[[0, -1], :].any() and not f.values[:, [0, -1]].any()
     assert np.all(f.interior == 1.0)
 
 
-def test_enforce_dirichlet_idempotent_bitwise():
+def test_with_interior_idempotent_bitwise():
     g = build_grid(2.0, 1.0, 16, 12)
     rng = np.random.default_rng(3)
     f = Field(g, rng.normal(size=g.shape))
-    once = enforce_dirichlet(f)
-    twice = enforce_dirichlet(once)
+    once = f.with_interior(f.interior)
+    twice = once.with_interior(once.interior)
     assert np.array_equal(once.values, twice.values)
-
-
-def test_enforce_on_sampled_mode_changes_only_rounding():
-    g = build_grid(4 * np.pi / np.sqrt(3), np.pi, 63, 63)
-    f = sample_field(g, stationary_mode(1, 1, 1, np.pi))
-    clean = enforce_dirichlet(f)
-    assert np.max(np.abs(clean.values - f.values)) < 1e-14
 
 
 def test_field_shape_and_immutability():

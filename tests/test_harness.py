@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from zklab import (ConfigError, DecayGeometry, Field, SimConfig, build_grid, cli_main,
-                   decay_theory, emit_artifacts, enforce_dirichlet, load_config,
+                   decay_theory, emit_artifacts, load_config,
                    random_clean_field, read_trace_csv, simulate, verdict, write_trace_csv)
 from zklab.dynamics import TRACE_COLUMNS, EnergyTrace
 from zklab.harness import _parse_vary, canonical_config_json, config_hash, main
@@ -284,14 +284,15 @@ def test_random_clean_field_builds_one_field(monkeypatch):
     fld = random_clean_field(g, rng)
     monkeypatch.undo()
     assert len(built) == 1 and built[0] is fld
-    # Bitwise the modal sum with its boundary layer zeroed by enforce_dirichlet,
+    # Bitwise the modal sum with its boundary layer zeroed by with_interior,
     # drawn from the same rng state.
     ref_rng = np.random.default_rng(5)
     i = np.arange(1, 7)
     coeffs = ref_rng.normal(size=(6, 6)) / np.add.outer(i ** 2, i ** 2)
     sx = np.sin(np.pi * np.multiply.outer(i, g.xs()) / g.L)
     sy = np.sin(np.pi * np.multiply.outer(i, g.ys() + g.B) / (2.0 * g.B))
-    want = enforce_dirichlet(Field(g, sx.T @ coeffs @ sy))
+    raw = Field(g, sx.T @ coeffs @ sy)
+    want = raw.with_interior(raw.interior)
     assert fld.values.tobytes() == want.values.tobytes()
     assert rng.random() == ref_rng.random()
 
