@@ -111,6 +111,15 @@ def test_with_interior_idempotent_bitwise():
     assert np.array_equal(once.values, twice.values)
 
 
+def test_enforce_on_sampled_mode_changes_only_rounding():
+    g = build_grid(4 * np.pi / np.sqrt(3), np.pi, 63, 63)
+    f = sample_field(g, stationary_mode(1, 1, 1, np.pi))
+    clean = f.with_interior(f.interior)
+    # the interior is kept bitwise; only the walls' rounding is zeroed
+    assert np.array_equal(clean.interior, f.interior)
+    assert np.max(np.abs(clean.values - f.values)) < 1e-14
+
+
 def test_field_shape_and_immutability():
     g = build_grid(1.0, 1.0, 8, 8)
     with pytest.raises(ValueError):
