@@ -5,11 +5,19 @@ Every difference in the lab is a row of ``_ROWS``: the centered D1 to D4,
 the one-sided u_x row at a wall, and the closures of the stepper's
 x-operators at x = h and x = L - h, which ``dynamics._x_bands`` writes into
 band storage.  ``_apply`` applies a row along one axis; ``gradient_full``
-reads D1 and the wall row through it, and ``initial_regularity`` D2.  The
-two hot paths, D1 on a field with zero walls (``_d1_zero_walls``, for
-``trace_row`` and the stepper's nonlinear term) and ``trace_row``'s wall
-row, are written out as slices that a test pins to the table bit for bit.
+reads the wall row through it, and ``initial_regularity`` D2.  The hot
+paths, D1 on a field with zero walls (``_d1_zero_walls``, for
+``trace_row``, the stepper's nonlinear term and the interior nodes of
+``gradient_full``) and ``trace_row``'s wall row (``_wall_lines``), are
+written out as slices that a test pins to the table bit for bit.
 Quadrature is the tensor trapezoidal rule on the closed rectangle.
+
+``trace_row`` reads a state of a run as the stepper holds it: the (nx, ny)
+interior, or for a state even in y on odd ny only the lower (ny+1)/2
+columns, told apart by the column count (``Grid.is_half``).  It sums over
+the y-lines, the rows of the transposed interior, each contiguous in the
+stepper's layout; on the half, each line below the centre stands for
+itself and its mirror.
 """
 
 from __future__ import annotations
@@ -68,8 +76,8 @@ def _apply(row: _Row, v: np.ndarray, start: int, stop: int | None = None, h: flo
 
 def _d1_full(v: np.ndarray, h: float) -> np.ndarray:
     """First derivative at every node, one-sided at the two walls."""
-    out = np.empty_like(v)
-    out[1:-1] = _apply(_ROWS["d1"], v, 1, len(v) - 1, h)
+    out = _d1_zero_walls(v, np.empty_like(v))
+    out /= _ROWS["d1"].divisor * h  # on the whole array, which is contiguous; walls set below
     out[0] = _apply(_ROWS["d1_wall"], v, 0, h=h)
     out[-1] = _apply(_ROWS["d1_wall"], v[::-1], 0, h=-h)  # reversed, the spacing is -h
     return out
@@ -115,18 +123,13 @@ def _d1_zero_walls(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _d1_sq_sums(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
-    """Squared sums of divisor * h * u' along axis 0 of an interior with zero walls.
+def _wall_lines(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d1_wall sums along axis 0 of e, which is zero past its ends, on its first and last wall.
 
-    Returns (sum over the interior nodes, over the first wall line, over
-    the last wall line): the d1 row at the interior nodes, where it reads
-    the zero walls, and the d1_wall row on the walls, whose weight on the
-    wall drops.  ``d`` (shaped like ``u``) is overwritten.
+    As slices: past the zero wall the row's weights are w[1] and -1.
     """
-    np.square(_d1_zero_walls(u, d), out=d)
-    # d1_wall past the zero wall, as slices: its weights there are w[1] and -1.
-    lo, hi = (_ROWS["d1_wall"].weights[1] * e[0] - e[1] for e in (u, u[::-1]))
-    return float(d.sum()), float(lo @ lo), float(hi @ hi)
+    w = _ROWS["d1_wall"].weights[1]
+    return w * e[0] - e[1], w * e[-1] - e[-2]
 
 
 @functools.lru_cache(maxsize=16)
@@ -137,37 +140,67 @@ def _weighted_column(grid) -> np.ndarray:
     return w
 
 
-def _squares(u: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, float]:
-    """u*u, its sums along y, and the one definition of the weighted energy ((1+x), u^2)."""
-    u2 = u * u
-    rows = u2.sum(axis=1)
-    return u2, rows, float(_weighted_column(grid) @ rows)
+def _squares(v: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, float]:
+    """v*v, its sums over the y-lines at each x, and the one definition of the weighted energy.
+
+    v is an interior transposed, one row per y-line: all ny, or the even
+    half, whose lines below the centre stand for two.  The weighted energy
+    is ((1+x), u^2).
+    """
+    v2 = v * v
+    cols = v2.sum(axis=0)
+    if grid.is_half(len(v)):
+        cols += cols
+        cols -= v2[-1]
+    return v2, cols, float(_weighted_column(grid) @ cols)
 
 
 def trace_row(interior: np.ndarray, grid) -> tuple:
     """(l2_sq, weighted, flux0, grad_x_sq, grad_y_sq, cubic) of a clean state.
 
     The single definition of a trace row, read from the (nx, ny) interior
-    of a field whose boundary layer is zero: the walls carry no quadrature
-    weight except through the one-sided derivatives there, and the
-    derivative along a wall vanishes.  Equals ``integrate(v*v)``, the
-    Lyapunov functional ``integrate((1+x) v*v)``, the inflow flux
-    int u_x(0,y)^2 dy on the wall row of ``gradient_full``, the
-    ``gradient_full`` energies and ``integrate(v**3)`` of that field up to
-    round-off.
+    of a field whose boundary layer is zero, or, for such a field even in
+    y on odd ny, from the lower (ny+1)/2 columns of its interior, centre
+    included; the column count tells which (``Grid.is_half``).  The walls
+    carry no quadrature weight except through the one-sided derivatives
+    there, and the derivative along a wall vanishes.  Equals
+    ``integrate(v*v)``, the Lyapunov functional ``integrate((1+x) v*v)``,
+    the inflow flux int u_x(0,y)^2 dy on the wall row of ``gradient_full``,
+    the ``gradient_full`` energies and ``integrate(v**3)`` of that field up
+    to round-off.
+
+    Both differences run over the rows of ``interior.T``, the y-lines,
+    which the stepper holds contiguous.  On the half, a sum over the lines
+    counts each line below the centre twice and the centre line once, and
+    the y-difference at the centre, between two mirror images, vanishes.
     """
-    u = interior
+    v = interior.T
+    half = grid.is_half(len(v))
     hx, hy = grid.hx, grid.hy
-    # One full-size buffer: u^2, then u^3, then each derivative in turn.
-    buf, rows, weighted = _squares(u, grid)
-    l2_sq = hx * hy * float(rows.sum())
-    buf *= u
-    cubic = hx * hy * float(buf.sum())
-    inner, lo, hi = _d1_sq_sums(u, buf)
+
+    def total(s, centre):
+        """The full state's sum from s, a sum over the held lines, and the centre line's terms."""
+        return 2.0 * s - float(centre.sum()) if half else s
+
+    # One buffer of v's shape: u^2, then u^3, then each derivative in turn.
+    buf, cols, weighted = _squares(v, grid)
+    l2_sq = hx * hy * float(cols.sum())
+    buf *= v
+    cubic = hx * hy * total(float(buf.sum()), buf[-1])
     sq = _ROWS["d1"].divisor ** 2   # the sums are of (divisor * h * u')^2; d1_wall shares it
+    d = _d1_zero_walls(v.T, buf.T)  # along each line
+    np.square(d, out=d)
+    inner = total(float(buf.sum()), buf[-1])
+    lo, hi = (total(float(e @ e), e[-1] * e[-1]) for e in _wall_lines(v.T))
     flux0 = hy * lo / (sq * hx * hx)
     grad_x_sq = hy * (inner + 0.5 * (lo + hi)) / (sq * hx)
-    inner, lo, hi = _d1_sq_sums(u.T, buf.T)
+    d = _d1_zero_walls(v, buf)      # across the lines
+    lo, hi = (float(e @ e) for e in _wall_lines(v))
+    if half:
+        d[-1] = 0.0  # the centre's two neighbours are mirror images,
+        hi = lo      # and so are the two walls
+    np.square(d, out=d)
+    inner = total(float(d.sum()), d[-1])
     grad_y_sq = hx * (inner + 0.5 * (lo + hi)) / (sq * hy)
     return l2_sq, weighted, flux0, grad_x_sq, grad_y_sq, cubic
 

@@ -38,7 +38,10 @@ half of the columns (Boyd 2001, ch. 8; Martucci 1994): each step solves
 and transforms half the modes.  Any other datum steps every mode.  A half
 stack of at most ``_DENSE_HALF_MAX`` rows is transformed by one dense
 matrix product, which is faster than pocketfft at those lengths; longer
-half stacks and every full stack use pocketfft.
+half stacks and every full stack use pocketfft, so a run whose half
+stack is at most that long loads no scipy.fft.  A run on the even half
+samples its trace on the held lower columns; only a snapshot, the final
+state or a blow-up report mirrors them into the full interior.
 """
 
 from __future__ import annotations
@@ -74,14 +77,16 @@ _DOMAIN_KINDS = (RECTANGLE, TRUNCATED_STRIP)
 
 
 # scipy is imported where a run first transforms or solves, so a process
-# that never steps (the spectra, the certificates) loads no scipy module.
+# that never steps (the spectra, the certificates) loads no scipy module,
+# and a run whose transforms are all dense products (a y-even half stack of
+# at most _DENSE_HALF_MAX rows) loads scipy.linalg.blas but no scipy.fft.
 # Measured on x86-64 Linux, Python 3.11, scipy 1.17: ``import zklab`` peaks
 # at 33 MiB RSS; scipy.fft adds 85 modules and 21 MiB, scipy.linalg.blas
 # alone 85 modules and 23 MiB, and the two together 128 modules and 28 MiB.
 
 @functools.cache
 def _fft():
-    """scipy.fft, imported on the first transform."""
+    """scipy.fft, imported on the first transform that pocketfft makes."""
     import scipy.fft
     return scipy.fft
 
@@ -264,7 +269,7 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
         u = fld.interior  # the walls are zeroed by with_interior below
         if config.scale_weighted is not None:
             with np.errstate(over="ignore"):  # an overflow is named below
-                w = calculus._squares(u, g)[2]
+                w = calculus._squares(u.T, g)[2]
             if w == math.inf:
                 raise OverflowError("the weighted energy overflows")
             if w == 0.0:
@@ -353,7 +358,8 @@ class LinearPart:
     k = (ny+1)/2 rows is transformed by pocketfft's DST-III when k exceeds
     ``_DENSE_HALF_MAX``, and otherwise by one matrix product with a k x k
     matrix of that DST-III, scale included.  The two matrices (forward and
-    inverse, 8 k^2 bytes each) are built on the first such transform.
+    inverse, 8 k^2 bytes each) are built from the closed form, by numpy
+    alone, on the first such transform.
     """
 
     def __init__(self, grid: Grid, alpha: int, epsilon: float = 0.0):
@@ -367,7 +373,7 @@ class LinearPart:
 
     def bands(self, k: int) -> np.ndarray:
         """The band stack of A_m for all k = ny modes or the even half: (_KL + _KU + 1, k, nx)."""
-        xi = (self.xi[0::2] if self._is_half(k) else self.xi)[:, None]
+        xi = (self.xi[0::2] if self.grid.is_half(k) else self.xi)[:, None]
         b = (self.alpha - xi) * self._d1[:, None, :]
         b += self._d3[:, None, :]
         if self._d4 is not None:
@@ -375,21 +381,26 @@ class LinearPart:
             b[_KU] += self.epsilon * xi ** 2
         return b
 
-    def _is_half(self, n: int) -> bool:
-        """Whether n y-columns or modes are the even half rather than all ny."""
-        if n == self.grid.ny:
-            return False
-        if 2 * n - 1 != self.grid.ny:
-            raise ValueError(f"{n} columns or modes fit neither ny={self.grid.ny} "
-                             f"nor its even half")
-        return True
-
     @functools.cached_property
     def _half_dst(self) -> tuple[np.ndarray, np.ndarray]:
-        """The half-stack transforms as k x k matrices: (to_modes, from_modes)."""
-        eye = np.eye((self.grid.ny + 1) // 2)
-        fft = _fft()
-        return 2.0 * fft.dst(eye, type=3, axis=0), 0.5 * fft.idst(eye, type=3, axis=0)
+        """The half-stack transforms as k x k matrices: (to_modes, from_modes).
+
+        Both read s[m, j] = sin(pi (2m+1)(j+1) / 2k): to_modes is twice the
+        DST-III, 4 s with the centre column j = k-1 weighted 2 s, and
+        from_modes, half its inverse, is s.T / 2k.  The sines come from a
+        table of sin(pi r / 2k) over r mod 4k whose arguments are reduced
+        exactly to [0, pi/2], so each entry is within 1.5 ulp (measured
+        against long-double sines at k <= 80).
+        """
+        k = (self.grid.ny + 1) // 2
+        r = np.arange(4 * k) % (2 * k)
+        table = np.sin(np.pi * np.minimum(r, 2 * k - r) / (2 * k))
+        table[2 * k:] *= -1.0  # sin(x + pi) = -sin(x)
+        j = np.arange(k)
+        s = table[np.outer(2 * j + 1, j + 1) % (4 * k)]
+        to = 4.0 * s
+        to[:, -1] *= 0.5
+        return to, s.T / (2 * k)
 
     def to_modes(self, interior: np.ndarray) -> np.ndarray:
         """(nx, ny) physical interior -> C-contiguous (ny, nx) transverse-mode stack.
@@ -397,7 +408,7 @@ class LinearPart:
         The even half of the DST-I of a y-even column is twice the DST-III
         of its lower half (Martucci 1994).
         """
-        if not self._is_half(interior.shape[1]):
+        if not self.grid.is_half(interior.shape[1]):
             return _fft().dst(interior.T, type=1, axis=0)
         if interior.shape[1] <= _DENSE_HALF_MAX:
             return self._half_dst[0] @ interior.T
@@ -410,7 +421,7 @@ class LinearPart:
 
         An even-half stack gives the lower half of the interior.
         """
-        if not self._is_half(modes.shape[0]):
+        if not self.grid.is_half(modes.shape[0]):
             return _fft().idst(modes, type=1, axis=0).T
         if modes.shape[0] <= _DENSE_HALF_MAX:
             return (self._half_dst[1] @ modes).T
@@ -613,7 +624,10 @@ class Stepper:
     D_yy and the x-wise nonlinear term commute with the mirror y -> -y, so
     a datum on odd ny that equals its own y-mirror stays even: the stepper
     then holds only its even modes (see ``LinearPart``), the length of the
-    held stack says so, and ``interior`` mirrors the lower columns.
+    held stack says so, and its cached columns are the lower (ny+1)/2.
+    ``simulate`` samples its trace rows on those columns (``trace_row``
+    takes them as they are); ``interior`` mirrors them into the full
+    interior for a snapshot, the final state and a blow-up report.
     """
 
     def __init__(self, config: SimConfig, grid: Grid | None = None):
@@ -692,7 +706,11 @@ class Stepper:
         return self._modes
 
     def _held(self) -> np.ndarray:
-        """The physical columns of the held stack, built by one inverse DST if not cached."""
+        """The physical columns of the held stack, all ny or the lower half, read-only.
+
+        Built by one inverse DST if not cached; a transposed view of a
+        C-contiguous (columns, nx) array once a step has run.
+        """
         if self._interior is None:
             u = self.linear_part.from_modes(self._state())
             u.flags.writeable = False
@@ -700,9 +718,12 @@ class Stepper:
         return self._interior
 
     def interior(self) -> np.ndarray:
-        """The (nx, ny) physical state, read-only; one inverse DST per step at most."""
+        """The (nx, ny) physical state, read-only; one inverse DST per step at most.
+
+        A held even half is mirrored into a new array on every call.
+        """
         u = self._held()
-        if self.linear_part._is_half(u.shape[1]):
+        if self.linear_part.grid.is_half(u.shape[1]):
             u = np.concatenate((u, u[:, -2::-1]), axis=1)
             u.flags.writeable = False
         return u
@@ -770,7 +791,7 @@ def simulate(config: SimConfig) -> Trajectory:
     with _overflow_names(config.initial):  # initial_field's rule for the datum
         i0 = calculus.initial_regularity(u0)
     stepper.start(u0.interior)
-    rows = [(0.0,) + calculus.trace_row(stepper.interior(), grid)]
+    rows = [(0.0,) + calculus.trace_row(stepper._held(), grid)]
     blowup = None
     n_steps = config.n_steps
     for n in range(1, n_steps + 1):
@@ -780,7 +801,7 @@ def simulate(config: SimConfig) -> Trajectory:
             blowup = BlowupError.at(n, t, stepper.interior())
             break
         if n % config.trace_stride == 0 or n == n_steps:
-            rows.append((t,) + calculus.trace_row(stepper.interior(), grid))
+            rows.append((t,) + calculus.trace_row(stepper._held(), grid))
         if n % config.snapshot_stride == 0 and n != n_steps:
             snapshots.append((t, u0.with_interior(stepper.interior())))
     if blowup is None:

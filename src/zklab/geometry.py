@@ -85,6 +85,20 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.nx + 2, self.ny + 2)
 
+    def is_half(self, n: int) -> bool:
+        """Whether n y-columns or modes are the even half (ny+1)/2 of odd ny rather than all ny.
+
+        The lower (ny+1)/2 columns, centre included, hold a state on odd ny
+        that equals its own y-mirror; any n but these two counts raises a
+        ValueError naming both.
+        """
+        if n == self.ny:
+            return False
+        if 2 * n - 1 != self.ny:
+            raise ValueError(f"{n} columns or modes fit neither ny={self.ny} "
+                             f"nor its even half (ny+1)/2={(self.ny + 1) / 2:g}")
+        return True
+
 
 def build_grid(L: float, B: float, nx: int, ny: int) -> Grid:
     """The Grid with these fields, validated by its constructor."""

@@ -8,7 +8,7 @@ from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
                    initial_regularity, integrate, resonant_family, sample_field,
                    simulate, stationary_mode, trace_row)
 from zklab import dynamics
-from zklab.calculus import (_ROWS, _apply, _d1_full, _d1_sq_sums, _d1_zero_walls, _shared_terms,
+from zklab.calculus import (_ROWS, _apply, _d1_full, _d1_zero_walls, _shared_terms, _wall_lines,
                             gradient_full, trapezoid_weights)
 from zklab.harness import random_clean_field
 
@@ -113,6 +113,27 @@ def test_table_rows_equal_the_sliced_expressions():
             assert trace_row(u, g)[2:5] == (hy * lx / (4.0 * hx * hx),
                                             hy * (ix + 0.5 * (lx + rx)) / (4.0 * hx),
                                             hx * (iy + 0.5 * (ly + ry)) / (4.0 * hy))
+        # The same sums from the lower half of a y-even state: each column
+        # below the centre counts twice, the centre once, and the y
+        # difference at the centre, between mirror images, is zero.
+        half = fld.interior[:, :(g.ny + 1) // 2]
+        for u in (half.copy(), np.ascontiguousarray(half.T).T):
+            d = np.empty_like(u)
+            d[1:-1] = u[2:] - u[:-2]
+            d[0], d[-1] = u[1], -u[-2]
+            dd = d * d
+            ix = 2.0 * float(dd.sum()) - float(dd[:, -1].sum())
+            lx, rx = (2.0 * float(e @ e) - e[-1] * e[-1] for e in (4.0 * u[0] - u[1],
+                                                                 4.0 * u[-1] - u[-2]))
+            e = u.T
+            d = np.empty_like(e)
+            d[1:-1] = e[2:] - e[:-2]
+            d[0], d[-1] = e[1], 0.0
+            iy = 2.0 * float((d * d).sum())
+            ly = float((4.0 * e[0] - e[1]) @ (4.0 * e[0] - e[1]))
+            assert trace_row(u, g)[2:5] == (hy * lx / (4.0 * hx * hx),
+                                            hy * (ix + 0.5 * (lx + rx)) / (4.0 * hx),
+                                            hx * (iy + ly) / (4.0 * hy))
         # The stepper's nonlinear term and x-operators.
         cfg = SimConfig(L=g.L, B=g.B, nx=g.nx, ny=g.ny, t_end=0.01)
         for u in (fld.interior.copy(), np.asfortranarray(fld.interior)):
@@ -150,11 +171,9 @@ def test_hot_paths_equal_the_table_rows():
             walled = np.pad(e, ((1, 1), (0, 0)))
             d1 = _apply(_ROWS["d1"], walled, 1, n + 1)
             assert np.array_equal(_d1_zero_walls(e, np.empty_like(e)), d1)
-            d = np.empty_like(e)
-            d[...] = d1
             lo, hi = (_apply(_ROWS["d1_wall"], w, 0) for w in (walled, walled[::-1]))
-            assert _d1_sq_sums(e, np.empty_like(e)) == (float((d * d).sum()), float(lo @ lo),
-                                                       float(hi @ hi))
+            got = _wall_lines(e)
+            assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
         walled = np.pad(u * u, ((1, 1), (0, 0)))
         assert np.array_equal(dynamics.Stepper(cfg)._nonlin(u),
                               _apply(_ROWS["d1"], walled, 1, g.nx + 1, g.hx))
@@ -472,3 +491,25 @@ def test_trace_row_matches_general_functions(case):
     for interior in (fld.interior, np.asfortranarray(fld.interior), fld.interior.copy()):
         got = np.array(trace_row(interior, g))
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (got - want) / want
+
+
+@pytest.mark.parametrize("ny", [9, 31, 63])
+def test_trace_row_on_the_even_half_equals_the_mirrored_state(ny):
+    # The lower (ny+1)/2 columns of a y-even state give the trace row of
+    # the whole state, column by column, in either memory layout.
+    g = build_grid(2.0, 1.5, 40, ny)
+    rng = np.random.default_rng(ny)
+    for _ in range(5):
+        half = rng.normal(size=(g.nx, (ny + 1) // 2))
+        full = np.concatenate((half, half[:, -2::-1]), axis=1)
+        want = np.array(trace_row(full, g))
+        for u in (half, np.ascontiguousarray(half.T).T):
+            got = np.array(trace_row(u, g))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (got - want) / want
+
+
+def test_trace_row_names_both_column_counts():
+    g = build_grid(2.0, 1.5, 40, 31)
+    for n in (15, 17, 30):
+        with pytest.raises(ValueError, match=r"fit neither ny=31 nor its even half \(ny\+1\)/2=16"):
+            trace_row(np.zeros((g.nx, n)), g)

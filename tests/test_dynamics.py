@@ -658,11 +658,14 @@ def test_stepper_builds_no_mode_stack():
 
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy is imported by the first transform or solve, so importing zklab,
-    # the critical spectra and the inequality certificates load none of it;
-    # one transform then loads scipy.fft.
+    # the critical spectra and the inequality certificates load none of it.
+    # A y-even run whose half stack has at most _DENSE_HALF_MAX rows solves
+    # (scipy.linalg) but makes every transform a dense product, so it loads
+    # no scipy.fft; a run on the general path then loads scipy.fft.
     src = Path(__file__).resolve().parents[1] / "src"
     code = """if True:
         import io, sys
+        from dataclasses import replace
         sys.path.insert(0, sys.argv[1])
         import zklab
         from zklab.harness import cli_main, run_verify
@@ -677,13 +680,15 @@ def test_import_leaves_scipy_linalg_unloaded():
                  run_verify("inequalities", 2, 0)]
         sys.stdout = stdout
         print(codes, scipy_modules())
-        import numpy as np
-        zklab.LinearPart(zklab.build_grid(2.0, 1.0, 15, 15), 1).to_modes(np.ones((15, 15)))
-        print("scipy.fft" in scipy_modules())
+        even = zklab.SimConfig(L=2.0, B=1.0, nx=31, ny=2 * zklab.dynamics._DENSE_HALF_MAX - 1,
+                               t_end=0.003, initial="cos-product:0.4")
+        for cfg in (even, replace(even, ny=32)):
+            assert zklab.simulate(cfg).aborted_at is None
+            print("scipy.linalg" in sys.modules, "scipy.fft" in sys.modules)
     """
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines() == ["False", "[0, 0] []", "True"]
+    assert out.stdout.splitlines() == ["False", "[0, 0] []", "True False", "True True"]
 
 
 def test_regularization_quadratic_form_nonnegative():
@@ -792,6 +797,31 @@ def test_half_transforms_are_the_scaled_dst_iii_on_both_paths(k):
     assert np.max(np.abs(to - to_ref)) <= 1e-14 * np.max(np.abs(to_ref))
     assert np.max(np.abs(back - back_ref)) <= 1e-14 * np.max(np.abs(back_ref))
     assert np.max(np.abs(lp.from_modes(to) - half)) <= 1e-14 * np.max(np.abs(half))
+
+
+def test_half_matrices_are_the_closed_form_dst_iii():
+    # The two dense half transforms are built from sin(pi (2m+1)(j+1) / 2k)
+    # by numpy alone: a few ulp from scipy.fft's DST-III of the identity,
+    # and, where numpy's long double is wider than a double, within 2 ulp of
+    # the sines taken in it (1.5 measured on x86-64).
+    wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
+    for k in (5, 16, 32, 63, dynamics._DENSE_HALF_MAX):
+        to, back = LinearPart(build_grid(2.0, 1.0, 8, 2 * k - 1), alpha=1)._half_dst
+        eye = np.eye(k)
+        assert np.max(np.abs(to - 2.0 * dst(eye, type=3, axis=0))) <= 8 * np.spacing(4.0)
+        assert np.max(np.abs(back - 0.5 * idst(eye, type=3, axis=0))) <= 8 * np.spacing(0.5 / k)
+        if wide:
+            j = np.arange(k)
+            r = np.outer(2 * j + 1, j + 1) % (4 * k)
+            s = np.sin(np.longdouble("3.14159265358979323846264338327950288") * r / (2 * k))
+            s[r % (2 * k) == 0] = 0.0  # sin(0) and sin(pi)
+            exact_to = 4 * s
+            exact_to[:, -1] /= 2
+            for got, exact in ((to, exact_to), (back, s.T / (2 * k))):
+                zero = exact == 0.0
+                assert np.all(got[zero] == 0.0)
+                ulps = np.abs(got - exact)[~zero] / np.spacing(np.abs(got[~zero]))
+                assert ulps.max() <= 2.0, k
 
 
 def test_half_matrices_are_built_by_the_first_half_transform():
@@ -1089,6 +1119,26 @@ def test_simulate_builds_no_field_per_trace_row(monkeypatch):
     assert len(traj.trace) == cfg.n_steps + 1
     # The datum takes two and its i0 norm one; the trace rows take none.
     assert len(built) <= len(traj.snapshots) + 3
+
+
+def test_even_simulate_mirrors_only_for_snapshots(monkeypatch):
+    # The trace rows of a y-even run read the held lower columns; the full
+    # interior is built only for the snapshots after the datum's.
+    for linear in (True, False):
+        cfg = small_config(linear=linear, t_end=0.05, trace_stride=1, snapshot_stride=20)
+        calls = []
+        real = Stepper.interior
+
+        def counting(self):
+            u = real(self)
+            calls.append(u.shape)
+            return u
+
+        monkeypatch.setattr(Stepper, "interior", counting)
+        traj = simulate(cfg)
+        monkeypatch.undo()
+        assert len(traj.trace) == cfg.n_steps + 1 and len(traj.snapshots) == 4
+        assert calls == [(cfg.nx, cfg.ny)] * (len(traj.snapshots) - 1)
 
 
 def test_linear_simulate_transforms_once_per_trace_row(monkeypatch, tmp_path):

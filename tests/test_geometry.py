@@ -47,6 +47,17 @@ def test_bad_dimensions_rejected(L, B):
         build_grid(L, B, 16, 16)
 
 
+def test_is_half_tells_every_column_from_the_even_half():
+    g = build_grid(2.0, 1.0, 16, 31)
+    assert not g.is_half(31) and g.is_half(16)
+    with pytest.raises(ValueError, match=r"^30 columns or modes fit neither ny=31 nor its even "
+                                         r"half \(ny\+1\)/2=16$"):
+        g.is_half(30)
+    # An even ny has no centre column, so no count but ny fits.
+    with pytest.raises(ValueError, match=r"ny=32 nor its even half \(ny\+1\)/2=16.5$"):
+        build_grid(2.0, 1.0, 16, 32).is_half(16)
+
+
 def test_counterexample_rectangle_grid():
     g = build_grid(4 * np.pi / np.sqrt(3), np.pi, 127, 127)
     assert g.nx == 127
