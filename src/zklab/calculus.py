@@ -112,10 +112,11 @@ def gradient_full(fld: Field) -> tuple[np.ndarray, np.ndarray]:
 def _d1_zero_walls(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The sums of the d1 row at every node of v, which is zero beyond its ends, into ``out``.
 
-    The hot path of ``trace_row`` and of the stepper's nonlinear term, so
-    the row is written out as slices: applied by ``_apply``, node by node
-    at the ends, it made trace_row's gradient sums take about 1.6 times as
-    long.  A test pins the two bit for bit.
+    The hot path of ``trace_row``, of the stepper's nonlinear term and of
+    ``_d1_full``'s inner nodes, so the row is written out as slices:
+    applied by ``_apply``, node by node at the ends, it made trace_row's
+    gradient sums take about 1.6 times as long.  A test pins the two bit
+    for bit.
     """
     np.subtract(v[2:], v[:-2], out=out[1:-1])
     out[0] = v[1]
@@ -140,16 +141,16 @@ def _weighted_column(grid) -> np.ndarray:
     return w
 
 
-def _squares(v: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, float]:
+def _squares(v: np.ndarray, grid, half: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """v*v, its sums over the y-lines at each x, and the one definition of the weighted energy.
 
-    v is an interior transposed, one row per y-line: all ny, or the even
-    half, whose lines below the centre stand for two.  The weighted energy
-    is ((1+x), u^2).
+    v is an interior transposed, one row per y-line: all ny, or with
+    ``half`` the even half, whose lines below the centre stand for two.
+    The weighted energy is ((1+x), u^2).
     """
     v2 = v * v
     cols = v2.sum(axis=0)
-    if grid.is_half(len(v)):
+    if half:
         cols += cols
         cols -= v2[-1]
     return v2, cols, float(_weighted_column(grid) @ cols)
@@ -183,7 +184,7 @@ def trace_row(interior: np.ndarray, grid) -> tuple:
         return 2.0 * s - float(centre.sum()) if half else s
 
     # One buffer of v's shape: u^2, then u^3, then each derivative in turn.
-    buf, cols, weighted = _squares(v, grid)
+    buf, cols, weighted = _squares(v, grid, half)
     l2_sq = hx * hy * float(cols.sum())
     buf *= v
     cubic = hx * hy * total(float(buf.sum()), buf[-1])
