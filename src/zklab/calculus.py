@@ -115,10 +115,19 @@ def _d1_zero_walls(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     The hot path of ``trace_row``, of the stepper's nonlinear term and of
     ``_d1_full``'s inner nodes, so the row is written out as slices:
     applied by ``_apply``, node by node at the ends, it made trace_row's
-    gradient sums take about 1.6 times as long.  A test pins the two bit
-    for bit.
+    gradient sums take about 1.6 times as long.  When both arrays are
+    contiguous along axis 0 (Fortran order: the stepper's held columns
+    and their transposed views), the lines lie one after another, so one
+    difference runs over the flat arrays and each line's two ends, where
+    it reached across a line boundary, are set after it; otherwise the
+    difference runs on axis-0 slices.  A test pins both paths to the table
+    bit for bit.
     """
-    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    if v.flags.f_contiguous and out.flags.f_contiguous:
+        flat = v.ravel(order="F")
+        np.subtract(flat[2:], flat[:-2], out=out.ravel(order="F")[1:-1])
+    else:
+        np.subtract(v[2:], v[:-2], out=out[1:-1])
     out[0] = v[1]
     np.negative(v[-2], out=out[-1])
     return out
@@ -211,16 +220,29 @@ def initial_regularity(fld: Field) -> float:
 
     ||u||^2 + ||grad u||^2 + ||u_yy||^2 + ||u u_x + (u_xx + u_yy)_x||^2,
     with the last term evaluated as || u*u_x + Laplacian(u_x) ||^2.
+
+    Each term is integrated as soon as it is formed and its arrays are
+    dropped, and the sum runs in the terms' order: on C07's 127x383 strip
+    the call peaks at 4.1 full-grid arrays under tracemalloc, against 7.0
+    when every term was held to the end.
     """
     g = fld.grid
     v = fld.values
     ux, uy = gradient_full(fld)
-    uyy = np.pad(_apply(_ROWS["d2"], v[1:-1, :].T, 1, g.ny + 1, g.hy).T, 1)  # zero walls
-    lap_ux = (_apply(_ROWS["d2"], ux[:, 1:-1], 1, g.nx + 1, g.hx)
-              + _apply(_ROWS["d2"], ux[1:-1, :].T, 1, g.ny + 1, g.hy).T)
-    nl_full = np.pad(v[1:-1, 1:-1] * ux[1:-1, 1:-1] + lap_ux, 1)
-    return (integrate(v * v, g) + integrate(ux * ux + uy * uy, g)
-            + integrate(uyy ** 2, g) + integrate(nl_full * nl_full, g))
+    sq = ux * ux
+    sq += uy * uy
+    del uy
+    grad_sq = integrate(sq, g)
+    sq = np.pad(_apply(_ROWS["d2"], v[1:-1, :].T, 1, g.ny + 1, g.hy).T, 1)  # u_yy, zero walls
+    sq *= sq
+    uyy_sq = integrate(sq, g)
+    del sq
+    nl = _apply(_ROWS["d2"], ux[:, 1:-1], 1, g.nx + 1, g.hx)
+    nl += _apply(_ROWS["d2"], ux[1:-1, :].T, 1, g.ny + 1, g.hy).T  # Laplacian(u_x)
+    nl = np.pad(v[1:-1, 1:-1] * ux[1:-1, 1:-1] + nl, 1)
+    del ux
+    nl *= nl
+    return integrate(v * v, g) + grad_sq + uyy_sq + integrate(nl, g)
 
 
 class _Terms(NamedTuple):

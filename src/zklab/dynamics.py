@@ -13,9 +13,13 @@ transform in y: each transverse mode m evolves by an nx-by-nx matrix
 
 The operator is held as D1, D3, D4x in band storage, written from the
 rows of ``calculus._ROWS`` (the lab's one table of difference rows, the
-IBVP's closures included), and the xi_m; the band stack of the A_m that a
-run steps is formed where it is read.  The nonlinear term is that table's
-centered D1 row applied to u^2 with zero walls.
+IBVP's closures included), and the xi_m.  No per-mode band stack is
+built: ``start`` forms I + dt/2 A_m of the modes a run steps in the one
+(_KL + _KU + 1, nx, k) array that the elimination overwrites (one band
+stack of the run's k modes, 2.4 stacks at the set-up's peak with the
+factors), and ``apply_modes`` applies each x-band row with each mode's
+coefficient.  The nonlinear term is that table's centered D1 row applied
+to u^2 with zero walls.
 
 Time stepping is Crank-Nicolson on the linear part (one banded LU of
 I + dt/2 A without row interchanges, factored by each ``start``) with the
@@ -25,7 +29,12 @@ single explicit Euler predictor.
 
 The stepper keeps the state as its (ny, nx) transverse-mode stack m, and
 one step is m <- 2 (I + dt/2 A)^-1 (m - dt/2 F) - m, where F is the DST of
-the extrapolated nonlinear term (zero for a linear run).  Physical values
+the extrapolated nonlinear term (zero for a linear run).  The solve
+returns the factor 2 with it (it stores its pivots' reciprocals doubled),
+and -dt/2 F is c S(s_n - s_(n-1)/3), with S the forward DST, s the raw
+sums of the d1 row over u^2 and c = -(dt/2)(3/2) / (2 hx) the one constant
+(``Stepper._nonlin_scale``) that holds the nonlinear term's scale: 1/(2 hx),
+the AB2 weight 3/2 and -dt/2.  Physical values
 are built by the inverse DST only where something reads them.  Since the
 unnormalised DST-I gives |u_ij| <= sum_m |m_mi| / (ny + 1), a modal state
 whose whole-stack sum of |m_mi| (one BLAS dasum) stays below (ny + 1) times
@@ -323,12 +332,13 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
 
 def _band_apply(bands: np.ndarray, modes: np.ndarray, offsets=range(-_KL, _KU + 1),
                 out: np.ndarray | None = None, magnitudes: bool = False) -> np.ndarray:
-    """Each row of a (k, nx) mode stack times its band matrix from a band stack.
+    """Each row of a (k, nx) mode stack times its band matrix from a (rows, k, nx) band stack.
 
-    Adds to ``out`` (zeros by default) the product of each diagonal in
-    ``offsets`` (0 the main one, positive above it), in that order, one
-    (k, nx) slice at a time; with ``magnitudes`` each band entry enters as
-    its absolute value.
+    A (rows, 1, nx) stack applies one band matrix to every row.  Adds to
+    ``out`` (zeros by default) the product of each diagonal in ``offsets``
+    (0 the main one, positive above it), in that order, one (k, nx) slice
+    at a time; with ``magnitudes`` each band entry enters as its absolute
+    value.
     """
     out = np.zeros_like(modes) if out is None else out
     nx = modes.shape[1]
@@ -343,9 +353,11 @@ class LinearPart:
     """alpha*Dx + Dxxx + Dxyy + eps*(Dx4 + Dy4) with the IBVP closures.
 
     Held as its x-operators in band storage (``_x_bands`` of order 1 and 3,
-    and 4 when eps > 0) and the transverse eigenvalues ``xi``; each
-    A_m = D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2 I) is formed only where
-    it is read, by ``bands`` for the modes of one stack.
+    and 4 when eps > 0) and the transverse eigenvalues ``xi``; no
+    A_m = D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2 I) is held.
+    ``implicit`` forms I + dt/2 A_m for the modes of one stack in the
+    layout the solve eliminates, and ``apply_modes`` applies each x-band
+    row to the whole stack with each mode's coefficient.
 
     A mode stack is either full, (ny, nx) from an (nx, ny) interior, or,
     for odd ny and an interior even in y, its even half: the rows
@@ -371,15 +383,26 @@ class LinearPart:
         self._d1, self._d3 = _x_bands(1, nx, hx), _x_bands(3, nx, hx)
         self._d4 = _x_bands(4, nx, hx) if epsilon > 0 else None
 
-    def bands(self, k: int) -> np.ndarray:
-        """The band stack of A_m for all k = ny modes or the even half: (_KL + _KU + 1, k, nx)."""
-        xi = (self.xi[0::2] if self.grid.is_half(k) else self.xi)[:, None]
-        b = (self.alpha - xi) * self._d1[:, None, :]
-        b += self._d3[:, None, :]
+    def _xi(self, k: int) -> np.ndarray:
+        """The xi_m of the k = ny modes or of the even half."""
+        return self.xi[0::2] if self.grid.is_half(k) else self.xi
+
+    def implicit(self, k: int, dt: float) -> np.ndarray:
+        """I + dt/2 A_m for the k = ny modes or the even half, in ``_factor``'s layout.
+
+        A C-ordered (_KL + _KU + 1, nx, k) array, entry (i, j) of mode m at
+        [_KU + i - j, j, m], the modes contiguous: the x-band rows times
+        each mode's coefficients, formed in that one array.
+        """
+        xi = self._xi(k)
+        system = (self.alpha - xi) * self._d1[:, :, None]
+        system += self._d3[:, :, None]
         if self._d4 is not None:
-            b += self.epsilon * self._d4[:, None, :]
-            b[_KU] += self.epsilon * xi ** 2
-        return b
+            system += (self.epsilon * self._d4)[:, :, None]
+            system[_KU] += self.epsilon * xi ** 2
+        system *= 0.5 * dt
+        system[_KU] += 1.0
+        return system
 
     @functools.cached_property
     def _half_dst(self) -> tuple[np.ndarray, np.ndarray]:
@@ -430,8 +453,20 @@ class LinearPart:
         return half.T
 
     def apply_modes(self, modes: np.ndarray) -> np.ndarray:
-        """A_m applied to each row of a mode stack: the banded stencil."""
-        return _band_apply(self.bands(modes.shape[0]), modes)
+        """A_m applied to each row of a mode stack: D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2).
+
+        Each x-band row is applied to the whole stack and scaled by each
+        mode's coefficient, so no per-mode band stack is formed.
+        """
+        xi = self._xi(len(modes))[:, None]
+        out = _band_apply(self._d3[:, None], modes)
+        out += (self.alpha - xi) * _band_apply(self._d1[:, None], modes)
+        if self._d4 is not None:
+            d4 = _band_apply(self._d4[:, None], modes)
+            d4 += xi ** 2 * modes
+            d4 *= self.epsilon
+            out += d4
+        return out
 
     def apply(self, fld: Field) -> Field:
         """A u as a Field on the operator's grid (boundary layer zeroed)."""
@@ -497,35 +532,38 @@ class Trajectory:
 _REFINE_GROWTH = 4.0  # see _factor; the benchmark and acceptance grids read at most 3.12
 
 
-def _factor(bands: np.ndarray, dt: float):
-    """The solve of I + dt/2 A for a (_KL + _KU + 1, k, nx) stack of mode bands.
+def _factor(form):
+    """The Crank-Nicolson solve of I + dt/2 A for a stack of k modes, formed by ``form()``.
 
-    Doolittle elimination without row interchanges, on every mode at once
+    ``form()`` returns a fresh I + dt/2 A in ``LinearPart.implicit``'s
+    C-ordered (_KL + _KU + 1, nx, k) layout, and the elimination runs in
+    that array: Doolittle without row interchanges, on every mode at once
     (a loop over the columns), gives I + dt/2 A_m = L D U, L unit lower
     with A_m's _KL subdiagonals and U unit upper with its _KU
-    superdiagonals.  ``solve(b)`` overwrites a contiguous flat (k*nx,) mode
-    vector b and returns (I + dt/2 A)^-1 b: two unit triangular band
-    sweeps (BLAS ``dtbsv``) with the scaling by 1/D between them.  A zero
-    or non-finite pivot raises LinAlgError naming the column and the mode
-    by its index in the stack.  ``bands`` is not modified.
+    superdiagonals.  ``solve(b)`` overwrites a contiguous flat (k*nx,)
+    mode vector b and returns 2 (I + dt/2 A)^-1 b, the step's factor 2
+    folded into the 2/D scaling between two unit triangular band sweeps
+    (BLAS ``dtbsv``): a power of two, so the result is exactly twice the
+    unscaled solve.  A zero or non-finite pivot raises LinAlgError naming
+    the column and the mode by its index in the stack.
 
     Without interchanges the factors can grow: at eps = 0, the pivots of a
     mode whose D1 term dominates (xi_m dt / hx large) alternate between
     O(1) and O((xi_m dt / hx)^2).  Where the growth (|L| |D| |U| 1) /
     (|I + dt/2 A| 1) of some row passes ``_REFINE_GROWTH``, every solve
     adds one step of iterative refinement (Skeel 1980), which brings the
-    componentwise backward error back to round-off.
+    componentwise backward error back to round-off; only then is
+    ``form()`` called a second time, for the residual.
 
-    Working set beyond ``bands``, in stacks of its size: the elimination
-    buffer, a few (k, nx) rows for the growth, and the kept factors
-    (_KU + 1 rows of U, _KL + 1 of L and 1/D), 2.5 stacks at the peak
-    (measured under tracemalloc at k = 192 and 383, nx = 127, _KL = 2,
-    _KU = 3).  The solve keeps the factors, 4/3 of a stack at those widths,
-    and a refined one also I + dt/2 A, formed once the elimination buffer
-    is released.
+    Working set, in stacks of (_KL + _KU + 1) k nx floats: the system, a
+    few (k, nx) rows for the growth, and the kept factors (_KU + 1 rows of
+    U and _KL + 1 of L, 2/D in L's unread diagonal row: 7/6 of a stack at
+    _KL = 2, _KU = 3), 2.36 stacks at the peak (tracemalloc, C07's
+    127x383 strip, half and full stack alike; 3.52 when a band stack was
+    formed beside the system and 2/D held apart).  A refined solve also
+    keeps the halved system.
     """
-    k, nx = bands.shape[1:]
-    lower, upper, rdiag, refine = _band_lu(bands, dt)
+    lower, upper, rdiag, refine = _band_lu(form)
     tbsv = _blas().dtbsv
 
     def sweeps(b: np.ndarray) -> np.ndarray:
@@ -536,7 +574,10 @@ def _factor(bands: np.ndarray, dt: float):
 
     if not refine:
         return sweeps
-    system = _implicit(bands, dt)
+    # Halved, the residual of the doubled solution is that of the solution, bit for bit.
+    system = form().transpose(0, 2, 1)
+    system *= 0.5
+    k, nx = system.shape[1:]
 
     def refined(b: np.ndarray) -> np.ndarray:
         x = sweeps(b.copy())
@@ -547,13 +588,12 @@ def _factor(bands: np.ndarray, dt: float):
     return refined
 
 
-def _band_lu(bands: np.ndarray, dt: float):
-    """``_factor``'s L, U and 1/D in dtbsv's storage, and whether the growth asks for refinement."""
-    k, nx = bands.shape[1:]
+def _band_lu(form):
+    """``_factor``'s L, U and 2/D in dtbsv's storage, and whether the growth asks for refinement."""
     with np.errstate(all="ignore"):  # a bad pivot is named below
-        # Entry (i, j) of mode m at ab[_KU + i - j, j, m]; the modes are contiguous.
-        ab = _implicit(bands.transpose(0, 2, 1), dt)
-        lu = ab.transpose(0, 2, 1)  # the band stack of ``bands``, a view of ab
+        ab = form()  # entry (i, j) of mode m at ab[_KU + i - j, j, m]; eliminated in place
+        nx, k = ab.shape[1:]
+        lu = ab.transpose(0, 2, 1)  # the (rows, k, nx) band stack, a view of ab
         system_rows = _band_apply(lu, np.ones((k, nx)), magnitudes=True)  # |I + dt/2 A| 1
         inv_pivot = ab[_KU]
         for j in range(nx):
@@ -571,8 +611,11 @@ def _band_lu(bands: np.ndarray, dt: float):
                                     f"interchanges: mode {m}, column {j}")
     refine = _growth(lu, system_rows) > _REFINE_GROWTH
     # dtbsv reads column-major (rows, k*nx) storage, the modes one after
-    # another; the unit diagonal, row _KU, is not read.
-    return _column_major(ab[_KU:]), _column_major(ab[:_KU + 1]), lu[_KU].copy().reshape(-1), refine
+    # another.  It does not read the unit diagonal, row 0 of L's storage
+    # and row _KU of U's, so L's holds 2/D: no array of its own.
+    lower = _column_major(ab[_KU:])
+    lower[0] *= 2.0
+    return lower, _column_major(ab[:_KU + 1]), lower[0], refine
 
 
 def _growth(lu: np.ndarray, system_rows: np.ndarray) -> float:
@@ -590,13 +633,6 @@ def _growth(lu: np.ndarray, system_rows: np.ndarray) -> float:
     return growth.max()
 
 
-def _implicit(bands: np.ndarray, dt: float) -> np.ndarray:
-    """I + dt/2 A from a band stack or a transposed view of one, C-ordered in its axes."""
-    system = np.multiply(bands, 0.5 * dt, order="C")
-    system[_KU] += 1.0
-    return system
-
-
 def _column_major(rows: np.ndarray) -> np.ndarray:
     """(r, nx, k) rows of the elimination buffer -> (r, k*nx) column-major, mode after mode."""
     return rows.transpose(2, 1, 0).copy().reshape(-1, len(rows)).T
@@ -608,8 +644,9 @@ class Stepper:
 
     The implicit system I + dt/2 A is time-independent.  It is factored
     (``_factor``) by each ``start``, for the mode stack that run steps,
-    from the bands that ``LinearPart.bands`` forms for it; ``Stepper()``
-    builds no stack.
+    in the array that ``LinearPart.implicit`` forms for it; ``Stepper()``
+    builds no stack.  The nonlinear term's scale is the one constant
+    ``_nonlin_scale`` (see ``advance``).
 
     The state is its transverse-mode stack alone: ``start`` begins a run
     from a physical interior (one forward DST) and ``advance`` steps the
@@ -633,19 +670,25 @@ class Stepper:
     def __init__(self, config: SimConfig, grid: Grid | None = None):
         self.config = config
         self.linear_part = LinearPart(_run_grid(config, grid), config.alpha, config.epsilon)
+        # The one place the nonlinear term's scale lives.  F = (u^2)_x, with
+        # coefficient 1 (twice ZK's u u_x, ROADMAP item 1), is ``_nonlin``'s
+        # sums s over divisor * hx, and a step adds -dt/2 times the AB2
+        # extrapolation 3/2 F_n - 1/2 F_(n-1) = 3/2 (s_n - s_(n-1)/3) / (divisor * hx).
+        hx = self.linear_part.grid.hx
+        self._nonlin_scale = -0.5 * config.dt * 1.5 / (calculus._ROWS["d1"].divisor * hx)
         self._solve = None  # the factored solve of the run's mode stack
-        self._nonlin_prev: np.ndarray | None = None
+        self._nonlin_prev: np.ndarray | None = None  # the last step's sums s_(n-1)
         self._modes: np.ndarray | None = None
         self._interior: np.ndarray | None = None  # cached columns, all or the lower half
 
     def _nonlin(self, interior: np.ndarray) -> np.ndarray:
-        """(u^2)_x = 2 u u_x, conservative, walls u = 0: twice ZK's u u_x (ROADMAP item 1).
+        """The centered d1 row's sums over u^2 at every node, walls u = 0.
 
-        The table's centered d1 row applied to u^2, which reads the zero walls.
+        Conservative; divided by the row's divisor * hx they are (u^2)_x,
+        and ``_nonlin_scale`` holds that division.
         """
         u2 = interior * interior
-        out = calculus._d1_zero_walls(u2, np.empty_like(u2))
-        return np.divide(out, calculus._ROWS["d1"].divisor * self.linear_part.grid.hx, out=out)
+        return calculus._d1_zero_walls(u2, np.empty_like(u2))
 
     def start(self, interior: np.ndarray) -> None:
         """Begin a fresh run from an (nx, ny) interior: one factorization, one forward DST.
@@ -660,7 +703,8 @@ class Stepper:
                              f"(nx, ny) = {g.nx, g.ny}")
         if g.ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1]):
             interior = interior[:, :(g.ny + 1) // 2]
-        self._solve = _factor(self.linear_part.bands(interior.shape[1]), self.config.dt)
+        self._solve = _factor(functools.partial(self.linear_part.implicit, interior.shape[1],
+                                                self.config.dt))
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)
@@ -671,31 +715,36 @@ class Stepper:
 
         Uses (I + hA)^-1 [(I - hA) m - dt F] = 2 (I + hA)^-1 (m - h F) - m
         with h = dt/2 and F the DST of the extrapolated nonlinear term (zero
-        for a linear run), so a step is one banded solve and no operator
-        apply.  The step drops the cached physical columns.  A nonlinear
-        step reads them, built by one inverse DST unless a reader since the
-        last step built them, and transforms F in by one forward DST; a
-        linear step takes no DST.
+        for a linear run), so a step is one banded solve, which returns the
+        factor 2 with it, and no operator apply.  -h F is ``_nonlin_scale``
+        times the DST of s_n - s_(n-1)/3 (two passes over the columns), or
+        on the first step of s/1.5 at an Euler predictor's half step.  The
+        step drops the cached physical columns.  A nonlinear step reads
+        them, built by one inverse DST unless a reader since the last step
+        built them, and transforms F in by one forward DST; a linear step
+        takes no DST.
         """
         m = self._state()
         lp = self.linear_part
-        dt = self.config.dt
         if self.config.linear:
             rhs = m.copy()
         else:
             u = self._held()
-            n_now = self._nonlin(u)
+            s_now = self._nonlin(u)
             if self._nonlin_prev is None:
-                predicted = u - 0.5 * dt * (lp.from_modes(lp.apply_modes(m)) + n_now)
-                n_half = self._nonlin(predicted)
+                # u - h (A u + F_n), then the sums there on the AB2 scale.
+                predicted = u - 0.5 * self.config.dt * lp.from_modes(lp.apply_modes(m))
+                predicted += (self._nonlin_scale / 1.5) * s_now
+                t = self._nonlin(predicted)
+                t /= 1.5
             else:
-                n_half = 1.5 * n_now - 0.5 * self._nonlin_prev
-            self._nonlin_prev = n_now
-            rhs = lp.to_modes(n_half)
-            rhs *= -0.5 * dt
+                t = self._nonlin_prev * (-1.0 / 3.0)
+                t += s_now
+            self._nonlin_prev = s_now
+            rhs = lp.to_modes(t)
+            rhs *= self._nonlin_scale
             rhs += m
         x = self._solve(rhs.reshape(-1)).reshape(m.shape)
-        x *= 2.0
         x -= m
         self._modes, self._interior = x, None
 
@@ -805,7 +854,9 @@ def simulate(config: SimConfig) -> Trajectory:
         if n % config.snapshot_stride == 0 and n != n_steps:
             snapshots.append((t, u0.with_interior(stepper.interior())))
     if blowup is None:
-        snapshots.append((n_steps * config.dt, u0.with_interior(stepper.interior())))
+        final = stepper.interior()
+        del stepper  # its factors go before the final snapshot's full-grid arrays are built
+        snapshots.append((n_steps * config.dt, u0.with_interior(final)))
     cols = list(zip(*rows))
     trace = EnergyTrace(*(np.asarray(c, dtype=float) for c in cols), i0_initial=i0)
     return Trajectory(config=config, snapshots=snapshots, trace=trace, blowup=blowup)

@@ -139,8 +139,8 @@ def test_table_rows_equal_the_sliced_expressions():
         for u in (fld.interior.copy(), np.asfortranarray(fld.interior)):
             u2 = u * u
             want = np.empty_like(u)
-            want[0], want[-1] = u2[1] / (2.0 * hx), -u2[-2] / (2.0 * hx)
-            want[1:-1] = (u2[2:] - u2[:-2]) / (2.0 * hx)
+            want[0], want[-1] = u2[1], -u2[-2]
+            want[1:-1] = u2[2:] - u2[:-2]
             assert np.array_equal(dynamics.Stepper(cfg)._nonlin(u), want)
         centered = {1: ([0.0, -1.0, 0.0, 1.0, 0.0], 2.0), 3: ([-1.0, 2.0, 0.0, -2.0, 1.0], 2.0),
                     4: ([1.0, -4.0, 6.0, -4.0, 1.0], 1.0)}
@@ -161,22 +161,35 @@ def test_table_rows_equal_the_sliced_expressions():
 def test_hot_paths_equal_the_table_rows():
     # The zero-wall D1 of trace_row and of the stepper's nonlinear term is
     # written out as slices; applied by _apply to the field with its zero
-    # walls, the table's d1 and d1_wall rows must give the same bits.
+    # walls, the table's d1 and d1_wall rows must give the same bits.  D1
+    # takes one flat difference when v and out are both contiguous along
+    # axis 0 and axis-0 slices otherwise; each case below names its path.
     rng = np.random.default_rng(22)
     g = build_grid(2.0, 1.5, 40, 23)
     cfg = SimConfig(L=g.L, B=g.B, nx=g.nx, ny=g.ny, t_end=0.01)
+    flat_cases = 0
     for u in (rng.normal(size=(g.nx, g.ny)), np.asfortranarray(rng.normal(size=(g.nx, g.ny)))):
-        for e in (u, u.T):
+        # The array and its transpose, a slice that stays contiguous in
+        # Fortran order only, a non-contiguous slice of each, and an out
+        # whose layout differs from v's.
+        for e, out in ((u, np.empty_like(u)), (u.T, np.empty_like(u.T)),
+                       (u[:, 2:], np.empty_like(u[:, 2:])),
+                       (u[:, ::2], np.empty_like(u[:, ::2])), (u.T[::2], np.empty_like(u.T[::2])),
+                       (u, np.empty(u.shape, order="F" if u.flags.c_contiguous else "C"))):
+            flat = e.flags.f_contiguous and out.flags.f_contiguous
+            flat_cases += flat
             n = len(e)
             walled = np.pad(e, ((1, 1), (0, 0)))
             d1 = _apply(_ROWS["d1"], walled, 1, n + 1)
-            assert np.array_equal(_d1_zero_walls(e, np.empty_like(e)), d1)
+            assert np.array_equal(_d1_zero_walls(e, out), d1), flat
             lo, hi = (_apply(_ROWS["d1_wall"], w, 0) for w in (walled, walled[::-1]))
             got = _wall_lines(e)
             assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+        # The raw sums: the stepper divides by divisor * hx in its one constant.
         walled = np.pad(u * u, ((1, 1), (0, 0)))
         assert np.array_equal(dynamics.Stepper(cfg)._nonlin(u),
-                              _apply(_ROWS["d1"], walled, 1, g.nx + 1, g.hx))
+                              _apply(_ROWS["d1"], walled, 1, g.nx + 1))
+    assert flat_cases == 3
 
 
 def l2(fld):
