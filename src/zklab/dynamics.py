@@ -14,12 +14,12 @@ transform in y: each transverse mode m evolves by an nx-by-nx matrix
 The operator is held as D1, D3, D4x in band storage, written from the
 rows of ``calculus._ROWS`` (the lab's one table of difference rows, the
 IBVP's closures included), and the xi_m.  No per-mode band stack is
-built: ``start`` forms I + dt/2 A_m of the modes a run steps in the one
-(_KL + _KU + 1, nx, k) array that the elimination overwrites (one band
-stack of the run's k modes, 2.4 stacks at the set-up's peak with the
-factors), and ``apply_modes`` applies each x-band row with each mode's
-coefficient.  The nonlinear term is that table's centered D1 row applied
-to u^2 with zero walls.
+built: ``start`` forms I + dt/2 A_m of the modes a run steps in one
+array, the LAPACK band storage that the elimination overwrites and both
+triangular sweeps read (one band stack of the run's k modes, which holds
+L, U and 2/D; 2.1 stacks at the set-up's peak), and ``apply_modes``
+applies each x-band row with each mode's coefficient.  The nonlinear
+term is that table's centered D1 row applied to u^2 with zero walls.
 
 Time stepping is Crank-Nicolson on the linear part (one banded LU of
 I + dt/2 A without row interchanges, factored by each ``start``) with the
@@ -66,8 +66,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import calculus, spectral
-from .geometry import (Field, Grid, _is_real, check_alpha, check_int, check_positive_finite,
-                       sample_field)
+from .geometry import (Field, Grid, _Fresh, _is_real, _samples, _zero_walls, check_alpha,
+                       check_int, check_positive_finite)
 
 BLOWUP_THRESHOLD = 1.0e6
 
@@ -265,17 +265,21 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
 
     ``grid``, when given, must be ``config.grid()``.  A datum whose samples
     or weighted energy overflow the float range raises a ValueError naming
-    the tag, and no numpy warning.
+    the tag, and no numpy warning.  The datum is sampled (or a snapshot's
+    values copied) into one full-grid array, whose walls are zeroed and
+    whose interior is scaled in place, and that array becomes the Field.
     """
     g = _run_grid(config, grid)
     with _overflow_names(config.initial):
         if config._sampler is not None:
-            fld = sample_field(g, config._sampler)
+            vals = _samples(g, config._sampler)
         else:
             fld = read_snapshot(config.initial["file"])[1]
             if fld.grid != g:
                 raise ValueError(f"initial: snapshot {fld.grid} is not the config's grid {g}")
-        u = fld.interior  # the walls are zeroed by with_interior below
+            vals = np.array(fld.values)
+        _zero_walls(vals)
+        u = vals[1:-1, 1:-1]
         if config.scale_weighted is not None:
             with np.errstate(over="ignore"):  # an overflow is named below
                 w = calculus._squares(u.T, g)[2]
@@ -285,8 +289,8 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
                 cause = ("is identically zero" if not u.any()
                          else "is nonzero, but its weighted energy underflows to 0")
                 raise ValueError(f"scale_weighted: initial datum {cause}")
-            u = u * math.sqrt(config.scale_weighted / w)
-        return fld.with_interior(u)
+            u *= math.sqrt(config.scale_weighted / w)
+        return Field(g, _Fresh(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +315,28 @@ def _x_rows(order: int) -> tuple:
 # diagonal of any row that _x_bands writes.
 _KL, _KU = (max(sign * k for order in (1, 3, 4) for row in _x_rows(order) if row
                 for k in row.weights) for sign in (-1, 1))
+# The rows per unknown of LAPACK band storage (superdiagonals, diagonal, subdiagonals).
+_LDAB = _KL + _KU + 1
+
+
+def _band_stack(system: np.ndarray, nx: int) -> np.ndarray:
+    """The (_LDAB, k, nx) band stack that a flat ``LinearPart.implicit`` array holds, a view.
+
+    Entry (i, j) of mode m at [_KU + i - j, m, j], as ``_band_apply`` reads.
+    """
+    return system[:-_KU].reshape(-1, nx, _LDAB).transpose(2, 0, 1)
 
 
 def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     """The order-th x-derivative on the n interior nodes, closed by the IBVP.
 
-    BLAS band storage, d[i, j] at [_KU + i - j, j].  Every row is the
+    LAPACK band storage, d[i, j] at [_KU + i - j, j], column-major as
+    ``LinearPart.implicit`` lays out each mode.  Every row is the
     centered row of ``calculus._ROWS``, except at x = h and x = L - h where
     the table holds a closure of this order (``_x_rows``); a weight on a
     wall node drops, as u = 0 there.
     """
-    b = np.zeros((_KL + _KU + 1, n))
+    b = np.zeros((_LDAB, n), order="F")
     # The centered row at every node, then the closures at the two ends.
     for row, lo, hi in zip(_x_rows(order), (0, 0, n - 1), (n, 1, n)):
         for k, w in (row.weights.items() if row else ()):
@@ -356,8 +371,9 @@ class LinearPart:
     and 4 when eps > 0) and the transverse eigenvalues ``xi``; no
     A_m = D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2 I) is held.
     ``implicit`` forms I + dt/2 A_m for the modes of one stack in the
-    layout the solve eliminates, and ``apply_modes`` applies each x-band
-    row to the whole stack with each mode's coefficient.
+    band storage the solve eliminates and sweeps, and ``apply_modes``
+    applies each x-band row to the whole stack with each mode's
+    coefficient.
 
     A mode stack is either full, (ny, nx) from an (nx, ny) interior, or,
     for odd ny and an interior even in y, its even half: the rows
@@ -388,20 +404,30 @@ class LinearPart:
         return self.xi[0::2] if self.grid.is_half(k) else self.xi
 
     def implicit(self, k: int, dt: float) -> np.ndarray:
-        """I + dt/2 A_m for the k = ny modes or the even half, in ``_factor``'s layout.
+        """I + dt/2 A_m for the k = ny modes or the even half, in ``_factor``'s band storage.
 
-        A C-ordered (_KL + _KU + 1, nx, k) array, entry (i, j) of mode m at
-        [_KU + i - j, j, m], the modes contiguous: the x-band rows times
-        each mode's coefficients, formed in that one array.
+        A flat array of _LDAB k nx + _KU floats.  Its first _LDAB k nx are
+        the column-major (_LDAB, k nx) LAPACK band storage of the
+        block-diagonal system, the modes one after another: entry (i, j)
+        of mode m at [_KU + i - j, m nx + j], that is _LDAB rows per
+        unknown, the superdiagonals, the diagonal, the subdiagonals.  The
+        last _KU are zeros, so the view shifted by _KU entries, whose row 0
+        is the diagonal, spans whole columns too (``_factor``).
+        ``_band_stack`` views the system as a (_LDAB, k, nx) band stack.
         """
         xi = self._xi(k)
-        system = (self.alpha - xi) * self._d1[:, :, None]
-        system += self._d3[:, :, None]
+        nx = self.grid.nx
+        system = np.empty(_LDAB * k * nx + _KU)
+        system[_LDAB * k * nx:] = 0.0
+        # [m, j, r]: band row r of column j of mode m, in memory order
+        columns = system[:_LDAB * k * nx].reshape(k, nx, _LDAB)
+        np.multiply((self.alpha - xi)[:, None, None], self._d1.T, out=columns)
+        columns += self._d3.T
         if self._d4 is not None:
-            system += (self.epsilon * self._d4)[:, :, None]
-            system[_KU] += self.epsilon * xi ** 2
-        system *= 0.5 * dt
-        system[_KU] += 1.0
+            columns += (self.epsilon * self._d4).T
+            columns[:, :, _KU] += (self.epsilon * xi ** 2)[:, None]
+        columns *= 0.5 * dt
+        columns[:, :, _KU] += 1.0
         return system
 
     @functools.cached_property
@@ -532,20 +558,24 @@ class Trajectory:
 _REFINE_GROWTH = 4.0  # see _factor; the benchmark and acceptance grids read at most 3.12
 
 
-def _factor(form):
+def _factor(form, nx: int):
     """The Crank-Nicolson solve of I + dt/2 A for a stack of k modes, formed by ``form()``.
 
-    ``form()`` returns a fresh I + dt/2 A in ``LinearPart.implicit``'s
-    C-ordered (_KL + _KU + 1, nx, k) layout, and the elimination runs in
-    that array: Doolittle without row interchanges, on every mode at once
-    (a loop over the columns), gives I + dt/2 A_m = L D U, L unit lower
-    with A_m's _KL subdiagonals and U unit upper with its _KU
-    superdiagonals.  ``solve(b)`` overwrites a contiguous flat (k*nx,)
-    mode vector b and returns 2 (I + dt/2 A)^-1 b, the step's factor 2
-    folded into the 2/D scaling between two unit triangular band sweeps
-    (BLAS ``dtbsv``): a power of two, so the result is exactly twice the
-    unscaled solve.  A zero or non-finite pivot raises LinAlgError naming
-    the column and the mode by its index in the stack.
+    ``form()`` returns a fresh I + dt/2 A of nx unknowns per mode in
+    ``LinearPart.implicit``'s flat band storage, and the elimination runs
+    in that array (``_band_lu``): Doolittle without row interchanges, on
+    every mode at once (a loop over the columns), gives I + dt/2 A_m =
+    L D U, L unit lower with A_m's _KL subdiagonals and U unit upper with
+    its _KU superdiagonals.  Both sweeps then read that one array, as BLAS
+    ``dtbsv`` band storage of leading dimension _LDAB: U's sweep the array
+    itself with _KU superdiagonals, L's the view shifted by _KU entries,
+    whose row 0 is the diagonal, with _KL subdiagonals.  The diagonal row
+    holds 2/D, which neither unit sweep reads.  ``solve(b)`` overwrites a
+    contiguous flat (k*nx,) mode vector b and returns
+    2 (I + dt/2 A)^-1 b, the step's factor 2 folded into the 2/D scaling
+    between the two sweeps: a power of two, so the result is exactly twice
+    the unscaled solve.  A zero or non-finite pivot raises LinAlgError
+    naming the column and the mode by its index in the stack.
 
     Without interchanges the factors can grow: at eps = 0, the pivots of a
     mode whose D1 term dominates (xi_m dt / hx large) alternate between
@@ -555,15 +585,17 @@ def _factor(form):
     componentwise backward error back to round-off; only then is
     ``form()`` called a second time, for the residual.
 
-    Working set, in stacks of (_KL + _KU + 1) k nx floats: the system, a
-    few (k, nx) rows for the growth, and the kept factors (_KU + 1 rows of
-    U and _KL + 1 of L, 2/D in L's unread diagonal row: 7/6 of a stack at
-    _KL = 2, _KU = 3), 2.36 stacks at the peak (tracemalloc, C07's
-    127x383 strip, half and full stack alike; 3.52 when a band stack was
-    formed beside the system and 2/D held apart).  A refined solve also
-    keeps the halved system.
+    Working set, in stacks of _LDAB k nx floats: the one array, which is
+    kept, and a few (k, nx) rows for the growth, 2.06 stacks at the peak
+    on C07's 127x383 strip's half stack and 1.89 on its full stack
+    (tracemalloc; 2.36 when L and U were copied out of the array, 3.52
+    when a band stack was formed beside it).  A refined solve also keeps
+    the halved system.
     """
-    lower, upper, rdiag, refine = _band_lu(form)
+    factors, refine = _band_lu(form, nx)
+    upper = factors[:-_KU].reshape(-1, _LDAB).T
+    lower = factors[_KU:].reshape(-1, _LDAB).T  # row 0 the diagonal
+    rdiag = upper[_KU]
     tbsv = _blas().dtbsv
 
     def sweeps(b: np.ndarray) -> np.ndarray:
@@ -575,9 +607,9 @@ def _factor(form):
     if not refine:
         return sweeps
     # Halved, the residual of the doubled solution is that of the solution, bit for bit.
-    system = form().transpose(0, 2, 1)
+    system = _band_stack(form(), nx)
     system *= 0.5
-    k, nx = system.shape[1:]
+    k = system.shape[1]
 
     def refined(b: np.ndarray) -> np.ndarray:
         x = sweeps(b.copy())
@@ -588,34 +620,39 @@ def _factor(form):
     return refined
 
 
-def _band_lu(form):
-    """``_factor``'s L, U and 2/D in dtbsv's storage, and whether the growth asks for refinement."""
+def _band_lu(form, nx: int):
+    """``form()``'s system, eliminated in place into L, U and 2/D, and whether to refine.
+
+    The refinement is asked for where the growth passes ``_REFINE_GROWTH``.
+    """
     with np.errstate(all="ignore"):  # a bad pivot is named below
-        ab = form()  # entry (i, j) of mode m at ab[_KU + i - j, j, m]; eliminated in place
-        nx, k = ab.shape[1:]
-        lu = ab.transpose(0, 2, 1)  # the (rows, k, nx) band stack, a view of ab
-        system_rows = _band_apply(lu, np.ones((k, nx)), magnitudes=True)  # |I + dt/2 A| 1
-        inv_pivot = ab[_KU]
+        factors = form()
+        lu = _band_stack(factors, nx)
+        system_rows = _band_apply(lu, np.ones(lu.shape[1:]), magnitudes=True)  # |I + dt/2 A| 1
+        # rows[r][j]: band row r of column j, one entry per mode, a 1-D slice
+        rows = list(lu.transpose(0, 2, 1))
+        inv_pivot, product = rows[_KU], np.empty(lu.shape[1])
         for j in range(nx):
             np.divide(1.0, inv_pivot[j], out=inv_pivot[j])
-            ab[_KU + 1:, j] *= inv_pivot[j]  # column j of L
+            column = [rows[_KU + s][j] for s in range(1, _KL + 1)]
+            for entry in column:
+                entry *= inv_pivot[j]  # column j of L
             for e in range(1, min(_KU, nx - 1 - j) + 1):
-                ab[_KU + 1 - e:_KU + _KL + 1 - e, j + e] -= ab[_KU + 1:, j] * ab[_KU - e, j + e]
+                for s, entry in enumerate(column, 1):
+                    np.multiply(entry, rows[_KU - e][j + e], out=product)
+                    target = rows[_KU + s - e][j + e]
+                    target -= product
         for e in range(1, _KU + 1):
-            ab[_KU - e, e:] *= inv_pivot[:-e]  # each row of U over its pivot
-    # lu is now BLAS band storage of every mode, row _KU holding 1/D.
-    bad = ~np.isfinite(lu).all(axis=0) | (lu[_KU] == 0.0)
-    if bad.any():
+            rows[_KU - e][e:] *= inv_pivot[:-e]  # each row of U over its pivot
+    # lu now holds every mode's unit factors around 1/D in the diagonal row.
+    if not (np.isfinite(factors).all() and lu[_KU].all()):
+        bad = ~np.isfinite(lu).all(axis=0) | (lu[_KU] == 0.0)
         m, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise np.linalg.LinAlgError(f"I + dt/2 A has a zero or non-finite pivot without row "
                                     f"interchanges: mode {m}, column {j}")
     refine = _growth(lu, system_rows) > _REFINE_GROWTH
-    # dtbsv reads column-major (rows, k*nx) storage, the modes one after
-    # another.  It does not read the unit diagonal, row 0 of L's storage
-    # and row _KU of U's, so L's holds 2/D: no array of its own.
-    lower = _column_major(ab[_KU:])
-    lower[0] *= 2.0
-    return lower, _column_major(ab[:_KU + 1]), lower[0], refine
+    lu[_KU] *= 2.0
+    return factors, refine
 
 
 def _growth(lu: np.ndarray, system_rows: np.ndarray) -> float:
@@ -631,11 +668,6 @@ def _growth(lu: np.ndarray, system_rows: np.ndarray) -> float:
     growth += scaled_rows
     growth /= system_rows
     return growth.max()
-
-
-def _column_major(rows: np.ndarray) -> np.ndarray:
-    """(r, nx, k) rows of the elimination buffer -> (r, k*nx) column-major, mode after mode."""
-    return rows.transpose(2, 1, 0).copy().reshape(-1, len(rows)).T
 
 
 class Stepper:
@@ -704,7 +736,7 @@ class Stepper:
         if g.ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1]):
             interior = interior[:, :(g.ny + 1) // 2]
         self._solve = _factor(functools.partial(self.linear_part.implicit, interior.shape[1],
-                                                self.config.dt))
+                                                self.config.dt), g.nx)
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)

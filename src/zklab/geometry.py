@@ -105,28 +105,54 @@ def build_grid(L: float, B: float, nx: int, ny: int) -> Grid:
     return Grid(L, B, nx, ny)
 
 
+def _real(values) -> np.ndarray:
+    """values as a float array, not copied if they are one; a ValueError if they are complex.
+
+    numpy would drop the imaginary part with only a ComplexWarning.
+    """
+    if np.iscomplexobj(values):
+        raise ValueError(f"field values are complex ({np.asarray(values).dtype}); "
+                         f"a Field holds real samples only")
+    return np.asarray(values, dtype=float)
+
+
+class _Fresh:
+    """A float array built for one Field alone, which the Field freezes as it is, uncopied.
+
+    Whoever wraps an array keeps no other reference to it.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class Field:
     """Real scalar samples on a Grid, boundary layer included.
 
-    Construction checks the shape and finiteness and freezes a private
-    copy of the array; operations return new Fields.  A Field compares and
-    hashes by identity, which stands for its values.
+    Construction checks the shape, realness and finiteness and freezes a
+    private copy of the array, or, for an array built for it alone
+    (``_Fresh``), that array itself; operations return new Fields.  A
+    Field compares and hashes by identity, which stands for its values.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        fresh = isinstance(self.values, _Fresh)
+        vals = _real(self.values.array if fresh else self.values)
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
-        vals = vals.copy()
+        if not fresh:
+            vals = vals.copy()
         vals.flags.writeable = False
-        # A view of the read-only copy: numpy refuses to make it writeable again.
+        # A view of the read-only array: numpy refuses to make it writeable again.
         object.__setattr__(self, "values", vals.view())
 
     def __reduce__(self):
@@ -140,20 +166,33 @@ class Field:
     def with_interior(self, interior: np.ndarray) -> "Field":
         """New Field with the given interior and a zero boundary layer."""
         g = self.grid
-        if np.shape(interior) != (g.nx, g.ny):
-            raise ValueError(f"interior shape {np.shape(interior)} does not match "
+        interior = _real(interior)
+        if interior.shape != (g.nx, g.ny):
+            raise ValueError(f"interior shape {interior.shape} does not match "
                              f"grid interior {(g.nx, g.ny)}")
         vals = np.zeros(g.shape)
         vals[1:-1, 1:-1] = interior
-        return Field(g, vals)
+        return Field(g, _Fresh(vals))
 
 
-def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Field:
-    """Pointwise samples of f(x, y) at every node, boundary layer included.
+def _zero_walls(vals: np.ndarray) -> None:
+    """Set the boundary layer of a full-grid array to u = 0, in place."""
+    vals[[0, -1], :] = 0.0
+    vals[:, [0, -1]] = 0.0
+
+
+def _samples(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """A new float array of f(x, y) at every node, boundary layer included.
 
     f is called once, on the x column ``xs()[:, None]`` and the y row
     ``ys()[None, :]``, so it must broadcast; its result, a scalar included,
-    is broadcast to the grid's shape.
+    is broadcast to the grid's shape.  Complex samples raise a ValueError.
     """
-    vals = f(grid.xs()[:, None], grid.ys()[None, :])
-    return Field(grid, np.broadcast_to(np.asarray(vals, dtype=float), grid.shape))
+    vals = np.empty(grid.shape)
+    vals[...] = np.broadcast_to(_real(f(grid.xs()[:, None], grid.ys()[None, :])), grid.shape)
+    return vals
+
+
+def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Field:
+    """Pointwise samples of f(x, y) at every node, boundary layer included (``_samples``)."""
+    return Field(grid, _Fresh(_samples(grid, f)))

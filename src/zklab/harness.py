@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, calculus, spectral
 from .dynamics import (EnergyTrace, SimConfig, TRACE_COLUMNS, Trajectory,
                        config_from_dict, simulate, write_snapshot)
-from .geometry import Field, Grid, check_int, check_positive_finite
+from .geometry import Field, Grid, _zero_walls, check_int, check_positive_finite
 from .stabilization import (DecayGeometry, decay_theory, energy_balance,
                             verdict as decay_verdict)
 
@@ -182,8 +182,7 @@ def random_clean_field(grid: Grid, rng: np.random.Generator) -> Field:
     sx = np.sin(np.pi * np.multiply.outer(i, grid.xs()) / grid.L)
     sy = np.sin(np.pi * np.multiply.outer(i, grid.ys() + grid.B) / (2.0 * grid.B))
     vals = sx.T @ coeffs @ sy
-    vals[[0, -1], :] = 0.0      # sin(pi i) on the far walls is ~1e-16, not 0
-    vals[:, [0, -1]] = 0.0
+    _zero_walls(vals)  # sin(pi i) on the far walls is ~1e-16, not 0
     return Field(grid, vals)
 
 

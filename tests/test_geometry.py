@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,28 @@ def test_sample_rejects_non_finite():
         sample_field(g, lambda x, y: np.where(x > 0.5, np.inf, 0.0))
 
 
+def test_sample_rejects_complex_values():
+    # numpy would keep the real part with only a ComplexWarning.
+    g = build_grid(1.0, 1.0, 8, 8)
+    for f in (lambda x, y: (1 + 1j) * np.sin(x) * np.cos(y), lambda x, y: 2j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^field values are complex \(complex128\)"):
+                sample_field(g, f)
+
+
+def test_field_rejects_complex_values():
+    g = build_grid(1.0, 1.0, 8, 8)
+    f = Field(g, np.zeros(g.shape))
+    for values in (np.ones(g.shape) * (1 + 0j), np.zeros(g.shape, dtype=np.complex64)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^field values are complex"):
+                Field(g, values)
+            with pytest.raises(ValueError, match="^field values are complex"):
+                f.with_interior(values[1:-1, 1:-1])
+
+
 def test_with_interior_zeroes_sampled_boundary():
     g = build_grid(1.0, 1.0, 8, 8)
     f = sample_field(g, lambda x, y: np.ones_like(x))
@@ -152,6 +175,18 @@ def test_field_values_cannot_be_made_writeable_again():
         assert np.array_equal(clone.values, f.values)
         with pytest.raises(ValueError, match="WRITEABLE"):
             clone.values.flags.writeable = True
+
+
+def test_fields_built_on_their_own_array_are_frozen_too():
+    # sample_field and with_interior hand the Field the array they built,
+    # uncopied; it is frozen like a copy.
+    g = build_grid(1.0, 1.0, 8, 8)
+    for f in (sample_field(g, lambda x, y: x + y), Field(g, np.ones(g.shape)).with_interior(
+            np.ones((g.nx, g.ny)))):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            f.values.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[3, 3] = 5.0
 
 
 def test_field_compares_and_hashes_by_identity():
