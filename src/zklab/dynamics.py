@@ -13,19 +13,19 @@ transform in y: each transverse mode m evolves by an nx-by-nx matrix
 
 The operator is held as D1, D3, D4x in band storage, written from the
 rows of ``calculus._ROWS`` (the lab's one table of difference rows, the
-IBVP's closures included), and the xi_m.  No per-mode band stack is
-built: ``start`` forms I + dt/2 A_m of the modes a run steps in one
-array, the LAPACK band storage that the elimination overwrites and both
-triangular sweeps read (one band stack of the run's k modes, which holds
-L, U and 2/D; 2.1 stacks at the set-up's peak), and ``apply_modes``
-applies each x-band row with each mode's coefficient.  The nonlinear
-term is that table's centered D1 row applied to u^2 with zero walls.
+IBVP's closures included), and the xi_m.  A_m is written out once, in
+``LinearPart.implicit``: ``start`` forms I + dt/2 A_m of the modes a run
+steps in one array, the LAPACK band storage that the elimination
+overwrites and both triangular sweeps read (one band stack of the run's
+k modes, which holds L, U and 2/D; 2.1 stacks at the set-up's peak).
+The nonlinear term is that table's centered D1 row applied to u^2 with
+zero walls.
 
 Time stepping is Crank-Nicolson on the linear part (one banded LU of
 I + dt/2 A without row interchanges, factored by each ``start``) with the
 conservative nonlinearity (u^2)_x treated explicitly by second-order
 Adams-Bashforth extrapolation to the half step; the first step uses a
-single explicit Euler predictor.
+single explicit Euler predictor, which multiplies by the factors.
 
 The stepper keeps the state as its (ny, nx) transverse-mode stack m, and
 one step is m <- 2 (I + dt/2 A)^-1 (m - dt/2 F) - m, where F is the DST of
@@ -349,11 +349,10 @@ def _band_apply(bands: np.ndarray, modes: np.ndarray, offsets=range(-_KL, _KU + 
                 out: np.ndarray | None = None, magnitudes: bool = False) -> np.ndarray:
     """Each row of a (k, nx) mode stack times its band matrix from a (rows, k, nx) band stack.
 
-    A (rows, 1, nx) stack applies one band matrix to every row.  Adds to
-    ``out`` (zeros by default) the product of each diagonal in ``offsets``
-    (0 the main one, positive above it), in that order, one (k, nx) slice
-    at a time; with ``magnitudes`` each band entry enters as its absolute
-    value.
+    Adds to ``out`` (zeros by default) the product of each diagonal in
+    ``offsets`` (0 the main one, positive above it), in that order, one
+    (k, nx) slice at a time; with ``magnitudes`` each band entry enters as
+    its absolute value.
     """
     out = np.zeros_like(modes) if out is None else out
     nx = modes.shape[1]
@@ -371,16 +370,15 @@ class LinearPart:
     and 4 when eps > 0) and the transverse eigenvalues ``xi``; no
     A_m = D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2 I) is held.
     ``implicit`` forms I + dt/2 A_m for the modes of one stack in the
-    band storage the solve eliminates and sweeps, and ``apply_modes``
-    applies each x-band row to the whole stack with each mode's
-    coefficient.
+    band storage the solve eliminates and sweeps, the one place A_m is
+    written; ``apply`` reads it at dt = 2, where it is I + A.
 
     A mode stack is either full, (ny, nx) from an (nx, ny) interior, or,
     for odd ny and an interior even in y, its even half: the rows
     m = 0, 2, 4, ... of the full stack, on the same DST-I scale, from the
     lower (ny+1)/2 columns of the interior, centre column included.  For
     such an interior the odd modes vanish.  The transforms and
-    ``apply_modes`` tell the two apart by the length of the y axis.
+    ``implicit`` tell the two apart by the length of the y axis.
 
     A full stack is transformed by pocketfft's DST-I.  A half stack of
     k = (ny+1)/2 rows is transformed by pocketfft's DST-III when k exceeds
@@ -399,10 +397,6 @@ class LinearPart:
         self._d1, self._d3 = _x_bands(1, nx, hx), _x_bands(3, nx, hx)
         self._d4 = _x_bands(4, nx, hx) if epsilon > 0 else None
 
-    def _xi(self, k: int) -> np.ndarray:
-        """The xi_m of the k = ny modes or of the even half."""
-        return self.xi[0::2] if self.grid.is_half(k) else self.xi
-
     def implicit(self, k: int, dt: float) -> np.ndarray:
         """I + dt/2 A_m for the k = ny modes or the even half, in ``_factor``'s band storage.
 
@@ -415,7 +409,7 @@ class LinearPart:
         is the diagonal, spans whole columns too (``_factor``).
         ``_band_stack`` views the system as a (_LDAB, k, nx) band stack.
         """
-        xi = self._xi(k)
+        xi = self.xi[0::2] if self.grid.is_half(k) else self.xi
         nx = self.grid.nx
         system = np.empty(_LDAB * k * nx + _KU)
         system[_LDAB * k * nx:] = 0.0
@@ -478,27 +472,17 @@ class LinearPart:
         half *= 0.5
         return half.T
 
-    def apply_modes(self, modes: np.ndarray) -> np.ndarray:
-        """A_m applied to each row of a mode stack: D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2).
-
-        Each x-band row is applied to the whole stack and scaled by each
-        mode's coefficient, so no per-mode band stack is formed.
-        """
-        xi = self._xi(len(modes))[:, None]
-        out = _band_apply(self._d3[:, None], modes)
-        out += (self.alpha - xi) * _band_apply(self._d1[:, None], modes)
-        if self._d4 is not None:
-            d4 = _band_apply(self._d4[:, None], modes)
-            d4 += xi ** 2 * modes
-            d4 *= self.epsilon
-            out += d4
-        return out
-
     def apply(self, fld: Field) -> Field:
-        """A u as a Field on the operator's grid (boundary layer zeroed)."""
+        """A u as a Field on the operator's grid (boundary layer zeroed).
+
+        Each mode times ``implicit``'s system at dt = 2, I + A_m, less the mode.
+        """
         if fld.grid != self.grid:
             raise ValueError("field grid does not match operator grid")
-        return fld.with_interior(self.from_modes(self.apply_modes(self.to_modes(fld.interior))))
+        modes = self.to_modes(fld.interior)
+        out = _band_apply(_band_stack(self.implicit(len(modes), 2.0), self.grid.nx), modes)
+        out -= modes
+        return fld.with_interior(self.from_modes(out))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +543,7 @@ _REFINE_GROWTH = 4.0  # see _factor; the benchmark and acceptance grids read at 
 
 
 def _factor(form, nx: int):
-    """The Crank-Nicolson solve of I + dt/2 A for a stack of k modes, formed by ``form()``.
+    """The Crank-Nicolson solve and product of I + dt/2 A for k modes, formed by ``form()``.
 
     ``form()`` returns a fresh I + dt/2 A of nx unknowns per mode in
     ``LinearPart.implicit``'s flat band storage, and the elimination runs
@@ -574,8 +558,12 @@ def _factor(form, nx: int):
     contiguous flat (k*nx,) mode vector b and returns
     2 (I + dt/2 A)^-1 b, the step's factor 2 folded into the 2/D scaling
     between the two sweeps: a power of two, so the result is exactly twice
-    the unscaled solve.  A zero or non-finite pivot raises LinAlgError
-    naming the column and the mode by its index in the stack.
+    the unscaled solve.  ``product(b)`` overwrites such a b with
+    (I + dt/2 A) b / 2 = L (U b / (2/D)), multiplied by BLAS ``dtbmv``
+    from the band views that the sweeps read, to round-off of
+    |L| |D| |U| |b| on refined factors too.  A zero or non-finite pivot
+    raises LinAlgError naming the column and the mode by its index in the
+    stack.
 
     Without interchanges the factors can grow: at eps = 0, the pivots of a
     mode whose D1 term dominates (xi_m dt / hx large) alternate between
@@ -596,7 +584,7 @@ def _factor(form, nx: int):
     upper = factors[:-_KU].reshape(-1, _LDAB).T
     lower = factors[_KU:].reshape(-1, _LDAB).T  # row 0 the diagonal
     rdiag = upper[_KU]
-    tbsv = _blas().dtbsv
+    tbsv, tbmv = _blas().dtbsv, _blas().dtbmv
 
     def sweeps(b: np.ndarray) -> np.ndarray:
         tbsv(_KL, lower, b, lower=1, diag=1, overwrite_x=1)
@@ -604,8 +592,14 @@ def _factor(form, nx: int):
         tbsv(_KU, upper, b, diag=1, overwrite_x=1)
         return b
 
+    def product(b: np.ndarray) -> np.ndarray:
+        tbmv(_KU, upper, b, diag=1, overwrite_x=1)
+        b /= rdiag
+        tbmv(_KL, lower, b, lower=1, diag=1, overwrite_x=1)
+        return b
+
     if not refine:
-        return sweeps
+        return sweeps, product
     # Halved, the residual of the doubled solution is that of the solution, bit for bit.
     system = _band_stack(form(), nx)
     system *= 0.5
@@ -617,7 +611,7 @@ def _factor(form, nx: int):
         x += sweeps(b)
         return x
 
-    return refined
+    return refined, product
 
 
 def _band_lu(form, nx: int):
@@ -708,7 +702,7 @@ class Stepper:
         # extrapolation 3/2 F_n - 1/2 F_(n-1) = 3/2 (s_n - s_(n-1)/3) / (divisor * hx).
         hx = self.linear_part.grid.hx
         self._nonlin_scale = -0.5 * config.dt * 1.5 / (calculus._ROWS["d1"].divisor * hx)
-        self._solve = None  # the factored solve of the run's mode stack
+        self._solve = self._product = None  # _factor's pair for the run's mode stack
         self._nonlin_prev: np.ndarray | None = None  # the last step's sums s_(n-1)
         self._modes: np.ndarray | None = None
         self._interior: np.ndarray | None = None  # cached columns, all or the lower half
@@ -735,8 +729,8 @@ class Stepper:
                              f"(nx, ny) = {g.nx, g.ny}")
         if g.ny % 2 == 1 and np.array_equal(interior, interior[:, ::-1]):
             interior = interior[:, :(g.ny + 1) // 2]
-        self._solve = _factor(functools.partial(self.linear_part.implicit, interior.shape[1],
-                                                self.config.dt), g.nx)
+        self._solve, self._product = _factor(
+            functools.partial(self.linear_part.implicit, interior.shape[1], self.config.dt), g.nx)
         self._interior = interior.copy()
         self._interior.flags.writeable = False
         self._modes = self.linear_part.to_modes(self._interior)
@@ -750,11 +744,12 @@ class Stepper:
         for a linear run), so a step is one banded solve, which returns the
         factor 2 with it, and no operator apply.  -h F is ``_nonlin_scale``
         times the DST of s_n - s_(n-1)/3 (two passes over the columns), or
-        on the first step of s/1.5 at an Euler predictor's half step.  The
-        step drops the cached physical columns.  A nonlinear step reads
-        them, built by one inverse DST unless a reader since the last step
-        built them, and transforms F in by one forward DST; a linear step
-        takes no DST.
+        on the first step of s/1.5 at an Euler predictor's half step, whose
+        m - h A m is 2 (m - p) with p = (I + hA) m / 2, the factors'
+        ``product``.  The step drops the cached physical columns.  A
+        nonlinear step reads them, built by one inverse DST unless a reader
+        since the last step built them, and transforms F in by one forward
+        DST; a linear step takes no DST.
         """
         m = self._state()
         lp = self.linear_part
@@ -765,7 +760,7 @@ class Stepper:
             s_now = self._nonlin(u)
             if self._nonlin_prev is None:
                 # u - h (A u + F_n), then the sums there on the AB2 scale.
-                predicted = u - 0.5 * self.config.dt * lp.from_modes(lp.apply_modes(m))
+                predicted = lp.from_modes(2.0 * (m - self._product(m.flatten()).reshape(m.shape)))
                 predicted += (self._nonlin_scale / 1.5) * s_now
                 t = self._nonlin(predicted)
                 t /= 1.5

@@ -363,17 +363,6 @@ def test_axis_sampling_is_the_mesh_evaluation(datum):
 # ---------------------------------------------------------------------------
 # linear operator
 
-def test_operator_residual_on_mode_refines():
-    mode = stationary_mode(1, 1, 1, math.pi)
-    errs = {}
-    for nx in (63, 127):
-        g = build_grid(CRIT_L, math.pi, nx, nx)
-        lp = LinearPart(g, alpha=1, epsilon=0.0)
-        f = sample_field(g, mode)
-        errs[nx] = np.max(np.abs(lp.apply(f).values))
-    assert 3.0 < errs[63] / errs[127] < 5.0
-
-
 def dense_from_bands(bands: np.ndarray) -> np.ndarray:
     """(_KL + _KU + 1, nx) band rows, A[i, j] at [_KU + i - j, j] -> dense (nx, nx)."""
     kl, ku = dynamics._KL, dynamics._KU
@@ -646,7 +635,7 @@ def test_manufactured_solution_of_zk_converges_at_second_order():
 
 
 def test_alpha_difference_is_dx():
-    # In the solve's system at dt = 2, I + A, and in apply_modes.
+    # In the solve's system at dt = 2, I + A, and in the oracle's band product.
     g = build_grid(2.0, 1.0, 16, 12)
     lp1 = LinearPart(g, alpha=1)
     lp0 = LinearPart(g, alpha=0)
@@ -656,7 +645,8 @@ def test_alpha_difference_is_dx():
     diff = system_modes(system - lp0.implicit(g.ny, 2.0), g.nx)
     d1 = dense_x_operator(1, g.nx, g.hx)
     modes = np.random.default_rng(3).standard_normal((g.ny, g.nx))
-    applied = lp1.apply_modes(modes) - lp0.apply_modes(modes)
+    applied = (dynamics._band_apply(every_mode_bands(g, 1, 0.0), modes)
+               - dynamics._band_apply(every_mode_bands(g, 0, 0.0), modes))
     for m in range(g.ny):
         assert np.max(np.abs(dense_from_bands(diff[:, m]) - d1)) < 1e-12
         assert np.max(np.abs(applied[m] - d1 @ modes[m])) < 1e-12
@@ -741,7 +731,8 @@ def test_solve_is_componentwise_backward_stable(L, B, nx, ny, log_dt, eps, alpha
     bands = every_mode_bands(g, alpha, eps)
     b = np.random.default_rng(seed).standard_normal(ny * nx)
     # The solve returns twice (I + dt/2 A)^-1 b; the halving is exact.
-    solve = dynamics._factor(functools.partial(LinearPart(g, alpha, eps).implicit, ny, dt), nx)
+    solve, _ = dynamics._factor(functools.partial(LinearPart(g, alpha, eps).implicit, ny, dt),
+                                nx)
     x = 0.5 * solve(b.copy()).reshape(ny, nx)
     for m, (xm, bm) in enumerate(zip(x, b.reshape(ny, nx))):
         system = np.eye(nx) + 0.5 * dt * dense_from_bands(bands[:, m])
@@ -769,8 +760,9 @@ def test_factor_working_set(half):
     # columns), against 1.50 with the copies.  A copy of the factors, or of
     # the 2/D row, made after the growth's temporaries are freed leaves the
     # peak as it is but fails the held bound.  The first advance, whose
-    # Euler predictor applies A from the x-band rows, peaks at 0.72-0.78
-    # stacks, against 1.56-1.61.
+    # Euler predictor multiplies by the factors, peaks at 0.67 stacks,
+    # against 0.72-0.78 when it applied A from the x-band rows and
+    # 1.56-1.61 from a band stack.
     cfg = SimConfig(L=2.0, B=12.0, nx=127, ny=383, dt=1e-3, t_end=1e-3,
                     domain_kind=TRUNCATED_STRIP, initial="cos-bump:1.0,2.0")
     u0 = initial_field(cfg).interior
@@ -789,42 +781,64 @@ def test_factor_working_set(half):
         finally:
             tracemalloc.stop()
     assert stepper._modes.shape == (k, cfg.nx)
-    assert peaks[0] < 2.2 and peaks[1] < 1.0, peaks
+    assert peaks[0] < 2.2 and peaks[1] < 0.7, peaks
     assert held[0] < 1.4, held
 
 
+def factor_magnitudes(factors, v):
+    """|L| |D| |U| v for ``_band_lu``'s factors (2/D in the diagonal row), as a (k, nx) stack.
+
+    In ``dynamics._growth``'s order, on v in place of a vector of ones.
+    """
+    kl, ku = dynamics._KL, dynamics._KU
+    scaled = dynamics._band_apply(factors, v, range(1, ku + 1), v.copy(), magnitudes=True)
+    scaled /= 0.5 * np.abs(factors[ku])  # |D| |U| v
+    out = dynamics._band_apply(factors, scaled, range(-kl, 0), magnitudes=True)
+    out += scaled
+    return out
+
+
 def test_stepper_factors_the_stack_of_each_start(monkeypatch):
-    # Stepper() factors nothing, each start factors the system of the stack
-    # its run steps (the even half or every mode), bitwise I + dt/2 A formed
-    # from the rows of the every-mode band stack, and advance factors
-    # nothing.  apply_modes applies the same operators, to round-off of
-    # |A| |m|: it scales each x-band row's product per mode.
-    factored = []
+    # Stepper() factors nothing, each start factors the system P = I + dt/2 A
+    # of the stack its run steps (the even half or every mode), bitwise P
+    # formed from the rows of the every-mode band stack, and advance factors
+    # nothing.  The factors' product, which the first advance's Euler
+    # predictor reads, is P m / 2 to within 4 eps of |L| |D| |U| |m|, the
+    # growth times |P| |m| taken componentwise, on grids whose solves do not
+    # refine and on the refine.json geometry, whose solves do.  (The row
+    # growth on ones, _growth's, does not bound it there: the error reaches
+    # 22 eps times that growth times |P| |m|.)
+    factored, products = [], []
     real = dynamics._factor
 
     def counting(form, nx):
         factored.append(form())
-        return real(form, nx)
+        solve, product = real(form, nx)
+        products.append(product)
+        return solve, product
 
     monkeypatch.setattr(dynamics, "_factor", counting)
-    for eps in (0.0, 0.1):
-        cfg = small_config(epsilon=eps)
+    for cfg, refines in ((small_config(), False), (small_config(epsilon=0.1), False),
+                         (small_config(L=16.0, B=0.5, nx=24, dt=1.0, t_end=5.0), True)):
         stepper = Stepper(cfg)
         assert factored == []
-        lp = stepper.linear_part
-        bands = every_mode_bands(lp.grid, cfg.alpha, eps)
+        bands = every_mode_bands(stepper.linear_part.grid, cfg.alpha, cfg.epsilon)
         u0 = initial_field(cfg).interior
         for u, stack in ((u0, bands[:, 0::2]), (nudged(u0), bands), (u0, bands[:, 0::2])):
             stepper.start(u)
             assert len(factored) == 1
             assert np.array_equal(factored[0], implicit_from_bands(stack, cfg.dt))
+            factors, refine = dynamics._band_lu(factored[0].copy, cfg.nx)
+            assert refine == refines
             modes = stepper._modes
-            err = np.abs(lp.apply_modes(modes) - dynamics._band_apply(stack, modes))
-            scale = dynamics._band_apply(stack, np.abs(modes), magnitudes=True)
-            assert np.all(err <= 4.0 * np.finfo(float).eps * scale)
+            err = np.abs(products[0](modes.flatten()).reshape(modes.shape)
+                         - 0.5 * dynamics._band_apply(system_modes(factored[0], cfg.nx), modes))
+            bound = factor_magnitudes(system_modes(factors, cfg.nx), np.abs(modes))
+            assert np.all(err <= 4.0 * np.finfo(float).eps * bound)
             stepper.advance()
             assert len(factored) == 1
             factored.clear()
+            products.clear()
 
 
 def test_stepper_builds_no_mode_stack():
@@ -956,8 +970,10 @@ def test_even_half_transforms_are_the_even_dst_modes():
     even = lp.to_modes(half)
     assert np.max(np.abs(even - modes[0::2])) <= 1e-14 * np.max(np.abs(modes))
     assert np.max(np.abs(lp.from_modes(even) - half)) <= 1e-14
-    assert np.max(np.abs(lp.apply_modes(even) - lp.apply_modes(modes)[0::2])) <= (
-        1e-14 * np.max(np.abs(lp.apply_modes(modes))))
+    bands = every_mode_bands(g, lp.alpha, lp.epsilon)
+    applied = dynamics._band_apply(bands, modes)
+    assert np.max(np.abs(dynamics._band_apply(bands[:, 0::2], even) - applied[0::2])) <= (
+        1e-14 * np.max(np.abs(applied)))
     with pytest.raises(ValueError, match="fit neither ny=31 nor its even half"):
         lp.to_modes(full[:, :15])
 
@@ -1129,6 +1145,9 @@ def energy_identity_defects(cfg, n_steps):
     lp = stepper.linear_part
     dt = cfg.dt
     stepper.start(initial_field(cfg, g).interior)
+    bands = every_mode_bands(g, cfg.alpha, cfg.epsilon)
+    if g.is_half(len(stepper._modes)):
+        bands = bands[:, 0::2]
     n_prev = None
     defects = []
     for _ in range(n_steps):
@@ -1139,7 +1158,7 @@ def energy_identity_defects(cfg, n_steps):
             u = stepper._held()
             n_now = nonlin_term(stepper, u)
             if n_prev is None:
-                predicted = u - 0.5 * dt * (lp.from_modes(lp.apply_modes(m)) + n_now)
+                predicted = u - 0.5 * dt * (lp.from_modes(dynamics._band_apply(bands, m)) + n_now)
                 n_half = nonlin_term(stepper, predicted)
             else:
                 n_half = 1.5 * n_now - 0.5 * n_prev
@@ -1149,7 +1168,7 @@ def energy_identity_defects(cfg, n_steps):
         x = stepper._modes
         w = x + m
         change = np.sum(x * x) - np.sum(m * m)
-        budget = -0.5 * dt * np.sum(w * lp.apply_modes(w)) - dt * np.sum(f * w)
+        budget = -0.5 * dt * np.sum(w * dynamics._band_apply(bands, w)) - dt * np.sum(f * w)
         defects.append(abs(change - budget) / np.sum(m * m))
     return defects
 
