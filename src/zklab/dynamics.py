@@ -17,7 +17,7 @@ IBVP's closures included), and the xi_m.  A_m is written out once, in
 ``LinearPart.implicit``: ``start`` forms I + dt/2 A_m of the modes a run
 steps in one array, the LAPACK band storage that the elimination
 overwrites and both triangular sweeps read (one band stack of the run's
-k modes, which holds L, U and 2/D; 2.1 stacks at the set-up's peak).
+k modes, which holds L, U and 2/D; 1.34 stacks at the set-up's peak).
 The nonlinear term is that table's centered D1 row applied to u^2 with
 zero walls.
 
@@ -62,12 +62,13 @@ import os
 import struct
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from . import calculus, spectral
-from .geometry import (Field, Grid, _Fresh, _is_real, _samples, _zero_walls, check_alpha,
-                       check_int, check_positive_finite)
+from .geometry import (Field, Grid, _Fresh, _is_real, _product_samples, _zero_walls,
+                       check_alpha, check_int, check_positive_finite)
 
 BLOWUP_THRESHOLD = 1.0e6
 
@@ -210,27 +211,43 @@ def _overflow_names(tag):
         raise ValueError(f"initial: {tag!r} overflows the float range: {exc}") from exc
 
 
-# The tagged data are module-level functions, bound to their numbers with
-# functools.partial, so a SimConfig holding one pickles.
+# Every tagged datum is a product p(x) q(y).  Its factors are module-level
+# functions, bound to their numbers with functools.partial, so a SimConfig
+# holding one pickles.
 
-def _zero(x, y):
+@dataclass(frozen=True)
+class _Product:
+    """The datum p(x) q(y), which ``initial_field`` samples as p's x column times q's y row."""
+
+    p: Callable[[np.ndarray], np.ndarray]
+    q: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x, y):
+        return self.p(x) * self.q(y)
+
+
+def _zero(x):
     return 0.0
 
 
-def _cos_product(amp, L, B, x, y):
-    return (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
-            * np.cos(np.pi * y / (2.0 * B)))
+def _cos_x(amp, L, x):
+    return amp * (1.0 - np.cos(2.0 * np.pi * x / L))
 
 
-def _cos_bump(amp, r, L, x, y):
-    return (amp * (1.0 - np.cos(2.0 * np.pi * x / L))
-            * np.clip(1.0 - (y / r) ** 2, 0.0, None) ** 3)
+def _cos_y(B, y):
+    return np.cos(np.pi * y / (2.0 * B))
+
+
+def _bump_y(r, y):
+    return np.clip(1.0 - (y / r) ** 2, 0.0, None) ** 3
 
 
 def _initial_sampler(config: SimConfig):
-    """The config's initial tag as f(x, y) to sample, or None for a snapshot file.
+    """The config's initial tag as a product f(x, y) = f.p(x) f.q(y), or None for a snapshot file.
 
-    Checks every tag rule that needs neither the file nor the samples.
+    A ``mode:`` tag's is its ``spectral.StationaryMode``, the others a
+    ``_Product``.  Checks every tag rule that needs neither the file nor
+    the samples.
     """
     tag, L, B = config.initial, config.L, config.B
     if isinstance(tag, dict) and set(tag) == {"file"} and isinstance(tag["file"], str):
@@ -238,7 +255,7 @@ def _initial_sampler(config: SimConfig):
     if not isinstance(tag, str):
         raise ValueError(f"initial must be a tag string or {{'file': path}}, got {tag!r}")
     if tag == "zero":
-        return _zero
+        return _Product(_zero, _zero)
     if tag.startswith("mode:"):
         k, l, n = _tag_numbers(tag, 3, int)
         mode = spectral.stationary_mode(k, l, n, B)
@@ -248,7 +265,7 @@ def _initial_sampler(config: SimConfig):
         return mode
     if tag.startswith("cos-product:"):
         amp, = _tag_numbers(tag, 1)
-        return functools.partial(_cos_product, amp, L, B)
+        return _Product(functools.partial(_cos_x, amp, L), functools.partial(_cos_y, B))
     if tag.startswith("cos-bump:"):
         amp, r = _tag_numbers(tag, 2)
         if not (0 < r <= B):
@@ -256,7 +273,7 @@ def _initial_sampler(config: SimConfig):
         if config.domain_kind == TRUNCATED_STRIP and B < 4.0 * r:
             raise ValueError(f"initial: strip truncation needs B >= 4x the bump radius "
                              f"(B={B}, r={r})")
-        return functools.partial(_cos_bump, amp, r, L)
+        return _Product(functools.partial(_cos_x, amp, L), functools.partial(_bump_y, r))
     raise ValueError(f"initial: unknown tag {tag!r}")
 
 
@@ -265,41 +282,60 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
 
     ``grid``, when given, must be ``config.grid()``.  A datum whose samples
     or weighted energy overflow the float range raises a ValueError naming
-    the tag, and no numpy warning.  The datum is sampled (or a snapshot's
-    values copied) into one full-grid array, whose walls are zeroed and
-    whose interior is scaled in place, and that array becomes the Field.
+    the tag, and no numpy warning.  A tagged datum p(x) q(y) is sampled by
+    one multiply of its x column and its y row into one full-grid array
+    (``geometry._product_samples``), a snapshot's values are copied into
+    one; its walls are zeroed, and that array becomes the Field.  With
+    ``scale_weighted``, the weighted energy is summed line by line in a
+    small buffer (``calculus._line_weighted``) and the whole array, whose
+    walls are 0, is scaled in place.
     """
     g = _run_grid(config, grid)
     with _overflow_names(config.initial):
-        if config._sampler is not None:
-            vals = _samples(g, config._sampler)
+        f = config._sampler
+        if f is not None:
+            vals = _product_samples(g, f.p, f.q)
         else:
             fld = read_snapshot(config.initial["file"])[1]
             if fld.grid != g:
                 raise ValueError(f"initial: snapshot {fld.grid} is not the config's grid {g}")
             vals = np.array(fld.values)
         _zero_walls(vals)
-        u = vals[1:-1, 1:-1]
         if config.scale_weighted is not None:
             with np.errstate(over="ignore"):  # an overflow is named below
-                w = calculus._squares(u.T, g)[2]
+                w = calculus._line_weighted(vals, g)
             if w == math.inf:
                 raise OverflowError("the weighted energy overflows")
             if w == 0.0:
-                cause = ("is identically zero" if not u.any()
+                cause = ("is identically zero" if not vals.any()
                          else "is nonzero, but its weighted energy underflows to 0")
                 raise ValueError(f"scale_weighted: initial datum {cause}")
-            u *= math.sqrt(config.scale_weighted / w)
+            vals *= math.sqrt(config.scale_weighted / w)
         return Field(g, _Fresh(vals))
 
 
 # ---------------------------------------------------------------------------
 # discrete operators in x and the transverse eigenvalues
+#
+# Every operator piece that depends on the grid alone (the x-band rows, the
+# transverse eigenvalues, the half-stack DST matrices) is built once per
+# grid and shared read-only, as ``calculus.trapezoid_weights`` is: a second
+# LinearPart or Stepper on a grid builds none of them.
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only for sharing."""
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
 def transverse_eigenvalues(ny: int, hy: float) -> np.ndarray:
-    """Eigenvalues xi_m of -D_yy (Dirichlet tridiagonal), DST-I ordering."""
+    """Eigenvalues xi_m of -D_yy (Dirichlet tridiagonal), DST-I ordering.
+
+    Built once per (ny, hy); the array returned is shared and read-only.
+    """
     m = np.arange(1, ny + 1)
-    return 4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2
+    return _frozen(4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2)
 
 
 def _x_rows(order: int) -> tuple:
@@ -327,6 +363,7 @@ def _band_stack(system: np.ndarray, nx: int) -> np.ndarray:
     return system[:-_KU].reshape(-1, nx, _LDAB).transpose(2, 0, 1)
 
 
+@functools.lru_cache(maxsize=48)
 def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     """The order-th x-derivative on the n interior nodes, closed by the IBVP.
 
@@ -334,7 +371,8 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     ``LinearPart.implicit`` lays out each mode.  Every row is the
     centered row of ``calculus._ROWS``, except at x = h and x = L - h where
     the table holds a closure of this order (``_x_rows``); a weight on a
-    wall node drops, as u = 0 there.
+    wall node drops, as u = 0 there.  Built once per (order, n, h), shared
+    and read-only.
     """
     b = np.zeros((_LDAB, n), order="F")
     # The centered row at every node, then the closures at the two ends.
@@ -342,7 +380,29 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
         for k, w in (row.weights.items() if row else ()):
             # the columns j = i + k of the nodes lo <= i < hi, walls excluded
             b[_KU - k, max(lo + k, 0):max(hi + k, 0)] = w / (row.divisor * h ** order)
-    return b
+    return _frozen(b)
+
+
+@functools.lru_cache(maxsize=16)
+def _half_dst(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transforms of a half stack of k modes as k x k matrices: (to_modes, from_modes).
+
+    Both read s[m, j] = sin(pi (2m+1)(j+1) / 2k): to_modes is twice the
+    DST-III, 4 s with the centre column j = k-1 weighted 2 s, and
+    from_modes, half its inverse, is s.T / 2k.  The sines come from a
+    table of sin(pi r / 2k) over r mod 4k whose arguments are reduced
+    exactly to [0, pi/2], so each entry is within 1.5 ulp (measured
+    against long-double sines at k <= 80).  Built on the first dense half
+    transform of a k, shared and read-only.
+    """
+    r = np.arange(4 * k) % (2 * k)
+    table = np.sin(np.pi * np.minimum(r, 2 * k - r) / (2 * k))
+    table[2 * k:] *= -1.0  # sin(x + pi) = -sin(x)
+    j = np.arange(k)
+    s = table[np.outer(2 * j + 1, j + 1) % (4 * k)]
+    to = 4.0 * s
+    to[:, -1] *= 0.5
+    return _frozen(to), _frozen(s.T / (2 * k))
 
 
 def _band_apply(bands: np.ndarray, modes: np.ndarray, offsets=range(-_KL, _KU + 1),
@@ -367,7 +427,8 @@ class LinearPart:
     """alpha*Dx + Dxxx + Dxyy + eps*(Dx4 + Dy4) with the IBVP closures.
 
     Held as its x-operators in band storage (``_x_bands`` of order 1 and 3,
-    and 4 when eps > 0) and the transverse eigenvalues ``xi``; no
+    and 4 when eps > 0) and the transverse eigenvalues ``xi``, each the
+    grid's one shared read-only array; no
     A_m = D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2 I) is held.
     ``implicit`` forms I + dt/2 A_m for the modes of one stack in the
     band storage the solve eliminates and sweeps, the one place A_m is
@@ -384,8 +445,8 @@ class LinearPart:
     k = (ny+1)/2 rows is transformed by pocketfft's DST-III when k exceeds
     ``_DENSE_HALF_MAX``, and otherwise by one matrix product with a k x k
     matrix of that DST-III, scale included.  The two matrices (forward and
-    inverse, 8 k^2 bytes each) are built from the closed form, by numpy
-    alone, on the first such transform.
+    inverse, 8 k^2 bytes each, ``_half_dst``) are built from the closed
+    form, by numpy alone, on the first such transform of a k.
     """
 
     def __init__(self, grid: Grid, alpha: int, epsilon: float = 0.0):
@@ -424,27 +485,6 @@ class LinearPart:
         columns[:, :, _KU] += 1.0
         return system
 
-    @functools.cached_property
-    def _half_dst(self) -> tuple[np.ndarray, np.ndarray]:
-        """The half-stack transforms as k x k matrices: (to_modes, from_modes).
-
-        Both read s[m, j] = sin(pi (2m+1)(j+1) / 2k): to_modes is twice the
-        DST-III, 4 s with the centre column j = k-1 weighted 2 s, and
-        from_modes, half its inverse, is s.T / 2k.  The sines come from a
-        table of sin(pi r / 2k) over r mod 4k whose arguments are reduced
-        exactly to [0, pi/2], so each entry is within 1.5 ulp (measured
-        against long-double sines at k <= 80).
-        """
-        k = (self.grid.ny + 1) // 2
-        r = np.arange(4 * k) % (2 * k)
-        table = np.sin(np.pi * np.minimum(r, 2 * k - r) / (2 * k))
-        table[2 * k:] *= -1.0  # sin(x + pi) = -sin(x)
-        j = np.arange(k)
-        s = table[np.outer(2 * j + 1, j + 1) % (4 * k)]
-        to = 4.0 * s
-        to[:, -1] *= 0.5
-        return to, s.T / (2 * k)
-
     def to_modes(self, interior: np.ndarray) -> np.ndarray:
         """(nx, ny) physical interior -> C-contiguous (ny, nx) transverse-mode stack.
 
@@ -454,7 +494,7 @@ class LinearPart:
         if not self.grid.is_half(interior.shape[1]):
             return _fft().dst(interior.T, type=1, axis=0)
         if interior.shape[1] <= _DENSE_HALF_MAX:
-            return self._half_dst[0] @ interior.T
+            return _half_dst(interior.shape[1])[0] @ interior.T
         modes = _fft().dst(interior.T, type=3, axis=0)
         modes *= 2.0
         return modes
@@ -467,7 +507,7 @@ class LinearPart:
         if not self.grid.is_half(modes.shape[0]):
             return _fft().idst(modes, type=1, axis=0).T
         if modes.shape[0] <= _DENSE_HALF_MAX:
-            return (self._half_dst[1] @ modes).T
+            return (_half_dst(modes.shape[0])[1] @ modes).T
         half = _fft().idst(modes, type=3, axis=0)
         half *= 0.5
         return half.T
@@ -574,11 +614,12 @@ def _factor(form, nx: int):
     ``form()`` called a second time, for the residual.
 
     Working set, in stacks of _LDAB k nx floats: the one array, which is
-    kept, and a few (k, nx) rows for the growth, 2.06 stacks at the peak
-    on C07's 127x383 strip's half stack and 1.89 on its full stack
-    (tracemalloc; 2.36 when L and U were copied out of the array, 3.52
-    when a band stack was formed beside it).  A refined solve also keeps
-    the halved system.
+    kept, the system's (k, nx) row sums and the growth's rows of one chunk
+    of modes (``_band_lu``), 1.34 stacks at the peak on C07's 127x383
+    strip's half stack and 1.30 on its full stack (tracemalloc; 2.06 and
+    1.89 when the growth's rows spanned every mode, 2.36 when L and U were
+    copied out of the array, 3.52 when a band stack was formed beside
+    it).  A refined solve also keeps the halved system.
     """
     factors, refine = _band_lu(form, nx)
     upper = factors[:-_KU].reshape(-1, _LDAB).T
@@ -614,15 +655,28 @@ def _factor(form, nx: int):
     return refined, product
 
 
+# The modes per chunk of ``_band_lu``'s growth rows.
+_GROWTH_MODES = 32
+
+
 def _band_lu(form, nx: int):
     """``form()``'s system, eliminated in place into L, U and 2/D, and whether to refine.
 
     The refinement is asked for where the growth passes ``_REFINE_GROWTH``.
+    The growth's rows are taken over chunks of ``_GROWTH_MODES`` modes, so
+    beside the system only its row sums |I + dt/2 A| 1, (k, nx) floats, are
+    held whole; each entry takes the operations it takes on the whole
+    stack, so the growth is the same bit for bit.
     """
     with np.errstate(all="ignore"):  # a bad pivot is named below
         factors = form()
         lu = _band_stack(factors, nx)
-        system_rows = _band_apply(lu, np.ones(lu.shape[1:]), magnitudes=True)  # |I + dt/2 A| 1
+        k = lu.shape[1]
+        chunks = [slice(m, m + _GROWTH_MODES) for m in range(0, k, _GROWTH_MODES)]
+        system_rows = np.zeros((k, nx))  # |I + dt/2 A| 1
+        for c in chunks:
+            _band_apply(lu[:, c], np.ones(system_rows[c].shape), out=system_rows[c],
+                        magnitudes=True)
         # rows[r][j]: band row r of column j, one entry per mode, a 1-D slice
         rows = list(lu.transpose(0, 2, 1))
         inv_pivot, product = rows[_KU], np.empty(lu.shape[1])
@@ -644,7 +698,7 @@ def _band_lu(form, nx: int):
         m, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise np.linalg.LinAlgError(f"I + dt/2 A has a zero or non-finite pivot without row "
                                     f"interchanges: mode {m}, column {j}")
-    refine = _growth(lu, system_rows) > _REFINE_GROWTH
+    refine = max(_growth(lu[:, c], system_rows[c]) for c in chunks) > _REFINE_GROWTH
     lu[_KU] *= 2.0
     return factors, refine
 
@@ -652,8 +706,10 @@ def _band_lu(form, nx: int):
 def _growth(lu: np.ndarray, system_rows: np.ndarray) -> float:
     """The largest row growth (|L| |D| |U| 1) / (|I + dt/2 A| 1) of factors in band storage.
 
-    Each sum runs diagonal by diagonal on (k, nx) slices in ``_band_apply``'s
-    order; the unit diagonals of U and L enter as the first and the last term.
+    Over the modes of ``lu``, a (rows, k, nx) band stack or a chunk of
+    one's modes.  Each sum runs diagonal by diagonal on (k, nx) slices in
+    ``_band_apply``'s order; the unit diagonals of U and L enter as the
+    first and the last term.
     """
     ones = np.ones(system_rows.shape)
     scaled_rows = _band_apply(lu, ones, range(1, _KU + 1), ones.copy(), magnitudes=True)

@@ -177,8 +177,8 @@ class Field:
 
 def _zero_walls(vals: np.ndarray) -> None:
     """Set the boundary layer of a full-grid array to u = 0, in place."""
-    vals[[0, -1], :] = 0.0
-    vals[:, [0, -1]] = 0.0
+    vals[0] = vals[-1] = 0.0
+    vals[:, 0] = vals[:, -1] = 0.0
 
 
 def _samples(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
@@ -187,10 +187,25 @@ def _samples(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> n
     f is called once, on the x column ``xs()[:, None]`` and the y row
     ``ys()[None, :]``, so it must broadcast; its result, a scalar included,
     is broadcast to the grid's shape.  Complex samples raise a ValueError.
+    A product p(x) q(y) is sampled without the full-grid result of f by
+    ``_product_samples``.
     """
     vals = np.empty(grid.shape)
     vals[...] = np.broadcast_to(_real(f(grid.xs()[:, None], grid.ys()[None, :])), grid.shape)
     return vals
+
+
+def _product_samples(grid: Grid, p: Callable[[np.ndarray], np.ndarray],
+                     q: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A new float array of p(x) q(y) at every node: one multiply into it, of p(x) by q(y).
+
+    p is called on the x column ``xs()[:, None]`` and q on the y row
+    ``ys()[None, :]``; either may return a scalar.  Each node takes the
+    one product that ``_samples`` of ``lambda x, y: p(x) * q(y)`` takes,
+    so the two arrays are equal bit for bit; this one is the only
+    full-grid array built.  Real factors only.
+    """
+    return np.multiply(p(grid.xs()[:, None]), q(grid.ys()[None, :]), out=np.empty(grid.shape))
 
 
 def sample_field(grid: Grid, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Field:

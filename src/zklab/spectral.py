@@ -224,9 +224,10 @@ def build_profile(triple: ResonantTriple) -> ModeProfile:
 class StationaryMode:
     """Separated eigenmode factory v(x, y) = p(x) q(y).
 
-    q is the transverse Dirichlet eigenfunction (cosine for odd n, sine
-    for even n).  Evaluation returns the real part of p; that is a true
-    stationary solution of the linearized equation exactly when beta = 0.
+    p is the real part of the profile and q the transverse Dirichlet
+    eigenfunction (cosine for odd n, sine for even n); evaluation returns
+    their product, a true stationary solution of the linearized equation
+    exactly when beta = 0.
     """
 
     profile: ModeProfile
@@ -234,13 +235,16 @@ class StationaryMode:
     n: int
     B: float
 
+    def p(self, x) -> np.ndarray:
+        return np.real(self.profile(x))
+
     def q(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         w = math.pi * self.n / (2.0 * self.B)
         return np.cos(w * y) if self.n % 2 == 1 else np.sin(w * y)
 
     def __call__(self, x, y) -> np.ndarray:
-        return np.real(self.profile(x)) * self.q(y)
+        return self.p(x) * self.q(y)
 
 
 def stationary_mode(k: int, l: int, n: int, B: float) -> StationaryMode:
