@@ -150,49 +150,19 @@ def _weighted_column(grid) -> np.ndarray:
     return w
 
 
-def _weighted(cols: np.ndarray, grid) -> float:
-    """The one definition of the weighted energy ((1+x), u^2), from the sums of u^2 at each x."""
-    return float(_weighted_column(grid) @ cols)
-
-
 def _squares(v: np.ndarray, grid, half: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
-    """v*v, its sums over the y-lines at each x, and the weighted energy (``_weighted``).
+    """v*v, its sums over the y-lines at each x, and the one definition of the weighted energy.
 
     v is an interior transposed, one row per y-line: all ny, or with
     ``half`` the even half, whose lines below the centre stand for two.
+    The weighted energy is ((1+x), u^2).
     """
     v2 = v * v
     cols = v2.sum(axis=0)
     if half:
         cols += cols
         cols -= v2[-1]
-    return v2, cols, _weighted(cols, grid)
-
-
-# The floats of ``_line_weighted``'s buffer of squares: 64 KiB, under glibc's default
-# mmap threshold, so the heap serves it rather than a fresh mapping per call.
-_SQUARES_BLOCK = 8192
-
-
-def _line_weighted(vals: np.ndarray, grid) -> float:
-    """The weighted energy of the interior of a C-ordered full-grid array.
-
-    Bit for bit ``_squares(vals[1:-1, 1:-1].T, grid)[2]``: numpy sums each
-    x's y-line of squares pairwise along the line there, and so does this.
-    But the squares are taken a block of whole rows at a time, walls
-    included, into one small buffer, reused, where ``_squares`` squares the
-    whole interior; a block of rows is contiguous, so the square runs
-    without numpy's iterator buffers.
-    """
-    interior_rows = vals[1:-1]
-    lines = max(1, _SQUARES_BLOCK // vals.shape[1])
-    buf = np.empty((min(lines, grid.nx), vals.shape[1]))
-    cols = np.empty(grid.nx)
-    for i in range(0, grid.nx, lines):
-        rows = interior_rows[i:i + lines]
-        sq = np.multiply(rows, rows, out=buf[:len(rows)])
-        sq[:, 1:-1].sum(axis=1, out=cols[i:i + lines])
-    return _weighted(cols, grid)
+    return v2, cols, float(_weighted_column(grid) @ cols)
 
 
 def trace_row(interior: np.ndarray, grid) -> tuple:

@@ -17,7 +17,7 @@ IBVP's closures included), and the xi_m.  A_m is written out once, in
 ``LinearPart.implicit``: ``start`` forms I + dt/2 A_m of the modes a run
 steps in one array, the LAPACK band storage that the elimination
 overwrites and both triangular sweeps read (one band stack of the run's
-k modes, which holds L, U and 2/D; 1.34 stacks at the set-up's peak).
+k modes, which holds L, U and 2/D; 2.1 stacks at the set-up's peak).
 The nonlinear term is that table's centered D1 row applied to u^2 with
 zero walls.
 
@@ -286,9 +286,9 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
     one multiply of its x column and its y row into one full-grid array
     (``geometry._product_samples``), a snapshot's values are copied into
     one; its walls are zeroed, and that array becomes the Field.  With
-    ``scale_weighted``, the weighted energy is summed line by line in a
-    small buffer (``calculus._line_weighted``) and the whole array, whose
-    walls are 0, is scaled in place.
+    ``scale_weighted``, the weighted energy is read from the interior's
+    squares (``calculus._squares``) and the whole array, whose walls are
+    0, is scaled in place.
     """
     g = _run_grid(config, grid)
     with _overflow_names(config.initial):
@@ -302,12 +302,13 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
             vals = np.array(fld.values)
         _zero_walls(vals)
         if config.scale_weighted is not None:
+            u = vals[1:-1, 1:-1]
             with np.errstate(over="ignore"):  # an overflow is named below
-                w = calculus._line_weighted(vals, g)
+                w = calculus._squares(u.T, g)[2]
             if w == math.inf:
                 raise OverflowError("the weighted energy overflows")
             if w == 0.0:
-                cause = ("is identically zero" if not vals.any()
+                cause = ("is identically zero" if not u.any()
                          else "is nonzero, but its weighted energy underflows to 0")
                 raise ValueError(f"scale_weighted: initial datum {cause}")
             vals *= math.sqrt(config.scale_weighted / w)
@@ -316,26 +317,11 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
 
 # ---------------------------------------------------------------------------
 # discrete operators in x and the transverse eigenvalues
-#
-# Every operator piece that depends on the grid alone (the x-band rows, the
-# transverse eigenvalues, the half-stack DST matrices) is built once per
-# grid and shared read-only, as ``calculus.trapezoid_weights`` is: a second
-# LinearPart or Stepper on a grid builds none of them.
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only for sharing."""
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=16)
 def transverse_eigenvalues(ny: int, hy: float) -> np.ndarray:
-    """Eigenvalues xi_m of -D_yy (Dirichlet tridiagonal), DST-I ordering.
-
-    Built once per (ny, hy); the array returned is shared and read-only.
-    """
+    """Eigenvalues xi_m of -D_yy (Dirichlet tridiagonal), DST-I ordering."""
     m = np.arange(1, ny + 1)
-    return _frozen(4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2)
+    return 4.0 * np.sin(np.pi * m / (2.0 * (ny + 1))) ** 2 / hy ** 2
 
 
 def _x_rows(order: int) -> tuple:
@@ -363,7 +349,30 @@ def _band_stack(system: np.ndarray, nx: int) -> np.ndarray:
     return system[:-_KU].reshape(-1, nx, _LDAB).transpose(2, 0, 1)
 
 
-@functools.lru_cache(maxsize=48)
+def _x_layout(order: int) -> tuple:
+    """Where ``_x_bands`` writes the order-th x-operator, read once from ``_x_rows``.
+
+    (centered row, its band rows, edits): the centered row fills its band
+    rows, and the edits, (band rows, columns, weights, divisors) with a
+    column counted from the right end when negative, set what differs near
+    the ends.  They are the centered row's entries outside the matrix (no
+    node i = j - k), weight 0, and the closures at x = h (node 0, the
+    columns k >= 0) and at x = L - h (node n - 1, the columns n - 1 + k,
+    k <= 0); a weight on a wall node has no column.
+    """
+    centered, left, right = _x_rows(order)
+    edits = [(_KU - k, j, 0.0, 1.0) for k in centered.weights
+             for j in (range(k) if k > 0 else range(k, 0))]
+    edits += [(_KU - k, k, w, left.divisor) for k, w in (left.weights.items() if left else ())
+              if k >= 0]
+    edits += [(_KU - k, k - 1, w, right.divisor)
+              for k, w in (right.weights.items() if right else ()) if k <= 0]
+    return centered, _KU - np.array(list(centered.weights)), [np.array(a) for a in zip(*edits)]
+
+
+_X_LAYOUTS = {order: _x_layout(order) for order in (1, 3, 4)}
+
+
 def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     """The order-th x-derivative on the n interior nodes, closed by the IBVP.
 
@@ -371,38 +380,17 @@ def _x_bands(order: int, n: int, h: float) -> np.ndarray:
     ``LinearPart.implicit`` lays out each mode.  Every row is the
     centered row of ``calculus._ROWS``, except at x = h and x = L - h where
     the table holds a closure of this order (``_x_rows``); a weight on a
-    wall node drops, as u = 0 there.  Built once per (order, n, h), shared
-    and read-only.
+    wall node drops, as u = 0 there.  Each weight w of a row is entered as
+    w / (divisor h^order), in two writes of the whole layout
+    (``_x_layout``), not one per weight.
     """
+    centered, band_rows, (rows, cols, weights, divisors) = _X_LAYOUTS[order]
+    scale = h ** order
     b = np.zeros((_LDAB, n), order="F")
-    # The centered row at every node, then the closures at the two ends.
-    for row, lo, hi in zip(_x_rows(order), (0, 0, n - 1), (n, 1, n)):
-        for k, w in (row.weights.items() if row else ()):
-            # the columns j = i + k of the nodes lo <= i < hi, walls excluded
-            b[_KU - k, max(lo + k, 0):max(hi + k, 0)] = w / (row.divisor * h ** order)
-    return _frozen(b)
-
-
-@functools.lru_cache(maxsize=16)
-def _half_dst(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The transforms of a half stack of k modes as k x k matrices: (to_modes, from_modes).
-
-    Both read s[m, j] = sin(pi (2m+1)(j+1) / 2k): to_modes is twice the
-    DST-III, 4 s with the centre column j = k-1 weighted 2 s, and
-    from_modes, half its inverse, is s.T / 2k.  The sines come from a
-    table of sin(pi r / 2k) over r mod 4k whose arguments are reduced
-    exactly to [0, pi/2], so each entry is within 1.5 ulp (measured
-    against long-double sines at k <= 80).  Built on the first dense half
-    transform of a k, shared and read-only.
-    """
-    r = np.arange(4 * k) % (2 * k)
-    table = np.sin(np.pi * np.minimum(r, 2 * k - r) / (2 * k))
-    table[2 * k:] *= -1.0  # sin(x + pi) = -sin(x)
-    j = np.arange(k)
-    s = table[np.outer(2 * j + 1, j + 1) % (4 * k)]
-    to = 4.0 * s
-    to[:, -1] *= 0.5
-    return _frozen(to), _frozen(s.T / (2 * k))
+    b[band_rows] = np.array([w / (centered.divisor * scale)
+                             for w in centered.weights.values()])[:, None]
+    b[rows, cols] = weights / (divisors * scale)
+    return b
 
 
 def _band_apply(bands: np.ndarray, modes: np.ndarray, offsets=range(-_KL, _KU + 1),
@@ -427,8 +415,7 @@ class LinearPart:
     """alpha*Dx + Dxxx + Dxyy + eps*(Dx4 + Dy4) with the IBVP closures.
 
     Held as its x-operators in band storage (``_x_bands`` of order 1 and 3,
-    and 4 when eps > 0) and the transverse eigenvalues ``xi``, each the
-    grid's one shared read-only array; no
+    and 4 when eps > 0) and the transverse eigenvalues ``xi``; no
     A_m = D3 + (alpha - xi_m) D1 + eps (D4 + xi_m^2 I) is held.
     ``implicit`` forms I + dt/2 A_m for the modes of one stack in the
     band storage the solve eliminates and sweeps, the one place A_m is
@@ -445,8 +432,8 @@ class LinearPart:
     k = (ny+1)/2 rows is transformed by pocketfft's DST-III when k exceeds
     ``_DENSE_HALF_MAX``, and otherwise by one matrix product with a k x k
     matrix of that DST-III, scale included.  The two matrices (forward and
-    inverse, 8 k^2 bytes each, ``_half_dst``) are built from the closed
-    form, by numpy alone, on the first such transform of a k.
+    inverse, 8 k^2 bytes each) are built from the closed form, by numpy
+    alone, on the first such transform.
     """
 
     def __init__(self, grid: Grid, alpha: int, epsilon: float = 0.0):
@@ -485,6 +472,27 @@ class LinearPart:
         columns[:, :, _KU] += 1.0
         return system
 
+    @functools.cached_property
+    def _half_dst(self) -> tuple[np.ndarray, np.ndarray]:
+        """The half-stack transforms as k x k matrices: (to_modes, from_modes).
+
+        Both read s[m, j] = sin(pi (2m+1)(j+1) / 2k): to_modes is twice the
+        DST-III, 4 s with the centre column j = k-1 weighted 2 s, and
+        from_modes, half its inverse, is s.T / 2k.  The sines come from a
+        table of sin(pi r / 2k) over r mod 4k whose arguments are reduced
+        exactly to [0, pi/2], so each entry is within 1.5 ulp (measured
+        against long-double sines at k <= 80).
+        """
+        k = (self.grid.ny + 1) // 2
+        r = np.arange(4 * k) % (2 * k)
+        table = np.sin(np.pi * np.minimum(r, 2 * k - r) / (2 * k))
+        table[2 * k:] *= -1.0  # sin(x + pi) = -sin(x)
+        j = np.arange(k)
+        s = table[np.outer(2 * j + 1, j + 1) % (4 * k)]
+        to = 4.0 * s
+        to[:, -1] *= 0.5
+        return to, s.T / (2 * k)
+
     def to_modes(self, interior: np.ndarray) -> np.ndarray:
         """(nx, ny) physical interior -> C-contiguous (ny, nx) transverse-mode stack.
 
@@ -494,7 +502,7 @@ class LinearPart:
         if not self.grid.is_half(interior.shape[1]):
             return _fft().dst(interior.T, type=1, axis=0)
         if interior.shape[1] <= _DENSE_HALF_MAX:
-            return _half_dst(interior.shape[1])[0] @ interior.T
+            return self._half_dst[0] @ interior.T
         modes = _fft().dst(interior.T, type=3, axis=0)
         modes *= 2.0
         return modes
@@ -507,7 +515,7 @@ class LinearPart:
         if not self.grid.is_half(modes.shape[0]):
             return _fft().idst(modes, type=1, axis=0).T
         if modes.shape[0] <= _DENSE_HALF_MAX:
-            return (_half_dst(modes.shape[0])[1] @ modes).T
+            return (self._half_dst[1] @ modes).T
         half = _fft().idst(modes, type=3, axis=0)
         half *= 0.5
         return half.T
@@ -614,12 +622,11 @@ def _factor(form, nx: int):
     ``form()`` called a second time, for the residual.
 
     Working set, in stacks of _LDAB k nx floats: the one array, which is
-    kept, the system's (k, nx) row sums and the growth's rows of one chunk
-    of modes (``_band_lu``), 1.34 stacks at the peak on C07's 127x383
-    strip's half stack and 1.30 on its full stack (tracemalloc; 2.06 and
-    1.89 when the growth's rows spanned every mode, 2.36 when L and U were
-    copied out of the array, 3.52 when a band stack was formed beside
-    it).  A refined solve also keeps the halved system.
+    kept, and a few (k, nx) rows for the growth, 2.06 stacks at the peak
+    on C07's 127x383 strip's half stack and 1.89 on its full stack
+    (tracemalloc; 2.36 when L and U were copied out of the array, 3.52
+    when a band stack was formed beside it).  A refined solve also keeps
+    the halved system.
     """
     factors, refine = _band_lu(form, nx)
     upper = factors[:-_KU].reshape(-1, _LDAB).T
@@ -655,28 +662,15 @@ def _factor(form, nx: int):
     return refined, product
 
 
-# The modes per chunk of ``_band_lu``'s growth rows.
-_GROWTH_MODES = 32
-
-
 def _band_lu(form, nx: int):
     """``form()``'s system, eliminated in place into L, U and 2/D, and whether to refine.
 
     The refinement is asked for where the growth passes ``_REFINE_GROWTH``.
-    The growth's rows are taken over chunks of ``_GROWTH_MODES`` modes, so
-    beside the system only its row sums |I + dt/2 A| 1, (k, nx) floats, are
-    held whole; each entry takes the operations it takes on the whole
-    stack, so the growth is the same bit for bit.
     """
     with np.errstate(all="ignore"):  # a bad pivot is named below
         factors = form()
         lu = _band_stack(factors, nx)
-        k = lu.shape[1]
-        chunks = [slice(m, m + _GROWTH_MODES) for m in range(0, k, _GROWTH_MODES)]
-        system_rows = np.zeros((k, nx))  # |I + dt/2 A| 1
-        for c in chunks:
-            _band_apply(lu[:, c], np.ones(system_rows[c].shape), out=system_rows[c],
-                        magnitudes=True)
+        system_rows = _band_apply(lu, np.ones(lu.shape[1:]), magnitudes=True)  # |I + dt/2 A| 1
         # rows[r][j]: band row r of column j, one entry per mode, a 1-D slice
         rows = list(lu.transpose(0, 2, 1))
         inv_pivot, product = rows[_KU], np.empty(lu.shape[1])
@@ -698,7 +692,7 @@ def _band_lu(form, nx: int):
         m, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise np.linalg.LinAlgError(f"I + dt/2 A has a zero or non-finite pivot without row "
                                     f"interchanges: mode {m}, column {j}")
-    refine = max(_growth(lu[:, c], system_rows[c]) for c in chunks) > _REFINE_GROWTH
+    refine = _growth(lu, system_rows) > _REFINE_GROWTH
     lu[_KU] *= 2.0
     return factors, refine
 
@@ -706,10 +700,8 @@ def _band_lu(form, nx: int):
 def _growth(lu: np.ndarray, system_rows: np.ndarray) -> float:
     """The largest row growth (|L| |D| |U| 1) / (|I + dt/2 A| 1) of factors in band storage.
 
-    Over the modes of ``lu``, a (rows, k, nx) band stack or a chunk of
-    one's modes.  Each sum runs diagonal by diagonal on (k, nx) slices in
-    ``_band_apply``'s order; the unit diagonals of U and L enter as the
-    first and the last term.
+    Each sum runs diagonal by diagonal on (k, nx) slices in ``_band_apply``'s
+    order; the unit diagonals of U and L enter as the first and the last term.
     """
     ones = np.ones(system_rows.shape)
     scaled_rows = _band_apply(lu, ones, range(1, _KU + 1), ones.copy(), magnitudes=True)
