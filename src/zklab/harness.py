@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__, calculus, spectral
 from .dynamics import (EnergyTrace, SimConfig, TRACE_COLUMNS, Trajectory,
                        config_from_dict, simulate, write_snapshot)
-from .geometry import Field, Grid, _zero_walls, check_int, check_positive_finite
+from .geometry import Field, Grid, _Fresh, _zero_walls, check_int, check_positive_finite
 from .stabilization import (DecayGeometry, decay_theory, energy_balance,
                             verdict as decay_verdict)
 
@@ -175,15 +176,29 @@ def emit_artifacts(trajectory: Trajectory, verdict_obj=None, out_dir=".",
 # ---------------------------------------------------------------------------
 # seeded random fields for the property suites
 
-def random_clean_field(grid: Grid, rng: np.random.Generator) -> Field:
-    """Smooth random field from the 6 x 6 lowest Dirichlet modes, weights decaying."""
+@functools.lru_cache(maxsize=16)
+def _mode_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (i^2 + j^2, sx, sy) of the 6 x 6 lowest Dirichlet modes, built once per grid.
+
+    Row i - 1 of sx is sin(pi i x / L) at every x node, and row j - 1 of sy
+    is sin(pi j (y + B) / 2B) at every y node, boundary layer included.
+    """
     i = np.arange(1, 7)
-    coeffs = rng.normal(size=(i.size, i.size)) / np.add.outer(i ** 2, i ** 2)
+    weights = np.add.outer(i ** 2, i ** 2)
     sx = np.sin(np.pi * np.multiply.outer(i, grid.xs()) / grid.L)
     sy = np.sin(np.pi * np.multiply.outer(i, grid.ys() + grid.B) / (2.0 * grid.B))
+    for table in (weights, sx, sy):
+        table.flags.writeable = False
+    return weights, sx, sy
+
+
+def random_clean_field(grid: Grid, rng: np.random.Generator) -> Field:
+    """Smooth random field from the 6 x 6 lowest Dirichlet modes, weights decaying."""
+    weights, sx, sy = _mode_tables(grid)
+    coeffs = rng.normal(size=weights.shape) / weights
     vals = sx.T @ coeffs @ sy
     _zero_walls(vals)  # sin(pi i) on the far walls is ~1e-16, not 0
-    return Field(grid, vals)
+    return Field(grid, _Fresh(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +273,9 @@ _SUITES = {
 
 def run_verify(suite: str, samples: int, seed: int, out=None) -> int:
     """Write one PASS/FAIL line per check of the suite; 0 if every check passes."""
+    if suite not in _SUITES:
+        raise ValueError(f"unknown verify suite {suite!r}; "
+                         f"choose one of {', '.join(sorted(_SUITES))}")
     check_int("samples", samples, 1)
     check_int("seed", seed, 0)
     out = sys.stdout if out is None else out

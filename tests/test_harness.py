@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import sys
@@ -15,7 +16,8 @@ from zklab import (ConfigError, DecayGeometry, Field, SimConfig, build_grid, cli
                    decay_theory, emit_artifacts, load_config,
                    random_clean_field, read_trace_csv, simulate, verdict, write_trace_csv)
 from zklab.dynamics import TRACE_COLUMNS, EnergyTrace
-from zklab.harness import _parse_vary, canonical_config_json, config_hash, main
+from zklab.harness import (_mode_tables, _parse_vary, canonical_config_json, config_hash, main,
+                           run_verify)
 
 
 def write_config(tmp_path, name="cfg.json", **over):
@@ -297,6 +299,38 @@ def test_random_clean_field_builds_one_field(monkeypatch):
     assert rng.random() == ref_rng.random()
 
 
+def test_random_clean_field_reads_read_only_tables_built_once_per_grid():
+    g = build_grid(2.0, 1.0, 127, 127)
+    tables = _mode_tables(g)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert all(a is b for a, b in zip(tables, _mode_tables(build_grid(2.0, 1.0, 127, 127))))
+    # Bitwise the inline modal sum on a second shape, after the tables were built.
+    fld = random_clean_field(g, np.random.default_rng(9))
+    ref_rng = np.random.default_rng(9)
+    i = np.arange(1, 7)
+    coeffs = ref_rng.normal(size=(6, 6)) / np.add.outer(i ** 2, i ** 2)
+    sx = np.sin(np.pi * np.multiply.outer(i, g.xs()) / g.L)
+    sy = np.sin(np.pi * np.multiply.outer(i, g.ys() + g.B) / (2.0 * g.B))
+    raw = Field(g, sx.T @ coeffs @ sy)
+    assert fld.values.tobytes() == raw.with_interior(raw.interior).values.tobytes()
+
+
+def test_verify_inequalities_repeats_in_one_process():
+    # A table left behind by one run must not change the next, cold or warm.
+    def text():
+        out = io.StringIO()
+        assert run_verify("inequalities", 20, 3, out=out) == 0
+        return out.getvalue()
+
+    _mode_tables.cache_clear()
+    first = text()
+    assert text() == first
+    _mode_tables.cache_clear()
+    assert text() == first
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -382,6 +416,32 @@ def test_cli_verify_rejects_no_samples_and_negative_seeds(capsys, suite, flag, v
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {flag} must be an integer >= {int(flag == 'samples')}, got {value}\n"
+
+
+def test_run_verify_rejects_an_unknown_suite_before_running():
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=r"'bogus'.*conservation, inequalities, spectral"):
+        run_verify("bogus", 1, 0, out=out)
+    assert out.getvalue() == ""
+
+
+def test_readme_verify_outputs():
+    # The README's inequality command prints exactly these lines.
+    out = io.StringIO()
+    assert run_verify("inequalities", 100, 1, out=out) == 0
+    assert out.getvalue() == (
+        "PASS inequalities/gn_q3: max ratio 0.529309 (certify <= 1.05)\n"
+        "PASS inequalities/gn_q4: max ratio 0.396837 (certify <= 1.05)\n"
+        "PASS inequalities/sup_bound: max ratio 0.041962 (certify <= 1.05)\n"
+        "PASS inequalities/poincare_x: max ratio 0.561386 (certify <= 1.05)\n"
+        "PASS inequalities/poincare_y: max ratio 0.619593 (certify <= 1.05)\n")
+    # The spectral residuals sit near 1e-16, and their digits follow the
+    # CPU's vectorised sin and exp, so only the checks and verdicts are pinned.
+    out = io.StringIO()
+    assert run_verify("spectral", 500, 1, out=out) == 0
+    assert [line.split(":")[0] for line in out.getvalue().splitlines()] == [
+        "PASS spectral/viete_spacing", "PASS spectral/cubic_roots",
+        "PASS spectral/length_residual", "PASS spectral/profile_bc"]
 
 
 def test_cli_verify_conservation(capsys):
