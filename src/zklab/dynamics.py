@@ -62,7 +62,6 @@ import os
 import struct
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Callable
 
 import numpy as np
 
@@ -117,7 +116,11 @@ def _check_coefficients(alpha, epsilon) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class SimConfig:
-    """Validated, flat, JSON-serializable simulation configuration: the one description of a run."""
+    """Validated, flat, JSON-serializable simulation configuration: the one description of a run.
+
+    Checked once, as it is built, it keeps what the checks parse beside its
+    fields: its ``Grid`` and its tagged datum's factors (p, q).
+    """
 
     L: float
     B: float
@@ -135,7 +138,8 @@ class SimConfig:
     trace_stride: int = 10
 
     def __post_init__(self):
-        self.grid()  # the Grid checks L, B, nx, ny
+        # The Grid checks L, B, nx, ny, and is the one that grid() returns.
+        object.__setattr__(self, "_grid", Grid(self.L, self.B, self.nx, self.ny))
         if self.domain_kind not in _DOMAIN_KINDS:
             raise ValueError(
                 f"domain_kind must be one of {_DOMAIN_KINDS}, got {self.domain_kind!r}")
@@ -163,7 +167,7 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
     def grid(self) -> Grid:
-        return Grid(self.L, self.B, self.nx, self.ny)
+        return self._grid
 
 
 def _run_grid(config: SimConfig, grid: Grid | None) -> Grid:
@@ -212,18 +216,8 @@ def _overflow_names(tag):
 
 
 # Every tagged datum is a product p(x) q(y).  Its factors are module-level
-# functions, bound to their numbers with functools.partial, so a SimConfig
-# holding one pickles.
-
-@dataclass(frozen=True)
-class _Product:
-    """The datum p(x) q(y), which ``initial_field`` samples as p's x column times q's y row."""
-
-    p: Callable[[np.ndarray], np.ndarray]
-    q: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x, y):
-        return self.p(x) * self.q(y)
+# functions, bound to their numbers with functools.partial, or a
+# StationaryMode's methods, so a SimConfig holding them pickles.
 
 
 def _zero(x):
@@ -243,11 +237,10 @@ def _bump_y(r, y):
 
 
 def _initial_sampler(config: SimConfig):
-    """The config's initial tag as a product f(x, y) = f.p(x) f.q(y), or None for a snapshot file.
+    """The config's initial tag as the factors (p, q) of p(x) q(y), or None for a snapshot file.
 
-    A ``mode:`` tag's is its ``spectral.StationaryMode``, the others a
-    ``_Product``.  Checks every tag rule that needs neither the file nor
-    the samples.
+    A ``mode:`` tag's are its ``spectral.StationaryMode``'s p and q.
+    Checks every tag rule that needs neither the file nor the samples.
     """
     tag, L, B = config.initial, config.L, config.B
     if isinstance(tag, dict) and set(tag) == {"file"} and isinstance(tag["file"], str):
@@ -255,17 +248,17 @@ def _initial_sampler(config: SimConfig):
     if not isinstance(tag, str):
         raise ValueError(f"initial must be a tag string or {{'file': path}}, got {tag!r}")
     if tag == "zero":
-        return _Product(_zero, _zero)
+        return _zero, _zero
     if tag.startswith("mode:"):
         k, l, n = _tag_numbers(tag, 3, int)
         mode = spectral.stationary_mode(k, l, n, B)
         if abs(mode.triple.L - L) > 1e-9 * L:
             raise ValueError(f"initial: grid L={L} does not host the critical length "
                              f"{mode.triple.L} of mode {tag!r}")
-        return mode
+        return mode.p, mode.q
     if tag.startswith("cos-product:"):
         amp, = _tag_numbers(tag, 1)
-        return _Product(functools.partial(_cos_x, amp, L), functools.partial(_cos_y, B))
+        return functools.partial(_cos_x, amp, L), functools.partial(_cos_y, B)
     if tag.startswith("cos-bump:"):
         amp, r = _tag_numbers(tag, 2)
         if not (0 < r <= B):
@@ -273,7 +266,7 @@ def _initial_sampler(config: SimConfig):
         if config.domain_kind == TRUNCATED_STRIP and B < 4.0 * r:
             raise ValueError(f"initial: strip truncation needs B >= 4x the bump radius "
                              f"(B={B}, r={r})")
-        return _Product(functools.partial(_cos_x, amp, L), functools.partial(_bump_y, r))
+        return functools.partial(_cos_x, amp, L), functools.partial(_bump_y, r)
     raise ValueError(f"initial: unknown tag {tag!r}")
 
 
@@ -284,17 +277,17 @@ def initial_field(config: SimConfig, grid: Grid | None = None) -> Field:
     or weighted energy overflow the float range raises a ValueError naming
     the tag, and no numpy warning.  A tagged datum p(x) q(y) is sampled by
     one multiply of its x column and its y row into one full-grid array
-    (``geometry._product_samples``), a snapshot's values are copied into
-    one; its walls are zeroed, and that array becomes the Field.  With
+    (``geometry._product_samples``), a snapshot's values (which
+    ``read_snapshot``'s Field holds uncopied) are copied into one; its
+    walls are zeroed, and that array becomes the Field.  With
     ``scale_weighted``, the weighted energy is read from the interior's
     squares (``calculus._squares``) and the whole array, whose walls are
     0, is scaled in place.
     """
     g = _run_grid(config, grid)
     with _overflow_names(config.initial):
-        f = config._sampler
-        if f is not None:
-            vals = _product_samples(g, f.p, f.q)
+        if config._sampler is not None:
+            vals = _product_samples(g, *config._sampler)
         else:
             fld = read_snapshot(config.initial["file"])[1]
             if fld.grid != g:
@@ -909,8 +902,8 @@ def simulate(config: SimConfig) -> Trajectory:
     ``aborted_at`` and the ``blowup`` details set instead of raising.
     """
     grid = config.grid()
-    u0 = initial_field(config, grid)
-    stepper = Stepper(config, grid)
+    u0 = initial_field(config)
+    stepper = Stepper(config)
     snapshots = [(0.0, u0)]
     with _overflow_names(config.initial):  # initial_field's rule for the datum
         i0 = calculus.initial_regularity(u0)
@@ -1006,9 +999,10 @@ def write_snapshot(path, t: float, fld: Field) -> None:
 def read_snapshot(path) -> tuple[float, Field]:
     """Read a ``write_snapshot`` file, validating the header and the length.
 
-    The grid is built from the header before any payload is read, and the
-    payload must be exactly (nx+2)*(ny+2) float64 values; every ValueError
-    names the path and the cause.
+    The grid is built from the header, whose t must be finite, before any
+    payload is read, and the payload must be exactly (nx+2)*(ny+2) float64
+    values, which the Field holds uncopied; every ValueError names the path
+    and the cause.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
@@ -1021,6 +1015,8 @@ def read_snapshot(path) -> tuple[float, Field]:
         L, B, nx, ny, t = _SNAPSHOT_HEADER.unpack(header)
         try:
             grid = Grid(L, B, nx, ny)
+            if not math.isfinite(t):
+                raise ValueError(f"t must be finite, got {t!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: bad header: {exc}") from exc
         count = (nx + 2) * (ny + 2)
@@ -1030,6 +1026,6 @@ def read_snapshot(path) -> tuple[float, Field]:
                              f"ny={ny} need {8 * count}")
         data = np.frombuffer(fh.read(8 * count), dtype="<f8")
     try:
-        return t, Field(grid, data.reshape(nx + 2, ny + 2))
+        return t, Field(grid, _Fresh(data.reshape(nx + 2, ny + 2)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -265,6 +265,24 @@ def test_stepper_takes_only_the_configs_grid():
     assert np.array_equal(*finals)
 
 
+def test_config_builds_its_grid_once(monkeypatch):
+    # The config keeps the Grid that checked L, B, nx, ny; a replaced config
+    # checks and keeps its own, and a run builds none after the config.
+    cfg = small_config(t_end=0.005, trace_stride=1, snapshot_stride=2)
+    assert cfg.grid() is cfg.grid()
+    assert replace(cfg, nx=33).grid().nx == 33
+    built = []
+    real = Grid.__post_init__
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Grid, "__post_init__", counting)
+    simulate(cfg)
+    assert built == []
+
+
 def test_initial_scale_weighted():
     cfg = small_config(initial="cos-product:1.0", scale_weighted=0.25)
     fld = initial_field(cfg)
@@ -361,7 +379,8 @@ def test_initial_field_is_the_tags_callable_broadcast(kind, scaled):
         want *= math.sqrt(0.3 / w)
     assert initial_field(cfg).values.tobytes() == want.tobytes()
     clone = pickle.loads(pickle.dumps(cfg))
-    assert clone == cfg and initial_field(clone).values.tobytes() == want.tobytes()
+    assert clone == cfg and clone.grid() == g
+    assert initial_field(clone).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
@@ -417,7 +436,10 @@ def test_axis_sampling_is_the_mesh_evaluation(datum):
         cfg = (small_config(nx=127, ny=127) if datum == "cos-product" else
                small_config(B=12.0, nx=127, ny=383, domain_kind=TRUNCATED_STRIP,
                             initial="cos-bump:1.0,2.0"))
-        g, f = cfg.grid(), cfg._sampler
+        g, (p, q) = cfg.grid(), cfg._sampler
+
+        def f(x, y):
+            return p(x) * q(y)
     got, want = sample_field(g, f).values, f(*meshgrid(g))
     if datum in ("mode:2,3,1", "mode:1,2,3"):
         assert np.max(np.abs(got - want)) <= 4e-16 * np.max(np.abs(want))
@@ -1707,6 +1729,8 @@ def test_snapshot_round_trip_is_bitwise(snap):
     ("negative_nx", "nx must be"),
     ("huge_nx", "payload is"),
     ("nan_value", "non-finite"),
+    ("nan_time", r"bad header: t must be finite, got nan"),
+    ("inf_time", r"bad header: t must be finite, got inf"),
 ])
 def test_read_snapshot_rejects_malformed_file(tmp_path, case, cause):
     g = build_grid(2.0, 1.0, 16, 12)
@@ -1723,6 +1747,9 @@ def test_read_snapshot_rejects_malformed_file(tmp_path, case, cause):
         raw += b"\0" * 8
     elif case == "nan_value":
         raw[-8:] = struct.pack("<d", math.nan)
+    elif case.endswith("_time"):
+        # t is the float64 after the magic, L, B, nx and ny.
+        raw[40:48] = struct.pack("<d", math.nan if case == "nan_time" else math.inf)
     else:
         # nx is the int64 after the magic and the two float64 L, B.
         raw[24:32] = struct.pack("<q", -5 if case == "negative_nx" else 2 ** 40)
