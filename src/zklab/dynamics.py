@@ -66,7 +66,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import calculus, spectral
-from .geometry import (Field, Grid, _Fresh, _is_real, _product_samples, _zero_walls,
+from .geometry import (Field, Grid, _Fresh, _is_real, _product_samples, _real, _zero_walls,
                        check_alpha, check_int, check_positive_finite)
 
 BLOWUP_THRESHOLD = 1.0e6
@@ -107,11 +107,16 @@ def _blas():
     return blas
 
 
+def _check_epsilon(epsilon) -> None:
+    """epsilon must be a finite non-negative real (an int or a float, not a bool)."""
+    if not (_is_real(epsilon) and 0 <= epsilon <= sys.float_info.max):
+        raise ValueError(f"epsilon must be a finite non-negative real, got {epsilon!r}")
+
+
 def _check_coefficients(alpha, epsilon) -> None:
     """alpha must be the int 0 or 1, epsilon a finite non-negative real."""
     check_alpha(alpha)
-    if not (_is_real(epsilon) and 0 <= epsilon <= sys.float_info.max):
-        raise ValueError(f"epsilon must be a finite non-negative real, got {epsilon!r}")
+    _check_epsilon(epsilon)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -762,9 +767,11 @@ class Stepper:
 
         The nonlinear history is reset, so the first ``advance`` takes the
         Euler predictor step.  An interior equal to its y-mirror on odd ny
-        is stepped on its even modes only.
+        is stepped on its even modes only.  A complex interior is a
+        ValueError, as it is for a Field (``geometry._real``).
         """
         g = self.linear_part.grid
+        interior = _real(interior)
         if interior.shape != (g.nx, g.ny):
             raise ValueError(f"start: interior shape {interior.shape} is not "
                              f"(nx, ny) = {g.nx, g.ny}")
@@ -947,13 +954,18 @@ def simulate_regularized_sweep(config: SimConfig, epsilons) -> SweepResult:
     state's distance to that terminal state (the passage-to-the-limit
     view).  A trailing epsilon of exactly 0 is allowed; a member that blows
     up raises a ValueError naming its epsilon and blow-up step and time.
+    Each member must pass the config's epsilon rule as given, before it is
+    converted to a float, so a bool or a string is rejected, not run.
     """
+    epsilons = list(epsilons)
+    for e in epsilons:
+        _check_epsilon(e)
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
         raise ValueError("need at least two epsilons")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    configs = [replace(config, epsilon=e) for e in eps]  # each checks its epsilon
+    configs = [replace(config, epsilon=e) for e in eps]
     trajectories = []
     for e, c in zip(eps, configs):
         tr = simulate(c)

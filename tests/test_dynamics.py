@@ -63,6 +63,20 @@ def on_path(cfg: SimConfig, path: str, tmp_path) -> SimConfig:
     return replace(cfg, initial={"file": str(snap)})
 
 
+def calls_of(monkeypatch, owner, name):
+    """The list that each later call of the method owner.name appends its (self, result) to."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(self, *args):
+        result = real(self, *args)
+        calls.append((self, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -271,14 +285,7 @@ def test_config_builds_its_grid_once(monkeypatch):
     cfg = small_config(t_end=0.005, trace_stride=1, snapshot_stride=2)
     assert cfg.grid() is cfg.grid()
     assert replace(cfg, nx=33).grid().nx == 33
-    built = []
-    real = Grid.__post_init__
-
-    def counting(self):
-        built.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Grid, "__post_init__", counting)
+    built = calls_of(monkeypatch, Grid, "__post_init__")
     simulate(cfg)
     assert built == []
 
@@ -314,13 +321,6 @@ def test_initial_field_builds_one_field_and_zeroes_the_walls_once(tmp_path, monk
     stored = np.random.default_rng(8).normal(size=g.shape)  # nonzero walls
     path = tmp_path / "u0.zks"
     write_snapshot(path, 0.0, Field(g, stored))
-    built = []
-    real = Field.__post_init__
-
-    def counting(self):
-        built.append(self)
-        return real(self)
-
     for initial, vals, fields in (("cos-product:0.7", sampled, 1),
                                   ({"file": str(path)}, stored, 2)):
         cfg = small_config(nx=g.nx, ny=g.ny, initial=initial, scale_weighted=0.3)
@@ -330,11 +330,10 @@ def test_initial_field_builds_one_field_and_zeroes_the_walls_once(tmp_path, monk
         u = want[1:-1, 1:-1]
         w = float(((1.0 + g.xs()[1:-1]) * (g.hx * g.hy)) @ (u * u).sum(axis=1))
         want *= math.sqrt(0.3 / w)
-        built.clear()
-        monkeypatch.setattr(Field, "__post_init__", counting)
+        built = calls_of(monkeypatch, Field, "__post_init__")
         fld = initial_field(cfg)
         monkeypatch.undo()
-        assert len(built) == fields and built[-1] is fld
+        assert len(built) == fields and built[-1][0] is fld
         assert fld.values.tobytes() == want.tobytes()
 
 
@@ -462,20 +461,20 @@ def dense_from_bands(bands: np.ndarray) -> np.ndarray:
 
 
 def every_mode_bands(g, alpha, eps):
-    """Oracle: the (6, ny, nx) band stack of every A_m, one expression per term."""
+    """Oracle: the (_LDAB, ny, nx) band stack of every A_m, one expression per term."""
     xi = transverse_eigenvalues(g.ny, g.hy)[:, None]
     bands = (alpha - xi) * dynamics._x_bands(1, g.nx, g.hx)[:, None, :]
     bands += dynamics._x_bands(3, g.nx, g.hx)[:, None, :]
     if eps > 0:
         bands += eps * dynamics._x_bands(4, g.nx, g.hx)[:, None, :]
-        bands[3] += eps * xi ** 2
+        bands[dynamics._KU] += eps * xi ** 2
     return bands
 
 
 def implicit_from_bands(bands, dt):
-    """Oracle: I + dt/2 A from a (6, k, nx) band stack, in the solve's flat band storage.
+    """Oracle: I + dt/2 A from a (_LDAB, k, nx) band stack, in the solve's flat band storage.
 
-    Column-major (6, k nx), entry (i, j) of mode m at [_KU + i - j, m nx + j],
+    Column-major (_LDAB, k nx), entry (i, j) of mode m at [_KU + i - j, m nx + j],
     then _KU zeros.
     """
     rows, k, nx = bands.shape
@@ -487,8 +486,8 @@ def implicit_from_bands(bands, dt):
 
 
 def system_modes(system, nx):
-    """A flat I + dt/2 A (``implicit_from_bands``' layout) -> its (6, k, nx) band stack."""
-    return system[:-dynamics._KU].reshape(-1, nx, 6).transpose(2, 0, 1)
+    """A flat I + dt/2 A (``implicit_from_bands``' layout) -> its (_LDAB, k, nx) band stack."""
+    return system[:-dynamics._KU].reshape(-1, nx, dynamics._LDAB).transpose(2, 0, 1)
 
 
 def dense_from_table(order, n, h):
@@ -568,20 +567,60 @@ def test_dense_reference_rows():
     assert np.array_equal(d1, -d1.T)
 
 
-# The stepper's nonlinear term is (NONLIN_COEFF u^2)_x.  It is 1, so the
-# stepper integrates (u^2)_x = 2 u u_x, twice the u u_x of ZK (ROADMAP
-# item 1 makes it 1/2).
+# ---------------------------------------------------------------------------
+# the step scheme: the tests' one statement of what Stepper.advance
+# integrates, which every test of a step reads.  The advances after a start
+# count from 0; those from FIRST_CN_STEP on (today all) are Crank-Nicolson
+# (CN) steps, (I + dt/2 A) x = (I - dt/2 A) m - dt F_half from the modes m,
+# whose solve's right-hand side is m + HALF_STEP dt F_half.  F_half is F,
+# the nonlinear term (NONLIN_COEFF u^2)_x, at the Euler predictor
+# u + HALF_STEP dt (A u + F(u)) on a step with no history (a run's first),
+# and AB2[0] F_n + AB2[1] F_(n-1) on every other, F_n being F where advance
+# n leaves from.  These are stated here, not read from the stepper, so a
+# stepper that drifts from them fails; F's scale is read from its one
+# constant (``sum_scale``).  NONLIN_COEFF is 1: the stepper integrates
+# (u^2)_x = 2 u u_x, twice ZK's u u_x.  ROADMAP item 1 halves
+# ``_nonlin_scale`` and sets NONLIN_COEFF to 0.5; item 11 sets FIRST_CN_STEP to 1.
+HALF_STEP = -0.5
+AB2 = (1.5, -0.5)
+FIRST_CN_STEP = 0
 NONLIN_COEFF = 1.0
 
 
-def nonlin_term(stepper, u):
-    """The stepper's nonlinear term F at u: its d1 sums times its one constant.
+def sum_scale(stepper):
+    """F per sum of the stepper's ``_nonlin``: ``_nonlin_scale`` over HALF_STEP dt AB2[0]."""
+    return stepper._nonlin_scale / (HALF_STEP * stepper.config.dt * AB2[0])
 
-    A step adds -dt/2 times the AB2 weight 3/2 times F, and
-    ``_nonlin_scale`` holds that product, so F is the sums times the
-    constant over -3 dt / 4.
+
+def nonlin_term(stepper, u):
+    """The stepper's nonlinear term F at u."""
+    return stepper._nonlin(u) * sum_scale(stepper)
+
+
+def half_step_terms(stepper, bands, n_prev):
+    """(F_n, F_half) of the stepper's next CN step, from its held state.
+
+    ``n_prev`` is the last advance's F_n (None on a run's first), and
+    ``bands`` the band stack of the held modes.
     """
-    return stepper._nonlin(u) * (stepper._nonlin_scale / (-0.75 * stepper.config.dt))
+    u, m = stepper._held(), stepper._modes
+    n_now = nonlin_term(stepper, u)
+    if n_prev is None:
+        au = stepper.linear_part.from_modes(dynamics._band_apply(bands, m))
+        return n_now, nonlin_term(stepper, u + HALF_STEP * stepper.config.dt * (au + n_now))
+    return n_now, AB2[0] * n_now + AB2[1] * n_prev
+
+
+def start_at_cn_step(stepper, interior):
+    """Start a linear run whose first CN step leaves from ``interior``.
+
+    The advances before FIRST_CN_STEP run; then the start's state, all that it reads, is put back.
+    """
+    stepper.start(interior)
+    held = stepper._modes, stepper._interior
+    for _ in range(FIRST_CN_STEP):
+        stepper.advance()
+    stepper._modes, stepper._interior = held
 
 
 def test_nonlin_is_the_centered_difference_of_u_squared_on_every_row():
@@ -695,10 +734,10 @@ def mms_eps_forcing(t, x, y, c):
 class ForcedStepper(Stepper):
     """A Stepper whose equation carries a manufactured forcing f at the coefficient c.
 
-    ``_nonlin``'s sums over 2 hx are (u^2)_x, which a step subtracts, so
-    subtracting 2 hx f from the sums adds f.  ``advance`` takes them once
-    at t_n, and its first call a second time, at the Euler predictor's
-    t_n + dt/2.
+    ``_nonlin``'s sums times ``sum_scale`` are the nonlinear term, which a
+    step subtracts, so subtracting f over that scale from the sums adds f.
+    ``advance`` takes them once at t_n, and the first advance of a run a
+    second time, at t_n + dt/2 (the step scheme's Euler predictor).
     """
 
     def __init__(self, config, c, forcing=mms_forcing):
@@ -717,7 +756,7 @@ class ForcedStepper(Stepper):
         # an even-half state holds the lower columns only
         y = self._y[:, :interior.shape[1]]
         f = self._forcing(next(self._times), self._x, y, self._c)
-        return super()._nonlin(interior) - 2.0 * self.linear_part.grid.hx * f
+        return super()._nonlin(interior) - f / sum_scale(self)
 
 
 def mms_errors(c, exact=mms_exact, forcing=mms_forcing, epsilon=0.0):
@@ -780,7 +819,7 @@ def test_alpha_difference_is_dx():
     lp1 = LinearPart(g, alpha=1)
     lp0 = LinearPart(g, alpha=0)
     system = lp1.implicit(g.ny, 2.0)
-    assert system.shape == (6 * g.ny * g.nx + dynamics._KU,)
+    assert system.shape == (dynamics._LDAB * g.ny * g.nx + dynamics._KU,)
     assert not system[-dynamics._KU:].any()
     diff = system_modes(system - lp0.implicit(g.ny, 2.0), g.nx)
     d1 = dense_x_operator(1, g.nx, g.hx)
@@ -817,7 +856,7 @@ SOLVE_REGIMES = {
 }
 
 
-# One step, and three consecutive steps carried in modal form.
+# One CN step, and three consecutive CN steps carried in modal form.
 @pytest.mark.parametrize("regime, eps, n_steps", [
     pytest.param(regime, eps, n, id=f"{regime}-{eps}" + ("" if n == 1 else f"-{n}steps"))
     for regime in SOLVE_REGIMES for eps in (0.0, 1e-2) for n in (1, 3)])
@@ -840,7 +879,7 @@ def test_linear_advance_matches_dense_per_mode_crank_nicolson(regime, eps, n_ste
         for _ in range(n_steps):
             expected[m] = np.linalg.solve(eye + half * a, (eye - half * a) @ expected[m])
     expected = lp.from_modes(expected)
-    stepper.start(u)
+    start_at_cn_step(stepper, u)
     for _ in range(n_steps):
         stepper.advance()
     got = stepper.interior()
@@ -883,14 +922,14 @@ def test_solve_is_componentwise_backward_stable(L, B, nx, ny, log_dt, eps, alpha
 def test_factor_names_a_zero_pivot():
     dt = 1e-3
     bands = every_mode_bands(build_grid(2.0, 1.0, 15, 9), 1, 0.0)
-    bands[3, 2, 0] = -2.0 / dt  # I + dt/2 A_2 then has a zero leading pivot
+    bands[dynamics._KU, 2, 0] = -2.0 / dt  # I + dt/2 A_2 then has a zero leading pivot
     with pytest.raises(np.linalg.LinAlgError, match="mode 2, column 0"):
         dynamics._factor(lambda: implicit_from_bands(bands, dt), 15)
 
 
 @pytest.mark.parametrize("half", [True, False], ids=["even_half", "every_mode"])
 def test_factor_working_set(half):
-    # On C07's 127x383 strip, in stacks of 6 k nx floats (k the held modes):
+    # On C07's 127x383 strip, in stacks of _LDAB k nx floats (k the held modes):
     # start forms I + dt/2 A in the one array it eliminates, and both
     # sweeps read L, U and 2/D from that array.  So the set-up, whose peak
     # is the factorization's, peaks at 2.06 (half) and 1.89 (every mode)
@@ -900,14 +939,14 @@ def test_factor_working_set(half):
     # columns), against 1.50 with the copies.  A copy of the factors, or of
     # the 2/D row, made after the growth's temporaries are freed leaves the
     # peak as it is but fails the held bound.  The first advance, whose
-    # Euler predictor multiplies by the factors, peaks at 0.67 stacks,
-    # against 0.72-0.78 when it applied A from the x-band rows and
-    # 1.56-1.61 from a band stack.
+    # Euler predictor (the step scheme's first CN step) multiplies by the
+    # factors, peaks at 0.67 stacks, against 0.72-0.78 when it applied A
+    # from the x-band rows and 1.56-1.61 from a band stack.
     cfg = SimConfig(L=2.0, B=12.0, nx=127, ny=383, dt=1e-3, t_end=1e-3,
                     domain_kind=TRUNCATED_STRIP, initial="cos-bump:1.0,2.0")
     u0 = initial_field(cfg).interior
     k = (cfg.ny + 1) // 2 if half else cfg.ny
-    stack_bytes = 6 * k * cfg.nx * 8
+    stack_bytes = dynamics._LDAB * k * cfg.nx * 8
     dynamics._blas(), dynamics._fft()  # imported outside the traced spans
     stepper = Stepper(cfg)
     held, peaks = [], []
@@ -942,7 +981,7 @@ def test_stepper_factors_the_stack_of_each_start(monkeypatch):
     # Stepper() factors nothing, each start factors the system P = I + dt/2 A
     # of the stack its run steps (the even half or every mode), bitwise P
     # formed from the rows of the every-mode band stack, and advance factors
-    # nothing.  The factors' product, which the first advance's Euler
+    # nothing.  The factors' product, which the step scheme's Euler
     # predictor reads, is P m / 2 to within 4 eps of |L| |D| |U| |m|, the
     # growth times |P| |m| taken componentwise, on grids whose solves do not
     # refine and on the refine.json geometry, whose solves do.  (The row
@@ -983,9 +1022,9 @@ def test_stepper_factors_the_stack_of_each_start(monkeypatch):
 
 def test_stepper_builds_no_mode_stack():
     # The operator is held as three x band rows and the transverse
-    # eigenvalues; a (6, ny, nx) stack of every A_m is formed by start.
+    # eigenvalues; a (_LDAB, ny, nx) stack of every A_m is formed by start.
     cfg = small_config(B=12.0, nx=127, ny=383, epsilon=0.1)
-    stack_bytes = 6 * cfg.ny * cfg.nx * 8
+    stack_bytes = dynamics._LDAB * cfg.ny * cfg.nx * 8
     tracemalloc.start()
     try:
         stepper = Stepper(cfg)
@@ -1075,6 +1114,16 @@ def test_start_rejects_an_interior_of_another_shape(shape):
             read()
 
 
+def test_start_rejects_a_complex_interior():
+    # numpy would drop the imaginary part with only a ComplexWarning; start
+    # applies a Field's rule, and the stepper is left without a state.
+    stepper = Stepper(small_config(nx=15, ny=9))
+    with pytest.raises(ValueError, match=r"^field values are complex \(complex128\)"):
+        stepper.start(np.ones((15, 9)) * (1 + 1j))
+    with pytest.raises(RuntimeError, match="call start first"):
+        stepper.advance()
+
+
 def test_step_zero_state_stays_zero():
     cfg = small_config()
     stepper = Stepper(cfg)
@@ -1084,8 +1133,8 @@ def test_step_zero_state_stays_zero():
 
 
 def test_start_begins_a_fresh_run():
-    # A used stepper restarted from u0 takes the Euler predictor step, as a
-    # fresh one does, not an Adams-Bashforth step on the old run's history.
+    # A used stepper restarted from u0 takes a run's first advance (the step
+    # scheme), as a fresh one does, not an AB2 step on the old run's history.
     cfg = small_config()
     u0 = initial_field(cfg).interior
     fresh = Stepper(cfg)
@@ -1272,13 +1321,13 @@ def test_space_self_convergence_second_order():
 
 
 def energy_identity_defects(cfg, n_steps):
-    """Per-step defect of ||x||^2 - ||m||^2 = -(dt/2) w^T A w - dt (F, w), w = x + m.
+    """Per-CN-step defect of ||x||^2 - ||m||^2 = -(dt/2) w^T A w - dt (F, w), w = x + m.
 
-    m and x are the held mode stacks before and after a step, and F is the
-    DST of the half-step nonlinear term, extrapolated here from the
-    stepper's physical states (zero for a linear run).  The identity holds
-    per mode, so the DST-I's scaling of ||.||^2 by 2(ny+1) cancels.  Each
-    defect is relative to ||m||^2.
+    m and x are the held mode stacks before and after a CN step, and F is
+    the DST of its F_half, which the step scheme gives from the stepper's
+    physical states (zero for a linear run).  The identity holds per mode,
+    so the DST-I's scaling of ||.||^2 by 2(ny+1) cancels.  Each defect is
+    relative to ||m||^2.
     """
     g = cfg.grid()
     stepper = Stepper(cfg, g)
@@ -1290,21 +1339,15 @@ def energy_identity_defects(cfg, n_steps):
         bands = bands[:, 0::2]
     n_prev = None
     defects = []
-    for _ in range(n_steps):
+    for step in range(n_steps):
         m = stepper._modes.copy()
-        if cfg.linear:
-            f = np.zeros_like(m)
-        else:
-            u = stepper._held()
-            n_now = nonlin_term(stepper, u)
-            if n_prev is None:
-                predicted = u - 0.5 * dt * (lp.from_modes(dynamics._band_apply(bands, m)) + n_now)
-                n_half = nonlin_term(stepper, predicted)
-            else:
-                n_half = 1.5 * n_now - 0.5 * n_prev
-            n_prev = n_now
+        f = np.zeros_like(m)
+        if not cfg.linear:
+            n_prev, n_half = half_step_terms(stepper, bands, n_prev)
             f = lp.to_modes(n_half)
         stepper.advance()
+        if step < FIRST_CN_STEP:
+            continue
         x = stepper._modes
         w = x + m
         change = np.sum(x * x) - np.sum(m * m)
@@ -1331,13 +1374,13 @@ def test_no_linear_step_raises_l2(dt):
     g = cfg.grid()
     a = dense_mode_matrix(g, 0, cfg.alpha, 0.0)
     # At eps = 0, D1 is skew, so sym(A_0) = sym(D3).  Pick the state whose
-    # step has w = x + m on the eigenvector of its smallest eigenvalue:
+    # CN step has w = x + m on the eigenvector of its smallest eigenvalue:
     # (I + dt/2 A) w = 2 m.
     w = np.linalg.eigh(0.5 * (a + a.T))[1][:, 0]
     modes = np.zeros((g.ny, g.nx))
     modes[0] = 0.5 * (w + 0.5 * dt * (a @ w))
     stepper = Stepper(cfg, g)
-    stepper.start(stepper.linear_part.from_modes(modes))
+    start_at_cn_step(stepper, stepper.linear_part.from_modes(modes))
     before = np.sum(stepper.interior() ** 2)
     stepper.advance()
     after = np.sum(stepper.interior() ** 2)
@@ -1451,14 +1494,7 @@ def test_blowup_reports_step_and_time(tmp_path):
 def test_simulate_builds_no_field_per_trace_row(monkeypatch):
     # Every Field passes through __post_init__.
     cfg = small_config(t_end=0.05, trace_stride=1, snapshot_stride=10)
-    built = []
-    real = Field.__post_init__
-
-    def counting(self):
-        built.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Field, "__post_init__", counting)
+    built = calls_of(monkeypatch, Field, "__post_init__")
     traj = simulate(cfg)
     monkeypatch.undo()
     assert len(traj.trace) == cfg.n_steps + 1
@@ -1471,19 +1507,11 @@ def test_even_simulate_mirrors_only_for_snapshots(monkeypatch):
     # interior is built only for the snapshots after the datum's.
     for linear in (True, False):
         cfg = small_config(linear=linear, t_end=0.05, trace_stride=1, snapshot_stride=20)
-        calls = []
-        real = Stepper.interior
-
-        def counting(self):
-            u = real(self)
-            calls.append(u.shape)
-            return u
-
-        monkeypatch.setattr(Stepper, "interior", counting)
+        calls = calls_of(monkeypatch, Stepper, "interior")
         traj = simulate(cfg)
         monkeypatch.undo()
         assert len(traj.trace) == cfg.n_steps + 1 and len(traj.snapshots) == 4
-        assert calls == [(cfg.nx, cfg.ny)] * (len(traj.snapshots) - 1)
+        assert [u.shape for _, u in calls] == [(cfg.nx, cfg.ny)] * (len(traj.snapshots) - 1)
 
 
 def test_linear_simulate_transforms_once_per_trace_row(monkeypatch, tmp_path):
@@ -1492,20 +1520,12 @@ def test_linear_simulate_transforms_once_per_trace_row(monkeypatch, tmp_path):
     # last trace row's.
     for path in PATHS:
         cfg = on_path(small_config(linear=True, t_end=0.023, trace_stride=5), path, tmp_path)
-        calls = {"to_modes": 0, "from_modes": 0}
-        for name in calls:
-            real = getattr(LinearPart, name)
-
-            def counting(self, arr, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(self, arr)
-
-            monkeypatch.setattr(LinearPart, name, counting)
+        calls = [calls_of(monkeypatch, LinearPart, name) for name in ("to_modes", "from_modes")]
         traj = simulate(cfg)
         monkeypatch.undo()
         assert traj.aborted_at is None
         assert traj.trace.t[1:].tolist() == pytest.approx([0.005, 0.01, 0.015, 0.02, 0.023])
-        assert calls == {"to_modes": 1, "from_modes": len(traj.trace) - 1}, path
+        assert [len(c) for c in calls] == [1, len(traj.trace) - 1], path
 
 
 def test_nonlinear_simulate_transforms_twice_per_step(monkeypatch, tmp_path):
@@ -1514,19 +1534,11 @@ def test_nonlinear_simulate_transforms_twice_per_step(monkeypatch, tmp_path):
     # start adds the datum's forward DST, the end the final state's inverse.
     for path in PATHS:
         cfg = on_path(small_config(t_end=0.023, trace_stride=5), path, tmp_path)
-        calls = {"to_modes": 0, "from_modes": 0}
-        for name in calls:
-            real = getattr(LinearPart, name)
-
-            def counting(self, arr, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(self, arr)
-
-            monkeypatch.setattr(LinearPart, name, counting)
+        calls = [calls_of(monkeypatch, LinearPart, name) for name in ("to_modes", "from_modes")]
         traj = simulate(cfg)
         monkeypatch.undo()
         assert traj.aborted_at is None and len(traj.trace) == 6
-        assert calls == {"to_modes": cfg.n_steps + 1, "from_modes": cfg.n_steps + 1}, path
+        assert [len(c) for c in calls] == [cfg.n_steps + 1] * 2, path
 
 
 def test_linear_part_apply_takes_only_its_grid():
@@ -1679,8 +1691,11 @@ def test_sweep_validates_epsilons():
         simulate_regularized_sweep(cfg, [1e-3, 1e-3])
     with pytest.raises(ValueError):
         simulate_regularized_sweep(cfg, [1e-3])
-    with pytest.raises(ValueError, match="epsilon must be a finite non-negative real"):
-        simulate_regularized_sweep(cfg, [1e-3, -1e-3])
+    # Each member is checked as given, before float() turns a bool or a
+    # string into a number that a config would take.
+    for bad in ([1e-3, -1e-3], [True, False], ["0.01", "0"], [1e-2, None]):
+        with pytest.raises(ValueError, match="^epsilon must be a finite non-negative real"):
+            simulate_regularized_sweep(cfg, bad)
 
 
 def test_snapshot_round_trip(tmp_path):
