@@ -4,12 +4,18 @@ lab's one table of finite-difference rows.
 Every difference in the lab is a row of ``_ROWS``: the centered D1 to D4,
 the one-sided u_x row at a wall, and the closures of the stepper's
 x-operators at x = h and x = L - h, which ``dynamics._x_bands`` writes into
-band storage.  ``_apply`` applies a row along one axis; ``gradient_full``
+band storage.  ``_apply`` applies a row along one axis; ``_d1_sums``
 reads the wall row through it, and ``initial_regularity`` D2.  The hot
 paths, D1 on a field with zero walls (``_d1_zero_walls``, for
 ``trace_row``, the stepper's nonlinear term and the interior nodes of
-``gradient_full``) and ``trace_row``'s wall row (``_wall_lines``), are
+``_d1_sums``) and ``trace_row``'s wall row (``_wall_lines``), are
 written out as slices that a test pins to the table bit for bit.
+
+On a full grid the first difference is ``_d1_sums``, the unscaled sums
+``divisor * h * u'`` at every node.  ``gradient_full`` divides them by
+``divisor * h``; the certificates square and integrate the sums and
+divide each integral once by ``(divisor * h)**2``, as ``trace_row`` does
+with its zero-wall sums.
 Quadrature is the tensor trapezoidal rule on the closed rectangle.
 
 ``trace_row`` reads a state of a run as the stepper holds it: the (nx, ny)
@@ -23,6 +29,7 @@ itself and its mirror.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -74,12 +81,24 @@ def _apply(row: _Row, v: np.ndarray, start: int, stop: int | None = None, h: flo
     return acc if h is None else acc / (row.divisor * h ** row.order)
 
 
+def _d1_sums(v: np.ndarray) -> np.ndarray:
+    """divisor * h * u' along axis 0 at every node: the d1 sums inside, the d1_wall sums on the walls.
+
+    d1_wall shares d1's divisor, so one scale turns every value into the
+    derivative; a caller that squares and integrates applies it once, to
+    the integral.
+    """
+    wall = _ROWS["d1_wall"]
+    out = _d1_zero_walls(v, np.empty_like(v))
+    out[0] = _apply(wall, v, 0)
+    out[-1] = -_apply(wall, v[::-1], 0)  # reversed, the spacing is -h
+    return out
+
+
 def _d1_full(v: np.ndarray, h: float) -> np.ndarray:
     """First derivative at every node, one-sided at the two walls."""
-    out = _d1_zero_walls(v, np.empty_like(v))
-    out /= _ROWS["d1"].divisor * h  # on the whole array, which is contiguous; walls set below
-    out[0] = _apply(_ROWS["d1_wall"], v, 0, h=h)
-    out[-1] = _apply(_ROWS["d1_wall"], v[::-1], 0, h=-h)  # reversed, the spacing is -h
+    out = _d1_sums(v)
+    out /= _ROWS["d1"].divisor * h
     return out
 
 
@@ -113,7 +132,7 @@ def _d1_zero_walls(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The sums of the d1 row at every node of v, which is zero beyond its ends, into ``out``.
 
     The hot path of ``trace_row``, of the stepper's nonlinear term and of
-    ``_d1_full``'s inner nodes, so the row is written out as slices:
+    ``_d1_sums``'s inner nodes, so the row is written out as slices:
     applied by ``_apply``, node by node at the ends, it made trace_row's
     gradient sums take about 1.6 times as long.  When both arrays are
     contiguous along axis 0 (Fortran order: the stepper's held columns
@@ -250,25 +269,30 @@ class _Terms(NamedTuple):
 
     v2: np.ndarray      # v * v
     l2_sq: float        # integrate(v * v)
-    ux: np.ndarray      # gradient_full(fld)[0]
-    ux_sq: float        # integrate(ux * ux)
-    uy_sq: float        # integrate(uy * uy)
+    sx: np.ndarray      # _d1_sums(v): divisor * hx * u_x at every node
+    ux_sq: float        # integrate(u_x * u_x), as integrate(sx * sx) / (divisor * hx)**2
+    uy_sq: float        # integrate(u_y * u_y), likewise from the y-sums
     grad_sq: float      # ux_sq + uy_sq
 
 
 # One-entry memo keyed on the Field, so the five certificates of one field
 # take one gradient.  A Field hashes by identity and freezes a private copy
 # of its values, so identity stands for the values.  The entry holds the
-# latest field and two grid arrays, and u_y is squared in place: a run of
-# fields then reuses its heap, which glibc would trim and re-fault.
+# latest field and two grid arrays, and the y-sums are squared in place: a
+# run of fields then reuses its heap, which glibc would trim and re-fault.
+# The difference sums are integrated unscaled and each integral is divided
+# once by the square of the sums' scale, as trace_row does.
 @functools.lru_cache(maxsize=1)
 def _shared_terms(fld: Field) -> _Terms:
-    g = fld.grid
-    ux, uy = gradient_full(fld)
-    v2 = fld.values * fld.values
-    v2.flags.writeable = ux.flags.writeable = False
-    ux_sq, uy_sq = integrate(ux * ux, g), integrate(np.square(uy, out=uy), g)
-    return _Terms(v2=v2, l2_sq=integrate(v2, g), ux=ux, ux_sq=ux_sq, uy_sq=uy_sq,
+    g, v = fld.grid, fld.values
+    d = _ROWS["d1"].divisor
+    sx = _d1_sums(v)
+    sy = _d1_sums(v.T)
+    v2 = v * v
+    v2.flags.writeable = sx.flags.writeable = False
+    ux_sq = integrate(sx * sx, g) / (d * g.hx) ** 2
+    uy_sq = integrate(np.square(sy, out=sy).T, g) / (d * g.hy) ** 2
+    return _Terms(v2=v2, l2_sq=integrate(v2, g), sx=sx, ux_sq=ux_sq, uy_sq=uy_sq,
                   grad_sq=ux_sq + uy_sq)
 
 
@@ -276,9 +300,11 @@ def check_gn(fld: Field, q: int) -> float:
     """Gagliardo-Nirenberg certificate for zero-trace fields.
 
     Returns ||u||_q / (beta * ||grad u||^theta * ||u||^(1-theta)) with
-    theta = 2(1/2 - 1/q), beta = 2^theta; 0 for the zero field.
-    A value <= 1 + tol certifies the inequality on this sample.  The
-    certificates of one field share one gradient and one ||u||^2.
+    theta = 2(1/2 - 1/q), beta = 2^theta; 0 for the zero field, and inf,
+    the limit of the ratio, for a nonzero field of zero gradient (one with
+    nonzero walls, such as a constant).  A value <= 1 + tol certifies the
+    inequality on this sample.  The certificates of one field share one
+    gradient and one ||u||^2.
     """
     if q not in (3, 4):
         raise ValueError(f"q must be 3 or 4, got {q}")
@@ -286,6 +312,8 @@ def check_gn(fld: Field, q: int) -> float:
     l2 = np.sqrt(t.l2_sq)
     if l2 == 0.0:
         return 0.0
+    if t.grad_sq == 0.0:
+        return math.inf
     theta = 2.0 * (0.5 - 1.0 / q)
     beta = 2.0 ** theta
     # |v|^q as products of the shared v*v: no libm pow per node.
@@ -298,23 +326,27 @@ def check_gn(fld: Field, q: int) -> float:
 def check_sup_bound(fld: Field) -> float:
     """Certificate for sup u^2 <= ||u||_H1^2 + ||u_xy||^2; 0 for zero field.
 
-    Reads the gradient shared by the certificates of this field.
+    Reads the terms shared by the certificates of this field.  u_xy is the
+    y-difference of the shared x-sums, divisor^2 * hx * hy * u_xy at every
+    node, squared in place and scaled once, on its integral.
     """
     g = fld.grid
     t = _shared_terms(fld)
     sup_sq = float(np.max(t.v2))
     if sup_sq == 0.0:
         return 0.0
-    uxy = _d1_full(t.ux.T, g.hy).T
-    denom = t.l2_sq + t.grad_sq + integrate(uxy * uxy, g)
-    return sup_sq / denom
+    sxy = _d1_sums(t.sx.T)
+    d = _ROWS["d1"].divisor
+    uxy_sq = integrate(np.square(sxy, out=sxy).T, g) / (d * d * g.hx * g.hy) ** 2
+    return sup_sq / (t.l2_sq + t.grad_sq + uxy_sq)
 
 
 def check_poincare(fld: Field, axis: str) -> float:
     """Certificate for the directional Poincare inequalities.
 
     axis 'y': ||w||^2 <= (B^2/2) ||w_y||^2;  axis 'x': ||w||^2 <= (L^2/8) ||w_x||^2.
-    Returns the ratio ||w||^2 / (C * ||w_axis||^2); 0 for the zero field.
+    Returns the ratio ||w||^2 / (C * ||w_axis||^2); 0 for the zero field,
+    inf for a nonzero field of zero w_axis (one with nonzero walls).
     Reads the gradient integrals shared by the certificates of this field.
     """
     if axis not in ("x", "y"):
@@ -329,4 +361,6 @@ def check_poincare(fld: Field, axis: str) -> float:
     else:
         c = g.L ** 2 / 8.0
         gsq = t.ux_sq
+    if gsq == 0.0:
+        return math.inf
     return float(t.l2_sq / (c * gsq))

@@ -204,6 +204,16 @@ def random_clean_field(grid: Grid, rng: np.random.Generator) -> Field:
 # ---------------------------------------------------------------------------
 # verify suites
 
+def _worst(*values: float) -> float:
+    """The largest of the values, or NaN if any is NaN: max() drops a NaN
+    after the first argument, and a check that read NaN must fail."""
+    out = values[0]
+    for v in values[1:]:
+        if v > out or v != v:
+            out = v
+    return out
+
+
 def _verify_inequalities(samples: int, seed: int) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
     grid = Grid(2.0, 1.0, 127, 127)
@@ -212,11 +222,11 @@ def _verify_inequalities(samples: int, seed: int) -> list[tuple[str, bool, str]]
              "poincare_x": 0.0, "poincare_y": 0.0}
     for _ in range(samples):
         fld = random_clean_field(grid, rng)
-        worst["gn_q3"] = max(worst["gn_q3"], calculus.check_gn(fld, 3))
-        worst["gn_q4"] = max(worst["gn_q4"], calculus.check_gn(fld, 4))
-        worst["sup_bound"] = max(worst["sup_bound"], calculus.check_sup_bound(fld))
-        worst["poincare_x"] = max(worst["poincare_x"], calculus.check_poincare(fld, "x"))
-        worst["poincare_y"] = max(worst["poincare_y"], calculus.check_poincare(fld, "y"))
+        worst["gn_q3"] = _worst(worst["gn_q3"], calculus.check_gn(fld, 3))
+        worst["gn_q4"] = _worst(worst["gn_q4"], calculus.check_gn(fld, 4))
+        worst["sup_bound"] = _worst(worst["sup_bound"], calculus.check_sup_bound(fld))
+        worst["poincare_x"] = _worst(worst["poincare_x"], calculus.check_poincare(fld, "x"))
+        worst["poincare_y"] = _worst(worst["poincare_y"], calculus.check_poincare(fld, "y"))
     return [(name, ratio <= tol, f"max ratio {ratio:.6f} (certify <= {tol})")
             for name, ratio in worst.items()]
 
@@ -231,16 +241,15 @@ def _verify_spectral(samples: int, seed: int) -> list[tuple[str, bool, str]]:
         k, l, n = (int(rng.integers(1, 6)) for _ in range(3))
         B = np.pi * n / 2.0 * (1.0 + 0.05 + 2.95 * rng.random())
         triple = spectral.resonant_family(k, l, n, B)
-        worst_identity = max(worst_identity,
-                             max(triple.identity_residuals().values()))
-        worst_cubic = max(worst_cubic, float(triple.cubic_residuals().max()))
-        worst_consistency = max(worst_consistency, abs(
+        worst_identity = _worst(worst_identity, *triple.identity_residuals().values())
+        worst_cubic = _worst(worst_cubic, float(triple.cubic_residuals().max()))
+        worst_consistency = _worst(worst_consistency, abs(
             spectral.critical_residual(triple.L, B, k, l, n)))
         profile = spectral.build_profile(triple)
         ends = np.array([0.0, triple.L])
-        worst_profile = max(worst_profile,
-                            float(np.max(np.abs(profile(ends)))),
-                            float(np.max(np.abs(profile.derivative(ends)))))
+        worst_profile = _worst(worst_profile,
+                               float(np.abs(profile(ends)).max()),
+                               float(np.abs(profile.derivative(ends)).max()))
     return [
         ("viete_spacing", worst_identity <= 1e-12, f"max residual {worst_identity:.3e}"),
         ("cubic_roots", worst_cubic <= 1e-10, f"max residual {worst_cubic:.3e}"),

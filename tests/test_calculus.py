@@ -8,8 +8,8 @@ from zklab import (Field, SimConfig, build_grid, check_gn, check_poincare,
                    initial_regularity, integrate, resonant_family, sample_field,
                    simulate, stationary_mode, trace_row)
 from zklab import dynamics
-from zklab.calculus import (_ROWS, _apply, _d1_full, _d1_zero_walls, _shared_terms, _wall_lines,
-                            gradient_full, trapezoid_weights)
+from zklab.calculus import (_ROWS, _apply, _d1_full, _d1_sums, _d1_zero_walls, _shared_terms,
+                            _wall_lines, gradient_full, trapezoid_weights)
 from zklab.harness import random_clean_field
 
 
@@ -192,6 +192,26 @@ def test_hot_paths_equal_the_table_rows():
     assert flat_cases == 3
 
 
+def test_d1_sums_are_the_table_rows():
+    # divisor * h * u' at every node: the d1 row's sums inside, the d1_wall
+    # row's on both walls, the far one read on the reversed array with its
+    # sign flipped (reversed, the spacing is -h).  _d1_full is those sums
+    # over divisor * h, bit for bit, and its far wall is the row applied
+    # with spacing -h.
+    rng = np.random.default_rng(23)
+    g = build_grid(2.0, 1.5, 40, 23)
+    d1, wall = _ROWS["d1"], _ROWS["d1_wall"]
+    for v in (rng.normal(size=g.shape), np.asfortranarray(rng.normal(size=g.shape))):
+        for e, h in ((v, g.hx), (v.T, g.hy)):
+            s = _d1_sums(e)
+            assert np.array_equal(s[1:-1], _apply(d1, e, 1, len(e) - 1))
+            assert np.array_equal(s[0], _apply(wall, e, 0))
+            assert np.array_equal(s[-1], -_apply(wall, e[::-1], 0))
+            full = _d1_full(e, h)
+            assert np.array_equal(full, s / (d1.divisor * h))
+            assert np.array_equal(full[-1], _apply(wall, e[::-1], 0, h=-h))
+
+
 def l2(fld):
     return math.sqrt(integrate(fld.values ** 2, fld.grid))
 
@@ -329,19 +349,36 @@ def test_check_poincare_analytic_values():
         check_poincare(fx, "z")
 
 
+def test_zero_gradient_of_a_nonzero_field_reads_inf():
+    # Only off the zero-trace domain: a constant's difference sums vanish at
+    # every node, walls included, so each ratio over a gradient norm takes
+    # its limit, inf (fails on this sample), with no warning.  The zero
+    # field still reads 0.
+    g = build_grid(2.0, 1.0, 31, 31)
+    one = Field(g, np.ones(g.shape))
+    assert [check_gn(one, 3), check_gn(one, 4), check_poincare(one, "x"),
+            check_poincare(one, "y")] == [math.inf] * 4
+    assert 0.0 < check_sup_bound(one) < math.inf
+    assert _certificates(Field(g, np.zeros(g.shape))) == [0.0] * 5
+
+
 def _certificates(fld):
     return [check_gn(fld, 3), check_gn(fld, 4), check_sup_bound(fld),
             check_poincare(fld, "x"), check_poincare(fld, "y")]
 
 
 def _inline_certificates(fld):
-    """The five certificates from a fresh gradient, in the library's arithmetic."""
+    """The five certificates from fresh difference sums, in the library's
+    arithmetic: each squared sum is integrated unscaled and divided once by
+    the square of its scale."""
     g, v = fld.grid, fld.values
-    ux, uy = gradient_full(fld)
-    uxy = _d1_full(ux.T, g.hy).T
+    d = _ROWS["d1"].divisor
+    sx, sy = _d1_sums(v), _d1_sums(v.T).T
+    sxy = _d1_sums(sx.T).T
     v2 = v * v
     l2_sq = integrate(v2, g)
-    ux_sq, uy_sq = integrate(ux * ux, g), integrate(uy * uy, g)
+    ux_sq = integrate(sx * sx, g) / (d * g.hx) ** 2
+    uy_sq = integrate(sy * sy, g) / (d * g.hy) ** 2
     grad_sq = ux_sq + uy_sq
     l2, gn = np.sqrt(l2_sq), np.sqrt(grad_sq)
     out = []
@@ -349,7 +386,8 @@ def _inline_certificates(fld):
         theta = 2.0 * (0.5 - 1.0 / q)
         lq = integrate(vq, g) ** (1.0 / q)
         out.append(float(lq / (2.0 ** theta * gn ** theta * l2 ** (1.0 - theta))))
-    out.append(float(np.max(v2)) / (l2_sq + grad_sq + integrate(uxy * uxy, g)))
+    uxy_sq = integrate(sxy * sxy, g) / (d * d * g.hx * g.hy) ** 2
+    out.append(float(np.max(v2)) / (l2_sq + grad_sq + uxy_sq))
     out.append(float(l2_sq / (g.L ** 2 / 8.0 * ux_sq)))
     out.append(float(l2_sq / (g.B ** 2 / 2.0 * uy_sq)))
     return out

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from zklab import calculus, spectral
 from zklab import (ConfigError, DecayGeometry, Field, SimConfig, build_grid, cli_main,
                    decay_theory, emit_artifacts, load_config,
                    random_clean_field, read_trace_csv, simulate, verdict, write_trace_csv)
@@ -329,6 +331,43 @@ def test_verify_inequalities_repeats_in_one_process():
     assert text() == first
     _mode_tables.cache_clear()
     assert text() == first
+
+
+def _nan_on_call(monkeypatch, owner, name, call, spoil=lambda value: math.nan):
+    """Make call number ``call`` (from 0) of owner.name return spoil(its value)."""
+    real, calls = getattr(owner, name), itertools.count()
+
+    def patched(*args):
+        value = real(*args)
+        return spoil(value) if next(calls) == call else value
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def test_verify_inequalities_fails_a_nan_certificate(monkeypatch):
+    # max(worst, nan) is worst: a NaN after the first sample must stick and fail.
+    _nan_on_call(monkeypatch, calculus, "check_gn", 8)  # q = 3 on the fifth of ten fields
+    out = io.StringIO()
+    assert run_verify("inequalities", 10, 1, out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "FAIL inequalities/gn_q3: max ratio nan (certify <= 1.05)"
+    assert len(lines) == 5 and all(line.startswith("PASS") for line in lines[1:])
+
+
+@pytest.mark.parametrize("owner, name, spoil, check", [
+    (spectral, "critical_residual", lambda value: math.nan, "length_residual"),
+    # A NaN in a later identity, behind finite ones.
+    (spectral.ResonantTriple, "identity_residuals",
+     lambda value: {**value, "product": math.nan}, "viete_spacing"),
+])
+def test_verify_spectral_fails_a_nan_residual(monkeypatch, owner, name, spoil, check):
+    _nan_on_call(monkeypatch, owner, name, 3, spoil)
+    out = io.StringIO()
+    assert run_verify("spectral", 10, 1, out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 4
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL spectral/{check}: max residual nan"]
 
 
 # ---------------------------------------------------------------------------
