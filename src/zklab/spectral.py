@@ -13,6 +13,7 @@ arithmetic on those formulas: no eigensolvers, no iteration.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -152,6 +153,22 @@ class ModeProfile:
 
     def derivative(self, x) -> np.ndarray:
         return self._series(x, [1j * sj * cj for sj, cj in zip(self.s, self.coeffs)])
+
+    def boundary_residuals(self, L: float) -> tuple:
+        """|p(0)|, |p(L)|, |p'(0)|, |p'(L)| as four floats.
+
+        The profile's own sums, formed in complex floats: at x = 0 every
+        exponential is 1, so p(0) and p'(0) are plain sums of the weights,
+        and at x = L they take the three factors exp(i s_j L).  A real
+        profile reads the real parts, as ``_series`` does.
+        """
+        slopes = [1j * sj * cj for sj, cj in zip(self.s, self.coeffs)]
+        phases = [cmath.exp(1j * sj * L) for sj in self.s]
+        sums = (sum(self.coeffs), sum(e * c for e, c in zip(phases, self.coeffs)),
+                sum(slopes), sum(e * d for e, d in zip(phases, slopes)))
+        if self.is_real:
+            return tuple(abs(v.real) for v in sums)
+        return tuple(abs(v) for v in sums)
 
 
 _NORMALIZE_SAMPLES = 8193

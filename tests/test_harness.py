@@ -359,6 +359,11 @@ def test_verify_inequalities_fails_a_nan_certificate(monkeypatch):
     # A NaN in a later identity, behind finite ones.
     (spectral.ResonantTriple, "identity_residuals",
      lambda value: {**value, "product": math.nan}, "viete_spacing"),
+    # A NaN in |p'(L)|, the last of the four, behind finite values.
+    (spectral.ModeProfile, "boundary_residuals",
+     lambda value: (*value[:3], math.nan), "profile_bc"),
+    (spectral.ResonantTriple, "cubic_residuals",
+     lambda value: np.array([value[0], math.nan, value[2]]), "cubic_roots"),
 ])
 def test_verify_spectral_fails_a_nan_residual(monkeypatch, owner, name, spoil, check):
     _nan_on_call(monkeypatch, owner, name, 3, spoil)
@@ -474,13 +479,18 @@ def test_readme_verify_outputs():
         "PASS inequalities/sup_bound: max ratio 0.041962 (certify <= 1.05)\n"
         "PASS inequalities/poincare_x: max ratio 0.561386 (certify <= 1.05)\n"
         "PASS inequalities/poincare_y: max ratio 0.619593 (certify <= 1.05)\n")
-    # The spectral residuals sit near 1e-16, and their digits follow the
-    # CPU's vectorised sin and exp, so only the checks and verdicts are pinned.
+    # Three spectral lines are computed in float arithmetic alone, so they
+    # are pinned exactly; they also catch any change in the drawn tuples.
+    # profile_bc's digits follow numpy's vectorised cos (the amplitude that
+    # normalises each profile), so only its check and verdict are pinned.
     out = io.StringIO()
     assert run_verify("spectral", 500, 1, out=out) == 0
-    assert [line.split(":")[0] for line in out.getvalue().splitlines()] == [
-        "PASS spectral/viete_spacing", "PASS spectral/cubic_roots",
-        "PASS spectral/length_residual", "PASS spectral/profile_bc"]
+    lines = out.getvalue().splitlines()
+    assert lines[:3] == [
+        "PASS spectral/viete_spacing: max residual 7.772e-16",
+        "PASS spectral/cubic_roots: max residual 1.110e-15",
+        "PASS spectral/length_residual: max residual 6.661e-16"]
+    assert len(lines) == 4 and lines[3].startswith("PASS spectral/profile_bc: ")
 
 
 def test_cli_verify_conservation(capsys):

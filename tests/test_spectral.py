@@ -174,6 +174,25 @@ def test_profile_boundary_constraints_dense():
         assert np.max(np.abs(p.derivative(ends))) < 1e-10
         xs = np.linspace(0.0, t.L, 10_000)
         assert np.max(np.abs(p(xs))) <= 1.0 + 1e-10
+        # The scalar end sums agree with the profile's own array evaluator,
+        # real (k = l) and complex alike.
+        assert p.is_real == (k == l)
+
+        def oracle(x):
+            at = np.array([0.0, x])
+            return np.concatenate([np.abs(p(at)), np.abs(p.derivative(at))])
+
+        residuals = p.boundary_residuals(t.L)
+        assert len(residuals) == 4 and all(type(r) is float for r in residuals)
+        np.testing.assert_allclose(residuals, oracle(t.L), rtol=0, atol=1e-15)
+        # At x = L the three phases are equal, so |p(L)| = |p(0)| for any
+        # coefficients; an end away from the period checks the phases.
+        np.testing.assert_allclose(p.boundary_residuals(0.3 * t.L), oracle(0.3 * t.L),
+                                   rtol=1e-12, atol=1e-15)
+        # A profile off the constraints reads well above the suite's 1e-10.
+        c1, c2, c3 = p.coeffs
+        off = replace(p, coeffs=(c1 * (1.0 + 1e-6), c2, c3))
+        assert max(off.boundary_residuals(t.L)) > 1e-10
 
 
 def test_stationary_mode_matches_closed_form():
